@@ -1,8 +1,9 @@
 """EPR budgets: grouped teleportation vs one EPR per cross-node gate.
 
 Grouping all controlled phases that share a control qubit into one cat
-session needs sum_i m_i * (k - i) EPR pairs -- m * C(k, 2) for equal node
-sizes -- instead of C(n, 2) for gate-by-gate teleportation.  The runtime
+session needs sum_{i=0}^{k-1} m_i * (k-1-i) EPR pairs, nodes counted from 0
+-- m * C(k, 2) for equal node sizes -- instead of C(n, 2) for gate-by-gate
+teleportation.  The runtime
 counters reproduce the closed forms exactly; a small sweep writes the
 numbers to CSV.
 """

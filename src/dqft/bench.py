@@ -7,9 +7,10 @@ the SweepConfig fields.  Theta values written as the decimals 0.333333 or
 verification oracles see the same phase the circuits encode.
 
 CSV rows are appended and flushed one run at a time, so an interrupted
-sweep resumes by skipping the (n, k, theta, mode, repeat) keys already on
-disk.  With a fixed config and seed every column is reproduced byte for
-byte except wall_time_seconds, which reports the genuine monotonic clock.
+sweep resumes by skipping the (n, k, theta, mode, seed, repeat) keys of the
+complete rows on disk, after cutting off a torn last row.  With a fixed
+config and seed every column is reproduced byte for byte except
+wall_time_seconds, which reports the genuine monotonic clock.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class ResultRow:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+_CELL_TYPES = tuple({"int": int, "float": float, "str": str}[f.type] for f in fields(ResultRow))
 
 
 def normalize_theta(theta: float) -> float:
@@ -177,24 +179,33 @@ def run_point(n: int, k: int, theta: float, mode: str, shots: int, seed: int,
     )
 
 
-def _existing_keys(path: str) -> set[tuple]:
-    keys = set()
-    if not os.path.exists(path):
-        return keys
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header and header.split(",") != list(CSV_COLUMNS):
+def _prepare_resume(path: str) -> set[tuple]:
+    """Ready the CSV for appending; return the point keys of its complete rows.
+
+    A torn last line is cut off, and a new or empty file gets the header.
+    """
+    header = ",".join(CSV_COLUMNS)
+    with open(path, "a+b") as fh:
+        fh.seek(0)
+        *lines, tail = fh.read().decode("utf-8").split("\n")
+        if (lines or [tail])[0] not in ("", header):
             raise ValueError(f"existing CSV {path} has an unexpected header")
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != len(CSV_COLUMNS):
-                continue  # torn row from an interrupted write
-            keys.add((int(cells[0]), int(cells[1]), cells[2], cells[3], int(cells[5])))
+        fh.truncate(fh.tell() - len(tail.encode("utf-8")))
+        if not lines:
+            fh.write(f"{header}\n".encode("utf-8"))
+    keys = set()
+    for line in lines[1:]:
+        try:
+            row = ResultRow(*(parse(c) for parse, c in
+                              zip(_CELL_TYPES, line.split(","), strict=True)))
+        except ValueError:
+            continue  # incomplete: a cell is missing, extra or does not parse
+        keys.add(_point_key(row.n, row.k, row.theta, row.mode, row.seed, row.repeat))
     return keys
 
 
-def _point_key(n: int, k: int, theta: float, mode: str, repeat: int) -> tuple:
-    return (n, k, format_value(theta), mode, repeat)
+def _point_key(n: int, k: int, theta: float, mode: str, seed: int, repeat: int) -> tuple:
+    return (n, k, format_value(theta), mode, seed, repeat)
 
 
 class _RunTimeout(Exception):
@@ -239,7 +250,7 @@ def sweep(config: SweepConfig, timeout: float = DEFAULT_TIMEOUT_SECONDS,
     parent = os.path.dirname(out_path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    existing = _existing_keys(out_path)
+    existing = _prepare_resume(out_path)
     points = expand_points(config, log=log)
 
     references: dict[tuple, dict[int, float]] = {}
@@ -247,19 +258,15 @@ def sweep(config: SweepConfig, timeout: float = DEFAULT_TIMEOUT_SECONDS,
     failures: list[tuple] = []
     timed_out: list[tuple] = []
     skipped = 0
-    need_header = not os.path.exists(out_path) or os.path.getsize(out_path) == 0
     with open(out_path, "a", encoding="utf-8", newline="") as fh:
-        if need_header:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            fh.flush()
         for n, k, theta, mode, repeat in points:
-            if _point_key(n, k, theta, mode, repeat) in existing:
+            seed = config.seed + repeat
+            if _point_key(n, k, theta, mode, seed, repeat) in existing:
                 skipped += 1
                 continue
             ref_key = (n, format_value(theta))
             if ref_key not in references:
                 references[ref_key] = monolithic_exact_distribution(n, theta)
-            seed = config.seed + repeat
             try:
                 row = _with_timeout(
                     lambda: run_point(n, k, theta, mode, config.shots, seed,

@@ -1,9 +1,9 @@
 """Fourier-state preparation, swap-free inverse QFT, and the k-node schedule.
 
 The bit-order reversal that normally ends an inverse QFT is pushed into
-classical postprocessing of the measured bitstrings (rev_postprocess), so
-every circuit here is swap-free.  Phase-angle fractions are reduced mod 1
-in exact rational arithmetic before conversion to radians; multiplying a
+classical postprocessing of the measured bits (bit_reverse), so every
+circuit here is swap-free.  Phase-angle fractions are reduced mod 1 in
+exact rational arithmetic before conversion to radians; multiplying a
 float theta by a large power of two and reducing in floating point would
 otherwise cost ~2^e ulps of phase.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .fabric import PartitionPlan
 from .statevector import Gate, StateVector
@@ -95,13 +96,17 @@ def count_layers(gates) -> int:
 
 def rev_postprocess(raw_bits: str) -> int:
     """Value encoded by a measured bitstring: reverse the bits, read as binary."""
-    if not raw_bits:
-        raise ValueError("empty bitstring")
-    return int(raw_bits[::-1], 2)
+    if not raw_bits or raw_bits.strip("01"):
+        raise ValueError(f"not a nonempty string of 0s and 1s: {raw_bits!r}")
+    return bit_reverse(int(raw_bits, 2), len(raw_bits))
 
 
-def bit_reverse(i: int, n: int) -> int:
-    return int(format(i, f"0{n}b")[::-1], 2)
+def bit_reverse(i, n: int):
+    """Reverse the low n bits of i, an int or an integer numpy array."""
+    out = i & 0  # a zero of i's own type
+    for b in range(n):
+        out = (out << 1) | ((i >> b) & 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,14 +148,12 @@ class GradientBlock:
 @dataclass(frozen=True)
 class DistributedSchedule:
     plan: PartitionPlan
-    blocks: tuple
+    blocks: tuple  # in slot order, which blocks_by_slot relies on
     num_slots: int
 
     def blocks_by_slot(self):
-        for s in range(self.num_slots):
-            group = [b for b in self.blocks if b.slot == s]
-            if group:
-                yield s, group
+        for s, group in groupby(self.blocks, key=lambda b: b.slot):
+            yield s, list(group)
 
 
 def build_schedule(plan: PartitionPlan) -> DistributedSchedule:
@@ -160,36 +163,33 @@ def build_schedule(plan: PartitionPlan) -> DistributedSchedule:
     node i onto node t in slot i+t.  Within any slot all blocks touch
     disjoint nodes, so the schedule runs in 2k-1 slots, and flattened with
     direct gates it reproduces exactly the monolithic gate multiset.
+    Blocks are emitted in slot order: the local block first, then the
+    gradient blocks by increasing control node.
     """
     blocks = []
     offs = plan.offsets
-    for i in range(plan.k):
-        blocks.append(LocalInverseQFT(node=i, slot=2 * i))
-        for t in range(i + 1, plan.k):
-            triples = []
-            for c_loc in range(plan.sizes[i]):
-                for t_loc in range(plan.sizes[t]):
-                    d = (offs[t] + t_loc) - (offs[i] + c_loc) + 1
-                    triples.append((c_loc, t_loc, inv_qft_angle(d)))
-            blocks.append(GradientBlock(control_node=i, target_node=t,
-                                        slot=i + t, gates=tuple(triples)))
-    blocks.sort(key=lambda b: (b.slot, isinstance(b, GradientBlock),
-                               getattr(b, "control_node", getattr(b, "node", 0)),
-                               getattr(b, "target_node", 0)))
-    return DistributedSchedule(plan=plan, blocks=tuple(blocks), num_slots=2 * plan.k - 1)
+    num_slots = 2 * plan.k - 1
+    for s in range(num_slots):
+        if s % 2 == 0:
+            blocks.append(LocalInverseQFT(node=s // 2, slot=s))
+        for i in range(max(0, s - plan.k + 1), (s + 1) // 2):
+            t = s - i
+            triples = tuple(
+                (c_loc, t_loc, inv_qft_angle((offs[t] + t_loc) - (offs[i] + c_loc) + 1))
+                for c_loc in range(plan.sizes[i]) for t_loc in range(plan.sizes[t]))
+            blocks.append(GradientBlock(control_node=i, target_node=t, slot=s, gates=triples))
+    return DistributedSchedule(plan=plan, blocks=tuple(blocks), num_slots=num_slots)
 
 
 def flatten_schedule(schedule: DistributedSchedule) -> list[Gate]:
     """The schedule as a monolithic gate list, telegates replaced by direct CP."""
     plan = schedule.plan
     gates: list[Gate] = []
-    for _, group in schedule.blocks_by_slot():
-        for block in group:
-            if isinstance(block, LocalInverseQFT):
-                gates.extend(inverse_qft_gates(plan.node_qubits(block.node)))
-            else:
-                c_off = plan.offsets[block.control_node]
-                t_off = plan.offsets[block.target_node]
-                for c_loc, t_loc, phi in block.gates:
-                    gates.append(Gate.cp(phi, c_off + c_loc, t_off + t_loc))
+    for block in schedule.blocks:
+        if isinstance(block, LocalInverseQFT):
+            gates.extend(inverse_qft_gates(plan.node_qubits(block.node)))
+        else:
+            c_off, t_off = plan.offsets[block.control_node], plan.offsets[block.target_node]
+            for c_loc, t_loc, phi in block.gates:
+                gates.append(Gate.cp(phi, c_off + c_loc, t_off + t_loc))
     return gates

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -55,13 +57,20 @@ class PartitionPlan:
     k: int
     sizes: tuple[int, ...]
 
-    @property
+    def __post_init__(self):
+        sizes = self.sizes
+        if len(sizes) != self.k or min(sizes, default=1) < 1 or sum(sizes) != self.n:
+            raise ValueError(f"sizes {sizes}: need k={self.k} nonempty nodes summing to n={self.n}")
+
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for m in self.sizes:
-            out.append(acc)
-            acc += m
-        return tuple(out)
+        return tuple(accumulate(self.sizes[:-1], initial=0))
+
+    @cached_property
+    def _addrs(self) -> tuple[QubitAddr, ...]:
+        # global index -> address: logical qubits node by node, then comm slots
+        return (tuple(QubitAddr(node, i) for node, m in enumerate(self.sizes) for i in range(m))
+                + tuple(QubitAddr.comm(node) for node in range(self.k)))
 
     @property
     def comm_slots(self) -> tuple[int, ...]:
@@ -81,15 +90,9 @@ class PartitionPlan:
         return self.offsets[addr.node] + addr.local_index
 
     def addr_of(self, global_index: int) -> QubitAddr:
-        if global_index >= self.n:
-            node = global_index - self.n
-            if node >= self.k:
-                raise ValueError(f"global index {global_index} out of range")
-            return QubitAddr.comm(node)
-        node = 0
-        while global_index >= self.offsets[node] + self.sizes[node]:
-            node += 1
-        return QubitAddr(node, global_index - self.offsets[node])
+        if not 0 <= global_index < self.n + self.k:
+            raise ValueError(f"global index {global_index} out of range")
+        return self._addrs[global_index]
 
 
 def make_partition(n: int, k: int) -> PartitionPlan:
@@ -143,7 +146,6 @@ class Fabric:
         self.counters = FabricCounters()
         self._comm_busy = [False] * plan.k
         self._queues: dict[tuple[int, int], deque[ClassicalMessage]] = {}
-        self._epr_serial = 0
 
     # -- gates and measurements --------------------------------------------
 
@@ -185,8 +187,7 @@ class Fabric:
         self._comm_busy[node_a] = True
         self._comm_busy[node_b] = True
         self.counters.epr_created += 1
-        self._epr_serial += 1
-        return QubitAddr.comm(node_a), QubitAddr.comm(node_b), self._epr_serial
+        return QubitAddr.comm(node_a), QubitAddr.comm(node_b), self.counters.epr_created
 
     def release_comm(self, node: int) -> None:
         self._comm_busy[node] = False

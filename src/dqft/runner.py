@@ -12,6 +12,7 @@ execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -45,16 +46,23 @@ def _validate(theta: float, shots: int) -> None:
 
 def exact_value_distribution(state: StateVector) -> dict[int, float]:
     """Exact post-REV value distribution of a pre-measurement logical state."""
-    n = state.num_qubits
     probs = np.abs(state.amps) ** 2
-    return {bit_reverse(i, n): float(probs[i]) for i in range(probs.size)}
+    values = bit_reverse(np.arange(probs.size), state.num_qubits)
+    return dict(zip(values.tolist(), probs.tolist()))
+
+
+def _monolithic_state(n: int, theta: float) -> StateVector:
+    """The single-register pipeline: Fourier prep, then the inverse QFT."""
+    return inverse_qft_local(fourier_prep(StateVector(n), range(n), theta), range(n))
 
 
 def monolithic_exact_distribution(n: int, theta: float) -> dict[int, float]:
-    state = StateVector(n)
-    fourier_prep(state, range(n), theta)
-    inverse_qft_local(state, range(n))
-    return exact_value_distribution(state)
+    return exact_value_distribution(_monolithic_state(n, theta))
+
+
+def _feedforward_turns(pairs, j: int) -> float:
+    """Griffiths-Niu phase on qubit j in turns: an exact dyadic sum over earlier (l, bit)."""
+    return sum(b / (1 << (j - l + 1)) for l, b in pairs)
 
 
 def semiclassical_exact_distribution(n: int, theta: float) -> dict[int, float]:
@@ -65,18 +73,15 @@ def semiclassical_exact_distribution(n: int, theta: float) -> dict[int, float]:
     O(n * 2^n).  Zero-probability branches are pruned, so exactly
     representable phases yield a single entry.
     """
-    state = StateVector(n)
-    fourier_prep(state, range(n), theta)
-    out: dict[int, float] = {}
+    state = fourier_prep(StateVector(n), range(n), theta)
+    leaves: dict[int, float] = {}  # raw outcome index -> probability
 
     def recurse(amps: np.ndarray, bits: list[int], prob: float) -> None:
         j = len(bits)
         if j == n:
-            raw = "".join(map(str, bits))
-            v = rev_postprocess(raw)
-            out[v] = out.get(v, 0.0) + prob
+            leaves[int("".join(map(str, bits)), 2)] = prob
             return
-        turns = sum(b / (1 << (j - l + 1)) for l, b in enumerate(bits))
+        turns = _feedforward_turns(enumerate(bits), j)
         v2 = amps.reshape(2, -1)
         top = v2[0]
         bot = v2[1] * np.exp(-1j * TWO_PI * turns)
@@ -90,7 +95,8 @@ def semiclassical_exact_distribution(n: int, theta: float) -> dict[int, float]:
             recurse(branch1 / np.sqrt(p1), bits + [1], prob * p1)
 
     recurse(state.amps, [], 1.0)
-    return out
+    values = bit_reverse(np.fromiter(leaves, dtype=np.int64, count=len(leaves)), n)
+    return dict(zip(values.tolist(), leaves.values()))
 
 
 # -- telegate execution ----------------------------------------------------------
@@ -105,18 +111,12 @@ def _apply_local_gates(fabric: Fabric, gates) -> None:
 def _run_gradient_block(fabric: Fabric, block: GradientBlock,
                         rng: np.random.Generator) -> None:
     # one cat session per control qubit covers all its targets on this node
-    handle = None
-    current = None
-    for c_loc, t_loc, phi in block.gates:
-        if c_loc != current:
-            if handle is not None:
-                cat_disentangle(fabric, handle, rng)
-            handle = cat_entangle(fabric, QubitAddr(block.control_node, c_loc),
-                                  block.target_node, rng)
-            current = c_loc
-        apply_remote_controlled(fabric, handle, phi,
-                                QubitAddr(block.target_node, t_loc))
-    if handle is not None:
+    for c_loc, triples in groupby(block.gates, key=lambda g: g[0]):
+        handle = cat_entangle(fabric, QubitAddr(block.control_node, c_loc),
+                              block.target_node, rng)
+        for _, t_loc, phi in triples:
+            apply_remote_controlled(fabric, handle, phi,
+                                    QubitAddr(block.target_node, t_loc))
         cat_disentangle(fabric, handle, rng)
 
 
@@ -141,8 +141,7 @@ def _counts_from_raw(raw_counts: dict[str, int]) -> dict[int, int]:
 
 
 def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
-                    shots: int = 100, seed: int = 0, latency: int = 1,
-                    return_state: bool = False,
+                    shots: int = 100, seed: int = 0, return_state: bool = False,
                     reference: dict[int, float] | None = None) -> RunResult:
     """Distributed inverse-QFT run over the plan's k nodes.
 
@@ -150,13 +149,12 @@ def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
     (n, theta); otherwise it is recomputed here for the fidelity metric.
     """
     if mode == "semiclassical":
-        return run_semiclassical(plan, theta, shots=shots, seed=seed,
-                                 latency=latency, reference=reference)
+        return run_semiclassical(plan, theta, shots=shots, seed=seed, reference=reference)
     if mode != "telegate":
         raise ValueError(f"unknown mode {mode!r}")
     _validate(theta, shots)
     rng = np.random.default_rng(seed)
-    fabric = Fabric(plan, with_comm=True, latency=latency)
+    fabric = Fabric(plan, with_comm=True)
     schedule = build_schedule(plan)
     result: dict = {}
 
@@ -190,11 +188,8 @@ def run_monolithic_reference(n: int, theta: float, shots: int = 100,
     result: dict = {}
 
     def work():
-        state = StateVector(n)
-        fourier_prep(state, range(n), theta)
-        inverse_qft_local(state, range(n))
-        raw_counts = state.sample_counts(range(n), shots, rng)
-        result["counts"] = _counts_from_raw(raw_counts)
+        state = _monolithic_state(n, theta)
+        result["counts"] = _counts_from_raw(state.sample_counts(range(n), shots, rng))
         result["state"] = state
         dist = exact_value_distribution(state)
         return dict(peak_state_bytes=state_bytes(n),
@@ -210,20 +205,19 @@ def run_monolithic_reference(n: int, theta: float, shots: int = 100,
 # -- semiclassical (teleportation-free) mode ---------------------------------------
 
 
-def _semiclassical_once(fabric: Fabric, theta: float,
-                        rng: np.random.Generator) -> str:
-    """One dynamic-circuit execution; returns the raw measured bitstring."""
+def _semiclassical_once(fabric: Fabric, prep, rng: np.random.Generator) -> str:
+    """One dynamic-circuit execution from the prep gates; returns the raw bitstring."""
     plan = fabric.plan
-    n = plan.n
-    _apply_local_gates(fabric, fourier_prep_gates(range(n), theta))
+    _apply_local_gates(fabric, prep)
     known: list[dict[int, int]] = [{} for _ in range(plan.k)]
     bits: list[int] = []
-    for j in range(n):
+    for j in range(plan.n):
         addr = plan.addr_of(j)
         node = addr.node
         for msg in fabric.receive_all(node):
             known[node][int(msg.tag.split(":")[1])] = msg.payload
-        turns = sum(b / (1 << (j - l + 1)) for l, b in known[node].items() if l < j)
+        # known[node] holds exactly the bits measured before j
+        turns = _feedforward_turns(known[node].items(), j)
         if turns:
             fabric.apply("p", (addr,), -TWO_PI * turns)
         fabric.apply("h", (addr,))
@@ -237,8 +231,7 @@ def _semiclassical_once(fabric: Fabric, theta: float,
 
 
 def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
-                      seed: int = 0, latency: int = 1,
-                      reference: dict[int, float] | None = None) -> RunResult:
+                      seed: int = 0, reference: dict[int, float] | None = None) -> RunResult:
     """Teleportation-free run: early measurement plus classical feed-forward.
 
     Each shot is a genuine dynamic-circuit execution; no EPR pairs and no
@@ -248,17 +241,14 @@ def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
     _validate(theta, shots)
     rng = np.random.default_rng(seed)
     counts: dict[int, int] = {}
-    result: dict = {}
 
     def work():
-        counters = None
+        prep = fourier_prep_gates(range(plan.n), theta)
         for _ in range(shots):
-            fabric = Fabric(plan, with_comm=False, latency=latency)
-            raw = _semiclassical_once(fabric, theta, rng)
-            value = rev_postprocess(raw)
+            fabric = Fabric(plan, with_comm=False)
+            value = rev_postprocess(_semiclassical_once(fabric, prep, rng))
             counts[value] = counts.get(value, 0) + 1
-            if counters is None:
-                counters = fabric.counters
+        counters = fabric.counters  # the same for every shot
         ref = reference if reference is not None else monolithic_exact_distribution(plan.n, theta)
         fidelity = classical_fidelity(semiclassical_exact_distribution(plan.n, theta), ref)
         return dict(peak_state_bytes=state_bytes(plan.n),

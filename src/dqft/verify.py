@@ -131,7 +131,7 @@ def check_epr_formula():
         if res.metrics.classical_msg_count != 2 * want:
             return ("epr-formula", False,
                     f"n={n}, k={k}: messages {res.metrics.classical_msg_count} != 2*EPR")
-    return ("epr-formula", True, "counter == sum(m_i * (k - i)) and messages == 2*EPR")
+    return ("epr-formula", True, "counter == sum_{i>=0} m_i * (k-1-i) and messages == 2*EPR")
 
 
 def run_all():

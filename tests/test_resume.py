@@ -1,0 +1,70 @@
+"""Sweep resume: torn CSV tails and the seed in the resume key."""
+
+from dqft.bench import CSV_COLUMNS, SweepConfig, format_row, sweep
+
+
+def _config(path, seed=7):
+    return SweepConfig(num_qubits=[3], nodes=[1, 2], theta=[0.0, 1 / 3], shots=20,
+                       modes=["telegate"], seed=seed, repeats=1, output_path=str(path))
+
+
+def _quiet(msg):
+    pass
+
+
+def _rows_without_wall_time(path):
+    wall = CSV_COLUMNS.index("wall_time_seconds")
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(len(cells) == len(CSV_COLUMNS) for cells in rows)
+    return [cells[:wall] + cells[wall + 1:] for cells in rows]
+
+
+def _tear(path, keep_of_last_row):
+    """Cut the file inside its last row, keeping that many characters of it."""
+    text = path.read_text()
+    start = text.rstrip("\n").rfind("\n") + 1
+    path.write_text(text[:start + keep_of_last_row])
+
+
+def test_row_cut_inside_last_cell_is_rerun(tmp_path):
+    path = tmp_path / "rows.csv"
+    full = sweep(_config(path), log=_quiet)
+    want = _rows_without_wall_time(path)
+    last = format_row(full["rows"][-1])
+    _tear(path, len(last) - 1)  # 14 cells, last one cut short, no newline
+    again = sweep(_config(path), log=_quiet)
+    assert again["written"] == 1
+    assert again["skipped"] == full["written"] - 1
+    assert _rows_without_wall_time(path) == want
+
+
+def test_row_cut_early_is_not_glued_to_the_next(tmp_path):
+    path = tmp_path / "rows.csv"
+    full = sweep(_config(path), log=_quiet)
+    want = _rows_without_wall_time(path)
+    _tear(path, 12)
+    again = sweep(_config(path), log=_quiet)
+    assert again["written"] == 1
+    assert path.read_text().endswith("\n")
+    assert _rows_without_wall_time(path) == want
+    assert len(want) == full["written"]
+
+
+def test_header_cut_before_its_newline_is_rewritten(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text(",".join(CSV_COLUMNS))
+    res = sweep(_config(path), log=_quiet)
+    assert len(_rows_without_wall_time(path)) == res["written"] == 4
+
+
+def test_rerun_with_another_seed_writes_its_rows(tmp_path):
+    path = tmp_path / "rows.csv"
+    first = sweep(_config(path, seed=7), log=_quiet)
+    second = sweep(_config(path, seed=8), log=_quiet)
+    assert second["written"] == first["written"] == 4
+    assert second["skipped"] == 0
+    assert sweep(_config(path, seed=8), log=_quiet)["written"] == 0
+    seeds = [cells[CSV_COLUMNS.index("seed")] for cells in _rows_without_wall_time(path)]
+    assert seeds == ["7"] * 4 + ["8"] * 4
