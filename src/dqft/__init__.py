@@ -17,7 +17,7 @@ from .fabric import (ClassicalMessage, CommSlotBusyError, CrossNodeGateError,
                      Fabric, FabricCounters, PartitionPlan, QubitAddr,
                      check_locality, make_partition)
 from .metrics import (RunMetrics, classical_fidelity, counts_to_distribution,
-                      epr_budget, measure_run, naive_epr_budget, state_bytes)
+                      epr_budget, naive_epr_budget, state_bytes)
 from .runner import (RunResult, exact_value_distribution,
                      monolithic_exact_distribution, run_distributed,
                      run_monolithic_reference, run_semiclassical,
@@ -36,7 +36,7 @@ __all__ = [
     "count_layers", "counts_to_distribution", "epr_budget",
     "equal_up_to_global_phase", "exact_value_distribution", "flatten_schedule",
     "fourier_prep", "fourier_prep_gates", "inverse_qft_gates",
-    "inverse_qft_local", "make_partition", "measure_run",
+    "inverse_qft_local", "make_partition",
     "monolithic_exact_distribution", "naive_epr_budget", "rev_postprocess",
     "run_distributed", "run_monolithic_reference", "run_semiclassical",
     "semiclassical_exact_distribution", "state_bytes",

@@ -8,9 +8,10 @@ verification oracles see the same phase the circuits encode.
 
 CSV rows are appended and flushed one run at a time, so an interrupted
 sweep resumes by skipping the (n, k, theta, mode, seed, repeat) keys of the
-complete rows on disk, after cutting off a torn last row.  With a fixed
+complete rows on disk, after cutting off a torn last row; the shots count
+is kept in a <csv>.shots sidecar and must match on resume.  With a fixed
 config and seed every column is reproduced byte for byte except
-wall_time_seconds, which reports the genuine monotonic clock.
+wall_time_seconds, which times the emulation only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, fields
 
 from .fabric import make_partition
 from .metrics import classical_fidelity, counts_to_distribution
-from .runner import monolithic_exact_distribution, run_distributed
+from .runner import MODES, monolithic_exact_distribution, run_distributed
 
 CONFIG_KEYS = ("num_qubits", "nodes", "theta", "shots", "modes", "seed",
                "repeats", "output_path")
@@ -125,7 +126,7 @@ def parse_config(text: str) -> SweepConfig:
     if cfg.repeats < 1:
         raise ValueError("repeats must be >= 1")
     for mode in cfg.modes:
-        if mode not in ("telegate", "semiclassical"):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
     for theta in cfg.theta:
         if not 0.0 <= theta < 1.0:
@@ -179,17 +180,29 @@ def run_point(n: int, k: int, theta: float, mode: str, shots: int, seed: int,
     )
 
 
-def _prepare_resume(path: str) -> set[tuple]:
+def _prepare_resume(path: str, shots: int) -> set[tuple]:
     """Ready the CSV for appending; return the point keys of its complete rows.
 
     A torn last line is cut off, and a new or empty file gets the header.
+    shots is not a CSV column, so it lives in the sidecar <path>.shots,
+    written with the header; resuming with another shots count raises.
     """
     header = ",".join(CSV_COLUMNS)
+    sidecar = path + ".shots"
     with open(path, "a+b") as fh:
         fh.seek(0)
         *lines, tail = fh.read().decode("utf-8").split("\n")
         if (lines or [tail])[0] not in ("", header):
             raise ValueError(f"existing CSV {path} has an unexpected header")
+        if lines and os.path.exists(sidecar):
+            with open(sidecar, "r", encoding="utf-8") as side:
+                recorded = int(side.read())
+            if recorded != shots:
+                raise ValueError(f"existing CSV {path} was written with shots={recorded}, "
+                                 f"not {shots}")
+        else:  # a new CSV, or one written before the sidecar existed
+            with open(sidecar, "w", encoding="utf-8") as side:
+                side.write(f"{shots}\n")
         fh.truncate(fh.tell() - len(tail.encode("utf-8")))
         if not lines:
             fh.write(f"{header}\n".encode("utf-8"))
@@ -250,7 +263,7 @@ def sweep(config: SweepConfig, timeout: float = DEFAULT_TIMEOUT_SECONDS,
     parent = os.path.dirname(out_path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    existing = _prepare_resume(out_path)
+    existing = _prepare_resume(out_path, config.shots)
     points = expand_points(config, log=log)
 
     references: dict[tuple, dict[int, float]] = {}

@@ -8,6 +8,7 @@ import sys
 from . import bench, verify
 from .bench import (CSV_COLUMNS, DEFAULT_TIMEOUT_SECONDS, FIDELITY_TOLERANCE,
                     format_row, load_config, normalize_theta)
+from .runner import MODES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -21,7 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--k", type=int, required=True, help="node count")
     run.add_argument("--theta", type=float, default=0.0,
                      help="Fourier phase in [0, 1); 0.333333 and 0.666667 snap to exact thirds")
-    run.add_argument("--mode", choices=("telegate", "semiclassical"), default="telegate")
+    run.add_argument("--mode", choices=MODES, default="telegate")
     run.add_argument("--shots", type=int, default=100)
     run.add_argument("--seed", type=int, default=0)
 

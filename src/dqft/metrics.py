@@ -1,4 +1,4 @@
-"""Classical fidelity, resource budgets, and run measurement.
+"""Classical fidelity, resource budgets, and the run metrics record.
 
 Peak memory is reported from the allocation model (16 bytes per complex
 amplitude) rather than an OS probe, so the metric is deterministic and
@@ -8,7 +8,6 @@ portable.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from .fabric import PartitionPlan
@@ -34,18 +33,6 @@ class RunMetrics:
 
 def state_bytes(num_qubits: int) -> int:
     return BYTES_PER_AMPLITUDE * (1 << num_qubits)
-
-
-def measure_run(run) -> RunMetrics:
-    """Time a run closure on the monotonic clock and assemble its metrics.
-
-    The closure returns a dict with every RunMetrics field except
-    wall_time_seconds.
-    """
-    start = time.perf_counter()
-    fields = run()
-    elapsed = time.perf_counter() - start
-    return RunMetrics(wall_time_seconds=elapsed, **fields)
 
 
 def validate_distribution(d: Distribution) -> None:

@@ -6,11 +6,14 @@ reversal.  The telegate path executes the circuit once (teleportation
 outcomes never change the logical state) and samples shot counts from the
 final state; the semiclassical path measures early, so it executes one
 dynamic circuit per shot.  Resource counters always cover one circuit
-execution.
+execution.  wall_time_seconds times the emulation only (prep, schedule or
+shots, and sampling); the exact distributions and the fidelity check run
+after the clock stops.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -19,8 +22,8 @@ import numpy as np
 from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, bit_reverse,
                        build_schedule, fourier_prep, fourier_prep_gates,
                        inverse_qft_gates, inverse_qft_local, rev_postprocess)
-from .fabric import Fabric, PartitionPlan, QubitAddr
-from .metrics import RunMetrics, classical_fidelity, measure_run, state_bytes
+from .fabric import Fabric, FabricCounters, PartitionPlan, QubitAddr
+from .metrics import RunMetrics, classical_fidelity, state_bytes
 from .statevector import SQRT2_INV, StateVector
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
 
@@ -140,6 +143,26 @@ def _counts_from_raw(raw_counts: dict[str, int]) -> dict[int, int]:
     return {rev_postprocess(raw): c for raw, c in raw_counts.items()}
 
 
+def _metrics(wall: float, counters: FabricCounters, num_qubits: int, slots: int,
+             shots: int, exact: dict[int, float], reference: dict[int, float] | None,
+             n: int, theta: float) -> RunMetrics:
+    """Check a finished run's exact distribution against the reference; build its metrics.
+
+    A None reference is the monolithic distribution of (n, theta).  Draws no
+    random numbers, so verification never changes what a seed replays.
+    """
+    if reference is None:
+        reference = monolithic_exact_distribution(n, theta)
+    return RunMetrics(wall_time_seconds=wall,
+                      peak_state_bytes=state_bytes(num_qubits),
+                      epr_count=counters.epr_created,
+                      classical_msg_count=counters.classical_messages,
+                      midcircuit_measurements=counters.midcircuit_measurements,
+                      block_slots=slots,
+                      shots=shots,
+                      fidelity_vs_reference=classical_fidelity(exact, reference))
+
+
 def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
                     shots: int = 100, seed: int = 0, return_state: bool = False,
                     reference: dict[int, float] | None = None) -> RunResult:
@@ -156,28 +179,15 @@ def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
     rng = np.random.default_rng(seed)
     fabric = Fabric(plan, with_comm=True)
     schedule = build_schedule(plan)
-    result: dict = {}
-
-    def work():
-        _apply_local_gates(fabric, fourier_prep_gates(range(plan.n), theta))
-        slots = _execute_schedule(fabric, schedule, rng)
-        raw_counts = fabric.state.sample_counts(range(plan.n), shots, rng)
-        result["counts"] = _counts_from_raw(raw_counts)
-        state = fabric.logical_state()
-        result["state"] = state
-        ref = reference if reference is not None else monolithic_exact_distribution(plan.n, theta)
-        fidelity = classical_fidelity(exact_value_distribution(state), ref)
-        return dict(peak_state_bytes=state_bytes(fabric.state.num_qubits),
-                    epr_count=fabric.counters.epr_created,
-                    classical_msg_count=fabric.counters.classical_messages,
-                    midcircuit_measurements=fabric.counters.midcircuit_measurements,
-                    block_slots=slots,
-                    shots=shots,
-                    fidelity_vs_reference=fidelity)
-
-    metrics = measure_run(work)
-    return RunResult(counts=result["counts"], metrics=metrics,
-                     state=result["state"] if return_state else None)
+    start = time.perf_counter()
+    _apply_local_gates(fabric, fourier_prep_gates(range(plan.n), theta))
+    slots = _execute_schedule(fabric, schedule, rng)
+    counts = _counts_from_raw(fabric.state.sample_counts(range(plan.n), shots, rng))
+    wall = time.perf_counter() - start
+    state = fabric.logical_state()
+    metrics = _metrics(wall, fabric.counters, plan.n + plan.k, slots, shots,
+                       exact_value_distribution(state), reference, plan.n, theta)
+    return RunResult(counts, metrics, state if return_state else None)
 
 
 def run_monolithic_reference(n: int, theta: float, shots: int = 100,
@@ -185,21 +195,13 @@ def run_monolithic_reference(n: int, theta: float, shots: int = 100,
     """Single-register reference: same pipeline, no fabric, no teleportation."""
     _validate(theta, shots)
     rng = np.random.default_rng(seed)
-    result: dict = {}
-
-    def work():
-        state = _monolithic_state(n, theta)
-        result["counts"] = _counts_from_raw(state.sample_counts(range(n), shots, rng))
-        result["state"] = state
-        dist = exact_value_distribution(state)
-        return dict(peak_state_bytes=state_bytes(n),
-                    epr_count=0, classical_msg_count=0,
-                    midcircuit_measurements=0, block_slots=1,
-                    shots=shots,
-                    fidelity_vs_reference=classical_fidelity(dist, dist))
-
-    metrics = measure_run(work)
-    return RunResult(counts=result["counts"], metrics=metrics, state=result["state"])
+    start = time.perf_counter()
+    state = _monolithic_state(n, theta)
+    counts = _counts_from_raw(state.sample_counts(range(n), shots, rng))
+    wall = time.perf_counter() - start
+    dist = exact_value_distribution(state)
+    metrics = _metrics(wall, FabricCounters(), n, 1, shots, dist, dist, n, theta)
+    return RunResult(counts, metrics, state)
 
 
 # -- semiclassical (teleportation-free) mode ---------------------------------------
@@ -241,23 +243,15 @@ def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
     _validate(theta, shots)
     rng = np.random.default_rng(seed)
     counts: dict[int, int] = {}
-
-    def work():
-        prep = fourier_prep_gates(range(plan.n), theta)
-        for _ in range(shots):
-            fabric = Fabric(plan, with_comm=False)
-            value = rev_postprocess(_semiclassical_once(fabric, prep, rng))
-            counts[value] = counts.get(value, 0) + 1
-        counters = fabric.counters  # the same for every shot
-        ref = reference if reference is not None else monolithic_exact_distribution(plan.n, theta)
-        fidelity = classical_fidelity(semiclassical_exact_distribution(plan.n, theta), ref)
-        return dict(peak_state_bytes=state_bytes(plan.n),
-                    epr_count=counters.epr_created,
-                    classical_msg_count=counters.classical_messages,
-                    midcircuit_measurements=counters.midcircuit_measurements,
-                    block_slots=0,
-                    shots=shots,
-                    fidelity_vs_reference=fidelity)
-
-    metrics = measure_run(work)
-    return RunResult(counts=counts, metrics=metrics, state=None)
+    start = time.perf_counter()
+    prep = fourier_prep_gates(range(plan.n), theta)
+    for _ in range(shots):
+        fabric = Fabric(plan, with_comm=False)
+        value = rev_postprocess(_semiclassical_once(fabric, prep, rng))
+        counts[value] = counts.get(value, 0) + 1
+    wall = time.perf_counter() - start
+    # the counters are the same for every shot; report the last one's
+    metrics = _metrics(wall, fabric.counters, plan.n, 0, shots,
+                       semiclassical_exact_distribution(plan.n, theta), reference,
+                       plan.n, theta)
+    return RunResult(counts, metrics)

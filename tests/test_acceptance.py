@@ -111,7 +111,7 @@ def test_criterion_2_epr_budget(telegate_runs):
     assert spotlight == 12
     assert naive_epr_budget(8) == 28
     _report(2, True,
-            f"counter == sum(m_i*(k-i)) on all {len(telegate_runs)} points; "
+            f"counter == Σ m_i·(k−1−i) on all {len(telegate_runs)} points; "
             f"n=8,k=4 grouped {spotlight} vs naive {naive_epr_budget(8)}")
 
 

@@ -1,11 +1,11 @@
-"""Fidelity, resource budgets, and the run measurement wrapper."""
+"""Fidelity, resource budgets, and the run metrics record."""
 
 import numpy as np
 import pytest
 
 from dqft.fabric import make_partition
 from dqft.metrics import (classical_fidelity, counts_to_distribution,
-                          epr_budget, measure_run, naive_epr_budget,
+                          epr_budget, naive_epr_budget,
                           state_bytes, validate_distribution)
 from dqft.runner import run_distributed, run_monolithic_reference
 
@@ -80,18 +80,6 @@ def test_counts_to_distribution():
 def test_state_bytes():
     assert state_bytes(6) == 1024
     assert state_bytes(10) == 16 * 1024
-
-
-# -- measure_run ------------------------------------------------------------------
-
-
-def test_measure_run_wraps_closure():
-    metrics = measure_run(lambda: dict(
-        peak_state_bytes=64, epr_count=0, classical_msg_count=0,
-        midcircuit_measurements=0, block_slots=1, shots=1,
-        fidelity_vs_reference=1.0))
-    assert metrics.wall_time_seconds >= 0.0
-    assert metrics.peak_state_bytes == 64
 
 
 def test_run_metrics_allocation_model():

@@ -1,10 +1,12 @@
-"""Sweep resume: torn CSV tails and the seed in the resume key."""
+"""Sweep resume: torn CSV tails, the seed in the resume key, and the shots sidecar."""
+
+import pytest
 
 from dqft.bench import CSV_COLUMNS, SweepConfig, format_row, sweep
 
 
-def _config(path, seed=7):
-    return SweepConfig(num_qubits=[3], nodes=[1, 2], theta=[0.0, 1 / 3], shots=20,
+def _config(path, seed=7, shots=20):
+    return SweepConfig(num_qubits=[3], nodes=[1, 2], theta=[0.0, 1 / 3], shots=shots,
                        modes=["telegate"], seed=seed, repeats=1, output_path=str(path))
 
 
@@ -68,3 +70,25 @@ def test_rerun_with_another_seed_writes_its_rows(tmp_path):
     assert sweep(_config(path, seed=8), log=_quiet)["written"] == 0
     seeds = [cells[CSV_COLUMNS.index("seed")] for cells in _rows_without_wall_time(path)]
     assert seeds == ["7"] * 4 + ["8"] * 4
+
+
+def test_rerun_with_other_shots_raises_before_running(tmp_path):
+    path = tmp_path / "rows.csv"
+    sweep(_config(path, shots=100), log=_quiet)
+    before = path.read_text()
+    assert (tmp_path / "rows.csv.shots").read_text() == "100\n"
+    with pytest.raises(ValueError, match="shots=100"):
+        sweep(_config(path, shots=5000), log=_quiet)
+    assert path.read_text() == before
+
+
+def test_csv_without_sidecar_is_accepted_and_gets_one(tmp_path):
+    path = tmp_path / "rows.csv"
+    sidecar = tmp_path / "rows.csv.shots"
+    sweep(_config(path, shots=30), log=_quiet)
+    sidecar.unlink()  # as written before the sidecar existed
+    again = sweep(_config(path, shots=30), log=_quiet)
+    assert (again["written"], again["skipped"]) == (0, 4)
+    assert sidecar.read_text() == "30\n"
+    with pytest.raises(ValueError):
+        sweep(_config(path, shots=31), log=_quiet)
