@@ -180,12 +180,17 @@ def run_point(n: int, k: int, theta: float, mode: str, shots: int, seed: int,
     )
 
 
+class ResumeError(ValueError):
+    """An existing CSV that this sweep cannot resume; neither file is touched."""
+
+
 def _prepare_resume(path: str, shots: int) -> set[tuple]:
     """Ready the CSV for appending; return the point keys of its complete rows.
 
     A torn last line is cut off, and a new or empty file gets the header.
     shots is not a CSV column, so it lives in the sidecar <path>.shots,
-    written with the header; resuming with another shots count raises.
+    written with the header; resuming with another shots count raises
+    ResumeError, as does a foreign header.
     """
     header = ",".join(CSV_COLUMNS)
     sidecar = path + ".shots"
@@ -193,13 +198,13 @@ def _prepare_resume(path: str, shots: int) -> set[tuple]:
         fh.seek(0)
         *lines, tail = fh.read().decode("utf-8").split("\n")
         if (lines or [tail])[0] not in ("", header):
-            raise ValueError(f"existing CSV {path} has an unexpected header")
+            raise ResumeError(f"existing CSV {path} has an unexpected header")
         if lines and os.path.exists(sidecar):
             with open(sidecar, "r", encoding="utf-8") as side:
                 recorded = int(side.read())
             if recorded != shots:
-                raise ValueError(f"existing CSV {path} was written with shots={recorded}, "
-                                 f"not {shots}")
+                raise ResumeError(f"existing CSV {path} was written with shots={recorded}, "
+                                  f"not {shots}")
         else:  # a new CSV, or one written before the sidecar existed
             with open(sidecar, "w", encoding="utf-8") as side:
                 side.write(f"{shots}\n")

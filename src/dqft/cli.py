@@ -62,7 +62,11 @@ def _cmd_sweep(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary = bench.sweep(config, timeout=args.timeout)
+    try:
+        summary = bench.sweep(config, timeout=args.timeout)
+    except bench.ResumeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {summary['written']} rows to {summary['output_path']} "
           f"({summary['skipped']} already present, {len(summary['timed_out'])} timed out)")
     for line in bench.summarize(summary["rows"]):

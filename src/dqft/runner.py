@@ -24,7 +24,7 @@ from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, bit_reverse,
                        inverse_qft_gates, inverse_qft_local, rev_postprocess)
 from .fabric import Fabric, FabricCounters, PartitionPlan, QubitAddr
 from .metrics import RunMetrics, classical_fidelity, state_bytes
-from .statevector import SQRT2_INV, StateVector
+from .statevector import Gate, StateVector
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
 
 MODES = ("telegate", "semiclassical")
@@ -63,43 +63,30 @@ def monolithic_exact_distribution(n: int, theta: float) -> dict[int, float]:
     return exact_value_distribution(_monolithic_state(n, theta))
 
 
-def _feedforward_turns(pairs, j: int) -> float:
-    """Griffiths-Niu phase on qubit j in turns: an exact dyadic sum over earlier (l, bit)."""
+def _feedforward_turns(pairs, j: int):
+    """Griffiths-Niu phase on qubit j in turns: an exact dyadic sum over earlier (l, bit).
+
+    A bit is an int, or an integer numpy array giving every branch's phase at once.
+    """
     return sum(b / (1 << (j - l + 1)) for l, b in pairs)
 
 
 def semiclassical_exact_distribution(n: int, theta: float) -> dict[int, float]:
-    """Exact value distribution of the measure-early mode by branch enumeration.
+    """Exact value distribution of the measure-early mode, by deferred measurement.
 
-    Walks every measurement branch with its probability, collapsing the
-    measured qubit out of the array at each step, so the whole tree costs
-    O(n * 2^n).  Zero-probability branches are pruned, so exactly
-    representable phases yield a single entry.
+    Measuring qubit j and feeding its bit forward has the same joint outcome
+    law as leaving j unmeasured and conditioning the later phases on it.  So
+    one pass per qubit does it: in the (2^j, 2, rest) view, row r holds the
+    bits of qubits 0..j-1 (qubit 0 most significant); the |1> half of qubit j
+    takes row r's feed-forward phase, then the engine's H.  Nothing is pruned.
     """
     state = fourier_prep(StateVector(n), range(n), theta)
-    leaves: dict[int, float] = {}  # raw outcome index -> probability
-
-    def recurse(amps: np.ndarray, bits: list[int], prob: float) -> None:
-        j = len(bits)
-        if j == n:
-            leaves[int("".join(map(str, bits)), 2)] = prob
-            return
-        turns = _feedforward_turns(enumerate(bits), j)
-        v2 = amps.reshape(2, -1)
-        top = v2[0]
-        bot = v2[1] * np.exp(-1j * TWO_PI * turns)
-        branch0 = (top + bot) * SQRT2_INV
-        branch1 = (top - bot) * SQRT2_INV
-        p0 = float(np.sum(np.abs(branch0) ** 2))
-        p1 = float(np.sum(np.abs(branch1) ** 2))
-        if p0 > 1e-30:
-            recurse(branch0 / np.sqrt(p0), bits + [0], prob * p0)
-        if p1 > 1e-30:
-            recurse(branch1 / np.sqrt(p1), bits + [1], prob * p1)
-
-    recurse(state.amps, [], 1.0)
-    values = bit_reverse(np.fromiter(leaves, dtype=np.int64, count=len(leaves)), n)
-    return dict(zip(values.tolist(), leaves.values()))
+    for j in range(n):
+        rows = np.arange(1 << j)[:, None]
+        turns = _feedforward_turns(((l, (rows >> (j - 1 - l)) & 1) for l in range(j)), j)
+        state.amps.reshape(1 << j, 2, -1)[:, 1, :] *= np.exp(-1j * TWO_PI * turns)
+        state.apply_gate(Gate.h(j))
+    return exact_value_distribution(state)
 
 
 # -- telegate execution ----------------------------------------------------------
@@ -207,12 +194,15 @@ def run_monolithic_reference(n: int, theta: float, shots: int = 100,
 # -- semiclassical (teleportation-free) mode ---------------------------------------
 
 
-def _semiclassical_once(fabric: Fabric, prep, rng: np.random.Generator) -> str:
-    """One dynamic-circuit execution from the prep gates; returns the raw bitstring."""
+def _semiclassical_once(fabric: Fabric, prep, rng: np.random.Generator) -> int:
+    """One dynamic-circuit execution from the prep gates; returns the raw outcome.
+
+    The raw outcome holds qubit 0's bit in its most significant place.
+    """
     plan = fabric.plan
     _apply_local_gates(fabric, prep)
     known: list[dict[int, int]] = [{} for _ in range(plan.k)]
-    bits: list[int] = []
+    raw = 0
     for j in range(plan.n):
         addr = plan.addr_of(j)
         node = addr.node
@@ -225,11 +215,11 @@ def _semiclassical_once(fabric: Fabric, prep, rng: np.random.Generator) -> str:
         fabric.apply("h", (addr,))
         bit = fabric.measure(addr, rng)
         known[node][j] = bit
-        bits.append(bit)
+        raw = (raw << 1) | bit
         for later in range(node + 1, plan.k):
             fabric.send_classical(node, later, f"m:{j}", bit)
         fabric.advance_clock(fabric.latency)
-    return "".join(map(str, bits))
+    return raw
 
 
 def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
@@ -247,7 +237,7 @@ def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
     prep = fourier_prep_gates(range(plan.n), theta)
     for _ in range(shots):
         fabric = Fabric(plan, with_comm=False)
-        value = rev_postprocess(_semiclassical_once(fabric, prep, rng))
+        value = bit_reverse(_semiclassical_once(fabric, prep, rng), plan.n)
         counts[value] = counts.get(value, 0) + 1
     wall = time.perf_counter() - start
     # the counters are the same for every shot; report the last one's

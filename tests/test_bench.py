@@ -229,3 +229,22 @@ def test_cli_sweep_and_summary(tmp_path, capsys):
 
 def test_cli_sweep_missing_config(capsys):
     assert main(["sweep", "/nonexistent/sweep.cfg"]) == 2
+
+
+@pytest.mark.parametrize("change", ["shots", "header"])
+def test_cli_sweep_unresumable_csv_exits_2_and_leaves_files(tmp_path, capsys, change):
+    out, sidecar, cfg_path = (tmp_path / name for name in ("one.csv", "one.csv.shots", "one.cfg"))
+    one_point = ("num_qubits: [4]\nnodes: [2]\ntheta: [0.0]\nshots: {shots}\n"
+                 "modes: [telegate]\nseed: 7\nrepeats: 1\noutput_path: {out}\n")
+    cfg_path.write_text(one_point.format(shots=6, out=out))
+    assert main(["sweep", str(cfg_path)]) == 0
+    if change == "shots":
+        cfg_path.write_text(one_point.format(shots=5, out=out))
+    else:
+        out.write_text("n,k,theta\n4,2,0.0\n")
+    before = out.read_bytes(), sidecar.read_bytes()
+    capsys.readouterr()
+    assert main(["sweep", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert (out.read_bytes(), sidecar.read_bytes()) == before

@@ -1,4 +1,4 @@
-"""Property tests over general partitions, and the one bit reversal.
+"""Property tests over general partitions, the one bit reversal, and exact distributions.
 
 Node sizes m_0..m_{k-1} are drawn freely, not only the equal split that
 make_partition builds.
@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from dqft.circuits import (GradientBlock, LocalInverseQFT, bit_reverse, build_schedule,
                            flatten_schedule, inverse_qft_gates, rev_postprocess)
 from dqft.fabric import PartitionPlan, QubitAddr
-from dqft.runner import run_distributed, run_monolithic_reference
+from dqft.runner import (run_distributed, run_monolithic_reference,
+                         semiclassical_exact_distribution)
 from dqft.statevector import equal_up_to_global_phase
-from oracles import bitrev
+from oracles import bitrev, oracle_value_distribution
 
 
 def _plan(sizes) -> PartitionPlan:
@@ -37,6 +38,15 @@ def node_sizes(draw, max_n: int, max_k: int = 8):
 
 
 THETAS = st.sampled_from([0.0, 1 / 3, 2 / 3, 0.125, 0.8])
+
+
+@st.composite
+def register_and_theta(draw, max_n: int):
+    """n in 1..max_n with theta any float in [0, 1) or a dyadic j/2^n."""
+    n = draw(st.integers(1, max_n))
+    theta = draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                           st.integers(0, (1 << n) - 1).map(lambda j: j / (1 << n))))
+    return n, theta
 
 
 @settings(deadline=None)
@@ -107,6 +117,16 @@ def test_bit_reverse_array_matches_scalar_and_oracle(n):
     assert values.tolist() == [bit_reverse(i, n) for i in range(1 << n)]
     assert values.tolist() == [bitrev(i, n) for i in range(1 << n)]
     assert values.tolist() == [rev_postprocess(format(i, f"0{n}b")) for i in range(1 << n)]
+
+
+@settings(deadline=None)
+@given(register_and_theta(8))
+def test_semiclassical_exact_distribution_is_dense_and_matches_oracle(case):
+    n, theta = case
+    dist = semiclassical_exact_distribution(n, theta)
+    assert sorted(dist) == list(range(1 << n))
+    oracle = oracle_value_distribution(n, theta)
+    assert max(abs(dist[v] - p) for v, p in oracle.items()) <= 1e-10
 
 
 @pytest.mark.parametrize("raw", ["", "0b1", "1_0", " 01", "012", "-1"])
