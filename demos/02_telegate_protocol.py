@@ -16,10 +16,13 @@ from dqft import (Fabric, Gate, QubitAddr, StateVector, apply_remote_controlled,
 
 rng = np.random.default_rng(3)
 
-# Node 0 owns qubit 0, node 1 owns qubits 1 and 2; one comm qubit per node.
+# Node 0 owns qubit 0, node 1 owns qubits 1 and 2; one comm slot per node.
+# The fabric starts with the 3 logical qubits and binds each slot to a
+# pooled comm qubit only while an EPR pair lives on it.
 plan = make_partition(3, 2)
 fabric = Fabric(plan)
-print("plan sizes:", plan.sizes, "| comm slots at global indices", plan.comm_slots)
+print("plan sizes:", plan.sizes, "| logical comm slots", plan.comm_slots,
+      "| qubits held before any EPR:", fabric.state.num_qubits)
 
 # Some generic product state so every protocol branch is populated.
 for q in range(3):
@@ -41,7 +44,8 @@ apply_remote_controlled(fabric, handle, np.pi / 8, QubitAddr(1, 1))
 cat_disentangle(fabric, handle, rng)
 print("after disentangle: EPRs =", fabric.counters.epr_created,
       "| messages =", fabric.counters.classical_messages,
-      "| mid-circuit measurements =", fabric.counters.midcircuit_measurements)
+      "| mid-circuit measurements =", fabric.counters.midcircuit_measurements,
+      "| qubits held =", fabric.state.num_qubits)
 
 # The same circuit with direct gates, for comparison.
 direct = StateVector(3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import bench, verify
@@ -90,11 +91,20 @@ def _cmd_verify() -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    return _cmd_verify()
+    try:
+        if args.command == "run":
+            status = _cmd_run(args)
+        elif args.command == "sweep":
+            status = _cmd_sweep(args)
+        else:
+            status = _cmd_verify()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`dqft sweep ... | head`): point
+        # stdout at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

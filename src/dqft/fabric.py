@@ -6,9 +6,14 @@ happen exclusively through EPR pairs (prepared by the fabric) and classical
 messages (delivered on a discrete tick clock).  The fabric owns all
 resource counters for a run.
 
-Global qubit layout: the n logical qubits come first, contiguous per node
-in node order; the k communication qubits occupy the highest global
-indices (one per node, reused sequentially between teleportation sessions).
+Logical layout (PartitionPlan): the n logical qubits come first, contiguous
+per node in node order; each node's communication slot is numbered after
+them, at n + node.  The statevector holds the logical qubits at those same
+indices but only a pool of physical communication qubits after them.  A
+slot is bound to the lowest free pool qubit when an EPR pair is allocated
+on it and unbound when it is released; the pool grows by one |0> qubit
+only when every pool qubit is bound.  The telegate runner keeps at most
+two slots bound at once, so a k-node run holds n + 2 qubits, not n + k.
 """
 
 from __future__ import annotations
@@ -134,17 +139,21 @@ class FabricCounters:
 class Fabric:
     """k nodes over one shared statevector, with counters and a tick clock.
 
-    with_comm=False builds an n-qubit state with no communication slots
-    (teleportation-free modes); allocate_epr is then unavailable.
+    The state starts with the n logical qubits only; communication slots
+    take pool qubits as they are bound (see the module docstring), so
+    ``state.num_qubits`` is n plus the peak number of slots bound at once.
+    with_comm=False forbids communication slots (teleportation-free modes);
+    allocate_epr is then unavailable.
     """
 
     def __init__(self, plan: PartitionPlan, with_comm: bool = True, latency: int = 1):
         self.plan = plan
         self.with_comm = with_comm
         self.latency = latency
-        self.state = StateVector(plan.n + plan.k if with_comm else plan.n)
+        self.state = StateVector(plan.n)
         self.counters = FabricCounters()
         self._comm_busy = [False] * plan.k
+        self._bound: dict[int, int] = {}  # node -> global index of its pool qubit
         self._queues: dict[tuple[int, int], deque[ClassicalMessage]] = {}
 
     # -- gates and measurements --------------------------------------------
@@ -153,15 +162,48 @@ class Fabric:
         """Apply a node-local gate; raises CrossNodeGateError otherwise."""
         addrs = tuple(addrs)
         check_locality(self.plan, addrs)
-        self.state.apply_gate(Gate(kind, tuple(self.plan.global_index(a) for a in addrs), phi))
+        self.state.apply_gate(Gate(kind, tuple(
+            self._comm_index(a, bind=True) if a.is_comm else self.plan.global_index(a)
+            for a in addrs), phi))
 
     def measure(self, addr: QubitAddr, rng: np.random.Generator) -> int:
         self.counters.midcircuit_measurements += 1
-        return self.state.measure(self.plan.global_index(addr), rng)
+        q = self._comm_index(addr) if addr.is_comm else self.plan.global_index(addr)
+        if q is None:
+            rng.random()  # an unbound slot is |0>: the same single draw, outcome 0
+            return 0
+        return self.state.measure(q, rng)
 
     def reset(self, addr: QubitAddr, rng: np.random.Generator) -> None:
         # resets are not counted as protocol measurements
-        self.state.reset(self.plan.global_index(addr), rng)
+        q = self._comm_index(addr) if addr.is_comm else self.plan.global_index(addr)
+        if q is None:
+            rng.random()
+        else:
+            self.state.reset(q, rng)
+
+    def _comm_index(self, addr: QubitAddr, bind: bool = False) -> int | None:
+        """Global index of the pool qubit bound to a comm slot, or None if unbound.
+
+        bind=True binds an unbound slot to the lowest free pool qubit, and
+        grows the state by one |0> qubit in the least significant place when
+        every pool qubit is bound.
+        """
+        self.plan.global_index(addr)  # validates the node
+        if not self.with_comm:
+            raise CommSlotBusyError("fabric built without communication qubits")
+        q = self._bound.get(addr.node)
+        if q is None and bind:
+            q = next((q for q in range(self.plan.n, self.state.num_qubits)
+                      if q not in self._bound.values()), None)
+            if q is None:
+                old = self.state.amps
+                self.state.amps = np.zeros(2 * old.size, dtype=np.complex128)
+                self.state.amps[0::2] = old
+                q = self.state.num_qubits
+                self.state.num_qubits += 1
+            self._bound[addr.node] = q
+        return q
 
     # -- EPR source ----------------------------------------------------------
 
@@ -178,8 +220,8 @@ class Fabric:
         for node in (node_a, node_b):
             if self._comm_busy[node]:
                 raise CommSlotBusyError(f"comm slot of node {node} is busy")
-        ga = self.plan.global_index(QubitAddr.comm(node_a))
-        gb = self.plan.global_index(QubitAddr.comm(node_b))
+        ga = self._comm_index(QubitAddr.comm(node_a), bind=True)
+        gb = self._comm_index(QubitAddr.comm(node_b), bind=True)
         self.state.reset(ga, rng)
         self.state.reset(gb, rng)
         self.state.apply_gate(Gate.h(ga))
@@ -190,7 +232,9 @@ class Fabric:
         return QubitAddr.comm(node_a), QubitAddr.comm(node_b), self.counters.epr_created
 
     def release_comm(self, node: int) -> None:
+        """Free node's slot and unbind its pool qubit for the next allocation."""
         self._comm_busy[node] = False
+        self._bound.pop(node, None)
 
     def comm_busy(self, node: int) -> bool:
         return self._comm_busy[node]
@@ -230,15 +274,15 @@ class Fabric:
     # -- readout ---------------------------------------------------------------
 
     def logical_state(self) -> StateVector:
-        """The n logical qubits as a standalone state; comm qubits must be |0>.
+        """The n logical qubits as a standalone state; pool qubits must be |0>.
 
-        Comm qubits sit at the lowest-significance index bits, so with all
-        of them in |0> the logical amplitudes are a stride-2^k slice.
+        Pool qubits sit at the lowest-significance index bits, so with all
+        of them in |0> the logical amplitudes are a stride-2^pool slice.
         """
-        if not self.with_comm:
+        pool = self.state.num_qubits - self.plan.n
+        if not pool:
             return self.state.copy()
-        k = self.plan.k
-        block = self.state.amps.reshape(1 << self.plan.n, 1 << k)
+        block = self.state.amps.reshape(1 << self.plan.n, 1 << pool)
         rest = float(np.sum(np.abs(block[:, 1:]) ** 2))
         if rest > 1e-9:
             raise RuntimeError(f"comm qubits not disentangled: residual weight {rest:.3e}")

@@ -1,9 +1,12 @@
 """Harness: config grammar, sweep expansion, CSV output, resume, CLI."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import dqft
 from dqft.bench import (CSV_COLUMNS, SweepConfig, expand_points, format_row,
                         load_config, normalize_theta, parse_config, run_point,
                         summarize, sweep)
@@ -248,3 +251,20 @@ def test_cli_sweep_unresumable_csv_exits_2_and_leaves_files(tmp_path, capsys, ch
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert (out.read_bytes(), sidecar.read_bytes()) == before
+
+
+def test_cli_sweep_into_closed_pipe_exits_without_traceback(tmp_path):
+    # a reader that closes stdout before the summary is written, like `| head`
+    out, cfg_path = tmp_path / "piped.csv", tmp_path / "piped.cfg"
+    cfg_path.write_text(CONFIG_TEXT.format(out=out))
+    src = os.path.dirname(os.path.dirname(dqft.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "dqft", "sweep", str(cfg_path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.wait(timeout=120)
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    rows = out.read_text().splitlines()
+    assert rows[0] == ",".join(CSV_COLUMNS)
+    assert len(rows) - 1 == len(expand_points(_config(tmp_path)))
