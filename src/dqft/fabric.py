@@ -1,7 +1,7 @@
 """Simulated multi-node fabric: partitioned qubits, EPR source, classical channels.
 
-All k nodes share one global statevector, but every gate must pass a
-locality check: operands may only span a single node.  Cross-node effects
+All k nodes share one global state, but every gate must pass a locality
+check: operands may only span a single node.  Cross-node effects
 happen exclusively through EPR pairs (prepared by the fabric) and classical
 messages (delivered on a discrete tick clock).  The fabric owns all
 resource counters for a run.
@@ -14,6 +14,12 @@ slot is bound to the lowest free pool qubit when an EPR pair is allocated
 on it and unbound when it is released; the pool grows by one |0> qubit
 only when every pool qubit is bound.  The telegate runner keeps at most
 two slots bound at once, so a k-node run holds n + 2 qubits, not n + k.
+The fabric remembers which pool qubits are known to be |0> (grown, or reset
+and untouched since), so an EPR allocation on one skips the reset's pass.
+
+A fabric without communication qubits (the teleportation-free mode) has
+nothing to entangle its qubits, so it holds a ProductState: n one-qubit
+factors instead of 2^n amplitudes.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .statevector import Gate, StateVector
+from .statevector import Gate, ProductState, StateVector
 
 COMM_SLOT = -1  # local_index sentinel marking a node's communication qubit
 
@@ -137,23 +143,25 @@ class FabricCounters:
 
 
 class Fabric:
-    """k nodes over one shared statevector, with counters and a tick clock.
+    """k nodes over one shared state, with counters and a tick clock.
 
     The state starts with the n logical qubits only; communication slots
     take pool qubits as they are bound (see the module docstring), so
     ``state.num_qubits`` is n plus the peak number of slots bound at once.
-    with_comm=False forbids communication slots (teleportation-free modes);
-    allocate_epr is then unavailable.
+    with_comm=False forbids communication slots (teleportation-free modes):
+    allocate_epr is then unavailable, and the state is a ProductState, which
+    rejects two-qubit gates.
     """
 
     def __init__(self, plan: PartitionPlan, with_comm: bool = True, latency: int = 1):
         self.plan = plan
         self.with_comm = with_comm
         self.latency = latency
-        self.state = StateVector(plan.n)
+        self.state = StateVector(plan.n) if with_comm else ProductState(plan.n)
         self.counters = FabricCounters()
         self._comm_busy = [False] * plan.k
         self._bound: dict[int, int] = {}  # node -> global index of its pool qubit
+        self._zero: set[int] = set()  # qubits known to be |0>: grown or reset, untouched since
         self._queues: dict[tuple[int, int], deque[ClassicalMessage]] = {}
 
     # -- gates and measurements --------------------------------------------
@@ -162,9 +170,10 @@ class Fabric:
         """Apply a node-local gate; raises CrossNodeGateError otherwise."""
         addrs = tuple(addrs)
         check_locality(self.plan, addrs)
-        self.state.apply_gate(Gate(kind, tuple(
-            self._comm_index(a, bind=True) if a.is_comm else self.plan.global_index(a)
-            for a in addrs), phi))
+        qubits = tuple(self._comm_index(a, bind=True) if a.is_comm else self.plan.global_index(a)
+                       for a in addrs)
+        self._zero.difference_update(qubits)
+        self.state.apply_gate(Gate(kind, qubits, phi))
 
     def measure(self, addr: QubitAddr, rng: np.random.Generator) -> int:
         self.counters.midcircuit_measurements += 1
@@ -172,6 +181,7 @@ class Fabric:
         if q is None:
             rng.random()  # an unbound slot is |0>: the same single draw, outcome 0
             return 0
+        self._zero.discard(q)
         return self.state.measure(q, rng)
 
     def reset(self, addr: QubitAddr, rng: np.random.Generator) -> None:
@@ -181,6 +191,7 @@ class Fabric:
             rng.random()
         else:
             self.state.reset(q, rng)
+            self._zero.add(q)
 
     def _comm_index(self, addr: QubitAddr, bind: bool = False) -> int | None:
         """Global index of the pool qubit bound to a comm slot, or None if unbound.
@@ -202,6 +213,7 @@ class Fabric:
                 self.state.amps[0::2] = old
                 q = self.state.num_qubits
                 self.state.num_qubits += 1
+                self._zero.add(q)
             self._bound[addr.node] = q
         return q
 
@@ -222,8 +234,12 @@ class Fabric:
                 raise CommSlotBusyError(f"comm slot of node {node} is busy")
         ga = self._comm_index(QubitAddr.comm(node_a), bind=True)
         gb = self._comm_index(QubitAddr.comm(node_b), bind=True)
-        self.state.reset(ga, rng)
-        self.state.reset(gb, rng)
+        for q in (ga, gb):
+            if q in self._zero:
+                rng.random()  # the reset's one draw; a known |0> needs no pass
+            else:
+                self.state.reset(q, rng)
+        self._zero -= {ga, gb}
         self.state.apply_gate(Gate.h(ga))
         self.state.apply_gate(Gate.cnot(ga, gb))
         self._comm_busy[node_a] = True
@@ -274,11 +290,15 @@ class Fabric:
     # -- readout ---------------------------------------------------------------
 
     def logical_state(self) -> StateVector:
-        """The n logical qubits as a standalone state; pool qubits must be |0>.
+        """The n logical qubits as a standalone dense state; pool qubits must be |0>.
 
         Pool qubits sit at the lowest-significance index bits, so with all
-        of them in |0> the logical amplitudes are a stride-2^pool slice.
+        of them in |0> the logical amplitudes are a stride-2^pool slice.  A
+        fabric without communication qubits returns the Kronecker product
+        of its ProductState's factors.
         """
+        if not self.with_comm:
+            return self.state.to_statevector()
         pool = self.state.num_qubits - self.plan.n
         if not pool:
             return self.state.copy()

@@ -5,10 +5,13 @@ swap-free inverse QFT, and reads out values through the classical bit
 reversal.  The telegate path executes the circuit once (teleportation
 outcomes never change the logical state) and samples shot counts from the
 final state; the semiclassical path measures early, so it executes one
-dynamic circuit per shot.  Resource counters always cover one circuit
-execution.  wall_time_seconds times the emulation only (prep, schedule or
-shots, and sampling); the exact distributions and the fidelity check run
-after the clock stops.
+dynamic circuit per shot.  No gate of a semiclassical shot entangles two
+qubits, so its fabric holds n one-qubit factors (a ProductState) and a shot
+costs O(n^2) scalar work; its exact distribution is still computed on the
+dense engine.  Resource counters always cover one circuit execution.
+wall_time_seconds times the emulation only (prep, schedule or shots, and
+sampling); the exact distributions and the fidelity check run after the
+clock stops.
 """
 
 from __future__ import annotations
@@ -227,8 +230,9 @@ def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
     """Teleportation-free run: early measurement plus classical feed-forward.
 
     Each shot is a genuine dynamic-circuit execution; no EPR pairs and no
-    communication qubits are used, so the state holds only n qubits.
-    Reported counters cover one execution (they are identical across shots).
+    communication qubits are used, so the state holds only n qubits, each
+    as its own factor of a ProductState.  Reported counters cover one
+    execution (they are identical across shots).
     """
     _validate(theta, shots)
     rng = np.random.default_rng(seed)

@@ -1,4 +1,8 @@
-"""Dense statevector engine with the minimal gate set for a distributed inverse QFT.
+"""Statevector engines with the minimal gate set for a distributed inverse QFT.
+
+StateVector is the dense engine.  ProductState holds unentangled qubits as
+one pair of amplitudes each, for runs that apply only one-qubit gates and
+measurements (the measure-early semiclassical mode).
 
 Bit-ordering convention, used package-wide: qubit 0 is the MOST significant
 bit of a basis-state index.  For a register of Q qubits, basis index i
@@ -11,7 +15,9 @@ so whole runs replay bit-exactly from a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -57,6 +63,19 @@ class Gate:
         return Gate("cnot", (control, target))
 
 
+def _check_operands(gate: Gate, num_qubits: int) -> None:
+    expected = 1 if gate.kind in ONE_QUBIT_KINDS else 2
+    if gate.kind not in ONE_QUBIT_KINDS and gate.kind not in TWO_QUBIT_KINDS:
+        raise ValueError(f"unknown gate kind {gate.kind!r}")
+    if len(gate.qubits) != expected:
+        raise ValueError(f"{gate.kind} takes {expected} operand(s), got {gate.qubits}")
+    for q in gate.qubits:
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"qubit {q} out of range for {num_qubits}-qubit state")
+    if expected == 2 and gate.qubits[0] == gate.qubits[1]:
+        raise ValueError(f"duplicate operands on two-qubit gate: {gate.qubits}")
+
+
 class StateVector:
     """2^Q double-precision complex amplitudes, gates applied in place."""
 
@@ -100,22 +119,10 @@ class StateVector:
         a, b = (qa, qb) if qa < qb else (qb, qa)
         return self.amps.reshape(1 << a, 2, 1 << (b - a - 1), 2, -1), qa < qb
 
-    def _check_operands(self, gate: Gate) -> None:
-        expected = 1 if gate.kind in ONE_QUBIT_KINDS else 2
-        if gate.kind not in ONE_QUBIT_KINDS and gate.kind not in TWO_QUBIT_KINDS:
-            raise ValueError(f"unknown gate kind {gate.kind!r}")
-        if len(gate.qubits) != expected:
-            raise ValueError(f"{gate.kind} takes {expected} operand(s), got {gate.qubits}")
-        for q in gate.qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(f"qubit {q} out of range for {self.num_qubits}-qubit state")
-        if expected == 2 and gate.qubits[0] == gate.qubits[1]:
-            raise ValueError(f"duplicate operands on two-qubit gate: {gate.qubits}")
-
     # -- gates -------------------------------------------------------------
 
     def apply_gate(self, gate: Gate) -> "StateVector":
-        self._check_operands(gate)
+        _check_operands(gate, self.num_qubits)
         if gate.kind == "h":
             v = self._one_axis(gate.qubits[0])
             a = v[:, 0, :].copy()
@@ -219,6 +226,64 @@ class StateVector:
         for idx, c in zip(*np.unique(drawn, return_counts=True)):
             counts[format(int(idx), f"0{width}b")] = int(c)
         return counts
+
+
+class ProductState:
+    """Q unentangled qubits, each held as its own (amp0, amp1) pair.
+
+    A one-qubit gate or a measurement touches one pair, so it costs O(1)
+    where the dense engine makes a pass over 2^Q amplitudes.  Gates and
+    measure follow StateVector's formulas and draw order.  A two-qubit gate
+    would entangle two qubits, so it raises ValueError.
+    """
+
+    def __init__(self, num_qubits: int):
+        if num_qubits < 1:
+            raise ValueError(f"need at least one qubit, got {num_qubits}")
+        self.num_qubits = num_qubits
+        self._factors = [[1 + 0j, 0j] for _ in range(num_qubits)]
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The 2Q factor amplitudes, qubit by qubit: amp0 and amp1 of qubit 0 first."""
+        return np.array(self._factors, dtype=np.complex128).reshape(-1)
+
+    def to_statevector(self) -> StateVector:
+        """The dense state: the Kronecker product of the factors, qubit 0 most significant."""
+        return StateVector.from_amplitudes(reduce(np.kron, self.amps.reshape(-1, 2)))
+
+    def apply_gate(self, gate: Gate) -> "ProductState":
+        _check_operands(gate, self.num_qubits)
+        if gate.kind in TWO_QUBIT_KINDS:
+            raise ValueError(f"{gate.kind} on {gate.qubits} would entangle a product state")
+        f = self._factors[gate.qubits[0]]
+        a, b = f
+        if gate.kind == "h":
+            f[0], f[1] = (a + b) * SQRT2_INV, (a - b) * SQRT2_INV
+        elif gate.kind == "x":
+            f[0], f[1] = b, a
+        elif gate.kind == "z":
+            f[1] = b * -1.0
+        else:
+            f[1] = b * complex(np.exp(1j * gate.phi))
+        return self
+
+    def measure(self, qubit: int, rng: np.random.Generator) -> int:
+        """Projectively measure one qubit; collapses and renormalizes its factor."""
+        if not 0 <= qubit < self.num_qubits:
+            raise ValueError(f"qubit {qubit} out of range")
+        f = self._factors[qubit]
+        p0 = abs(f[0]) ** 2
+        p1 = abs(f[1]) ** 2
+        if p0 < 1e-12 and p1 < 1e-12:
+            raise ValueError(f"corrupt state: both outcome probabilities vanish on qubit {qubit}")
+        if rng.random() < p0:
+            f[0], f[1] = f[0] / math.sqrt(p0), 0j
+            return 0
+        f[0], f[1] = 0j, f[1] / math.sqrt(p1)
+        return 1
+
+    reset = StateVector.reset
 
 
 def equal_up_to_global_phase(a, b, tol: float = 1e-10) -> bool:

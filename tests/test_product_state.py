@@ -1,0 +1,162 @@
+"""Product engine for measure-early shots, and known-|0> EPR resets.
+
+A fabric built without communication qubits holds a ProductState: one pair
+of amplitudes per qubit.  It must replay the dense engine draw for draw,
+and the semiclassical counts it gives are pinned to the dense engine's.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dqft.circuits import fourier_prep_gates
+from dqft.fabric import Fabric, QubitAddr, make_partition
+from dqft.runner import _semiclassical_once, run_semiclassical
+from dqft.statevector import Gate, ProductState, StateVector, equal_up_to_global_phase
+from dqft.telegate import cat_disentangle, cat_entangle
+
+
+class CountingRng:
+    """A generator that counts its random() draws."""
+
+    def __init__(self, seed: int = 0):
+        self._rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self._rng.random()
+
+
+@st.composite
+def one_qubit_program(draw):
+    """A register size and a sequence of one-qubit gates, measurements and resets."""
+    n = draw(st.integers(1, 5))
+    qubit = st.integers(0, n - 1)
+    op = st.one_of(
+        st.tuples(st.sampled_from(["h", "x", "z", "measure", "reset"]), qubit),
+        st.tuples(st.just("p"), qubit, st.floats(-7.0, 7.0)))
+    return n, draw(st.lists(op, max_size=40))
+
+
+@settings(deadline=None, max_examples=200)
+@given(one_qubit_program(), st.integers(0, 2**32 - 1))
+def test_product_state_replays_the_dense_engine(program, seed):
+    n, ops = program
+    product, dense = ProductState(n), StateVector(n)
+    rng_p, rng_d = np.random.default_rng(seed), np.random.default_rng(seed)
+    for kind, q, *phi in ops:
+        if kind == "measure":
+            assert product.measure(q, rng_p) == dense.measure(q, rng_d)
+        elif kind == "reset":
+            product.reset(q, rng_p)
+            dense.reset(q, rng_d)
+        else:
+            gate = Gate(kind, (q,), *phi)
+            product.apply_gate(gate)
+            dense.apply_gate(gate)
+    assert rng_p.random() == rng_d.random()  # the same number of draws
+    assert product.amps.size == 2 * n
+    assert equal_up_to_global_phase(product.to_statevector(), dense, 1e-12)
+
+
+def test_product_state_rejects_entangling_and_bad_operands():
+    state = ProductState(3)
+    for gate in (Gate.cp(0.3, 0, 1), Gate.cnot(2, 0), Gate.h(3), Gate("swap", (0, 1))):
+        with pytest.raises(ValueError):
+            state.apply_gate(gate)
+    with pytest.raises(ValueError):
+        state.measure(-1, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        ProductState(0)
+
+
+def test_fabric_without_comm_holds_factors_and_rejects_two_qubit_gates():
+    fabric = Fabric(make_partition(4, 2), with_comm=False)
+    assert isinstance(fabric.state, ProductState)
+    assert fabric.state.amps.size == 8
+    for kind in ("cp", "cnot"):
+        with pytest.raises(ValueError):
+            fabric.apply(kind, (QubitAddr(0, 0), QubitAddr(0, 1)), 0.5)
+    fabric.apply("h", (QubitAddr(1, 0),))
+    fabric.apply("p", (QubitAddr(1, 0),), 0.7)
+    expected = StateVector(4).apply_gates([Gate.h(2), Gate.p(0.7, 2)])
+    assert np.allclose(fabric.logical_state().amps, expected.amps, atol=1e-15)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (6, 3), (15, 4)])
+def test_one_draw_per_qubit_per_shot(n, k):
+    plan = make_partition(n, k)
+    prep = fourier_prep_gates(range(n), 0.4321)
+    rng = CountingRng(2)
+    for shot in range(1, 4):
+        _semiclassical_once(Fabric(plan, with_comm=False), prep, rng)
+        assert rng.draws == n * shot
+
+
+# Counts captured with the dense engine under every shot; the product
+# engine must replay them bit for bit.
+PINNED_COUNTS = [
+    ((15, 4, 0.4321, 5, 300), {14159: 297, 14160: 2, 14161: 1}),
+    ((5, 2, 1 / 3, 0, 100), {2: 1, 7: 1, 9: 1, 10: 13, 11: 74, 12: 3, 13: 2, 15: 2,
+                             21: 2, 28: 1}),
+    ((7, 3, 0.71, 11, 150), {90: 1, 91: 143, 92: 4, 93: 2}),
+    ((9, 8, 0.123, 3, 200), {63: 200}),
+]
+
+
+@pytest.mark.parametrize("point,counts", PINNED_COUNTS,
+                         ids=[f"n{p[0]}-k{p[1]}" for p, _ in PINNED_COUNTS])
+def test_semiclassical_counts_replay_on_factors(point, counts):
+    n, k, theta, seed, shots = point
+    res = run_semiclassical(make_partition(n, k), theta, shots=shots, seed=seed)
+    assert res.counts == counts
+    assert res.metrics.peak_state_bytes == 16 * 2 ** n
+
+
+@pytest.fixture
+def measure_passes(monkeypatch):
+    """A list that gets one entry per StateVector.measure pass (resets included)."""
+    passes = []
+    original = StateVector.measure
+
+    def counted(self, qubit, rng):
+        passes.append(qubit)
+        return original(self, qubit, rng)
+
+    monkeypatch.setattr(StateVector, "measure", counted)
+    return passes
+
+
+def test_cat_session_skips_the_reset_pass_of_known_zero_qubits(measure_passes):
+    fabric = Fabric(make_partition(4, 2))
+    fabric.apply("h", (QubitAddr(0, 0),))
+    rng = CountingRng(1)
+    for session in range(1, 3):  # grown pool qubits, then reset and reused ones
+        handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
+        cat_disentangle(fabric, handle, rng)
+        assert len(measure_passes) == 4 * session  # 2 measurements, 2 resets
+        assert rng.draws == 6 * session  # the EPR resets still draw
+    assert fabric.state.num_qubits == 6
+
+
+def test_qubit_touched_since_its_reset_gets_a_full_reset(measure_passes):
+    fabric = Fabric(make_partition(4, 4))
+    rng = np.random.default_rng(0)
+    fabric.allocate_epr(0, 1, rng)
+    assert measure_passes == []  # both pool qubits were just grown
+    fabric.release_comm(0)  # still entangled with node 1's qubit
+    fabric.release_comm(1)
+    fabric.allocate_epr(2, 3, rng)
+    assert measure_passes == [4, 5]
+    assert fabric.state.probabilities([4, 5]) == pytest.approx([0.5, 0, 0, 0.5])
+    fabric.reset(QubitAddr.comm(2), rng)  # known |0> again ...
+    fabric.reset(QubitAddr.comm(3), rng)
+    fabric.apply("x", (QubitAddr.comm(2),))  # ... until a gate touches it
+    fabric.release_comm(2)
+    fabric.release_comm(3)
+    fabric.allocate_epr(0, 1, rng)
+    assert measure_passes == [4, 5, 4, 5, 4]
+    assert fabric.state.num_qubits == 6
+    assert fabric.state.probabilities([4, 5]) == pytest.approx([0.5, 0, 0, 0.5])
