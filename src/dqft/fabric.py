@@ -14,8 +14,9 @@ slot is bound to the lowest free pool qubit when an EPR pair is allocated
 on it and unbound when it is released; the pool grows by one |0> qubit
 only when every pool qubit is bound.  The telegate runner keeps at most
 two slots bound at once, so a k-node run holds n + 2 qubits, not n + k.
-The fabric remembers which pool qubits are known to be |0> (grown, or reset
-and untouched since), so an EPR allocation on one skips the reset's pass.
+The fabric knows a qubit's basis bit after its growth or reset (0) or its
+measurement (the outcome) until a gate touches it, so resetting it takes
+one draw and no probability pass; the Bell pair is then written directly.
 
 A fabric without communication qubits (the teleportation-free mode) has
 nothing to entangle its qubits, so it holds a ProductState: n one-qubit
@@ -31,7 +32,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .statevector import Gate, ProductState, StateVector
+from .statevector import SQRT2_INV, Gate, ProductState, StateVector
 
 COMM_SLOT = -1  # local_index sentinel marking a node's communication qubit
 
@@ -150,7 +151,7 @@ class Fabric:
     ``state.num_qubits`` is n plus the peak number of slots bound at once.
     with_comm=False forbids communication slots (teleportation-free modes):
     allocate_epr is then unavailable, and the state is a ProductState, which
-    rejects two-qubit gates.
+    rejects two-qubit gates.  Resetting a qubit whose bit ``_known`` holds makes no pass.
     """
 
     def __init__(self, plan: PartitionPlan, with_comm: bool = True, latency: int = 1):
@@ -161,7 +162,7 @@ class Fabric:
         self.counters = FabricCounters()
         self._comm_busy = [False] * plan.k
         self._bound: dict[int, int] = {}  # node -> global index of its pool qubit
-        self._zero: set[int] = set()  # qubits known to be |0>: grown or reset, untouched since
+        self._known: list[int | None] = [None] * plan.n  # qubit -> basis bit; None after a gate
         self._queues: dict[tuple[int, int], deque[ClassicalMessage]] = {}
 
     # -- gates and measurements --------------------------------------------
@@ -172,26 +173,32 @@ class Fabric:
         check_locality(self.plan, addrs)
         qubits = tuple(self._comm_index(a, bind=True) if a.is_comm else self.plan.global_index(a)
                        for a in addrs)
-        self._zero.difference_update(qubits)
+        for q in qubits:
+            self._known[q] = None
         self.state.apply_gate(Gate(kind, qubits, phi))
 
     def measure(self, addr: QubitAddr, rng: np.random.Generator) -> int:
+        """Measure one qubit (one draw); the fabric then knows its basis bit."""
         self.counters.midcircuit_measurements += 1
         q = self._comm_index(addr) if addr.is_comm else self.plan.global_index(addr)
         if q is None:
             rng.random()  # an unbound slot is |0>: the same single draw, outcome 0
             return 0
-        self._zero.discard(q)
-        return self.state.measure(q, rng)
+        bit = self._known[q] = self.state.measure(q, rng)
+        return bit
 
     def reset(self, addr: QubitAddr, rng: np.random.Generator) -> None:
         # resets are not counted as protocol measurements
         q = self._comm_index(addr) if addr.is_comm else self.plan.global_index(addr)
-        if q is None:
-            rng.random()
-        else:
+        bit = 0 if q is None else self._known[q]
+        if bit is None:
             self.state.reset(q, rng)
-            self._zero.add(q)
+            self._known[q] = 0
+        else:
+            rng.random()  # an unbound slot is |0>, a known bit needs no pass: the one draw
+            if bit:  # the |0> half is empty: X moves the |1> half into it
+                self.state.apply_gate(Gate.x(q))
+                self._known[q] = 0
 
     def _comm_index(self, addr: QubitAddr, bind: bool = False) -> int | None:
         """Global index of the pool qubit bound to a comm slot, or None if unbound.
@@ -213,7 +220,7 @@ class Fabric:
                 self.state.amps[0::2] = old
                 q = self.state.num_qubits
                 self.state.num_qubits += 1
-                self._zero.add(q)
+                self._known.append(0)
             self._bound[addr.node] = q
         return q
 
@@ -234,14 +241,14 @@ class Fabric:
                 raise CommSlotBusyError(f"comm slot of node {node} is busy")
         ga = self._comm_index(QubitAddr.comm(node_a), bind=True)
         gb = self._comm_index(QubitAddr.comm(node_b), bind=True)
-        for q in (ga, gb):
-            if q in self._zero:
-                rng.random()  # the reset's one draw; a known |0> needs no pass
-            else:
-                self.state.reset(q, rng)
-        self._zero -= {ga, gb}
-        self.state.apply_gate(Gate.h(ga))
-        self.state.apply_gate(Gate.cnot(ga, gb))
+        self.reset(QubitAddr.comm(node_a), rng)
+        self.reset(QubitAddr.comm(node_b), rng)
+        self._known[ga] = self._known[gb] = None
+        # both are |0> now: H then CNOT would scale the |00> block by 1/sqrt2
+        # and copy it to |11>, and this writes the same bits directly
+        v = self.state._two_axes(ga, gb)
+        v[:, 0, :, 0, :] *= SQRT2_INV
+        np.positive(v[:, 0, :, 0, :], out=v[:, 1, :, 1, :])  # a ufunc; assigning would copy the block first
         self._comm_busy[node_a] = True
         self._comm_busy[node_b] = True
         self.counters.epr_created += 1

@@ -4,6 +4,10 @@ StateVector is the dense engine.  ProductState holds unentangled qubits as
 one pair of amplitudes each, for runs that apply only one-qubit gates and
 measurements (the measure-early semiclassical mode).
 
+StateVector's kernels work in place, with no temporary the size of the
+state: H adds and scales the qubit's halves, X and CNOT swap them through a
+small slab, and measure reads the state once and rescales only the kept half.
+
 Bit-ordering convention, used package-wide: qubit 0 is the MOST significant
 bit of a basis-state index.  For a register of Q qubits, basis index i
 assigns bit ``(i >> (Q - 1 - q)) & 1`` to qubit q, and the bitstring of
@@ -76,6 +80,31 @@ def _check_operands(gate: Gate, num_qubits: int) -> None:
         raise ValueError(f"duplicate operands on two-qubit gate: {gate.qubits}")
 
 
+def _draw(p0: float, p1: float, qubit: int, rng: np.random.Generator) -> int:
+    """The outcome of one rng.random() draw against p0; both probabilities vanishing is an error."""
+    if p0 < 1e-12 and p1 < 1e-12:
+        raise ValueError(f"corrupt state: both outcome probabilities vanish on qubit {qubit}")
+    return 0 if rng.random() < p0 else 1
+
+
+def _runs(*views):
+    """The views, and a ufunc order that iterates a last axis of at most 4 elements outermost."""
+    if views[0].shape[-1] > 4:
+        return (*views, "K")
+    return (*(v.transpose(v.ndim - 1, *range(v.ndim - 1)) for v in views), "C")
+
+
+def _swap(a, b) -> None:
+    """Exchange two disjoint views bit for bit, through a slab of about 2^13 amplitudes (128 KiB)."""
+    axis = max(range(a.ndim), key=a.shape.__getitem__)
+    step = max(1, (1 << 13) * a.shape[axis] // a.size)
+    for i in range(0, a.shape[axis], step):
+        x, y = (v[(slice(None),) * axis + (slice(i, i + step),)] for v in (a, b))
+        slab = x.copy()
+        x[...] = y
+        y[...] = slab
+
+
 class StateVector:
     """2^Q double-precision complex amplitudes, gates applied in place."""
 
@@ -111,48 +140,40 @@ class StateVector:
 
     # -- views -------------------------------------------------------------
 
-    def _one_axis(self, q: int):
+    def _one_axis(self, q: int, dtype=np.complex128):
         # axis 0: qubits before q, axis 1: qubit q, axis 2: qubits after q
-        return self.amps.reshape(1 << q, 2, -1)
+        # (the float64 view has two words per amplitude on axis 2)
+        return self.amps.view(dtype).reshape(1 << q, 2, -1)
 
     def _two_axes(self, qa: int, qb: int):
-        a, b = (qa, qb) if qa < qb else (qb, qa)
-        return self.amps.reshape(1 << a, 2, 1 << (b - a - 1), 2, -1), qa < qb
+        # axis 1: qa, axis 3: qb, axes 0, 2 and 4: the qubits before, between and after them
+        a, b = sorted((qa, qb))
+        v = self.amps.reshape(1 << a, 2, 1 << (b - a - 1), 2, -1)
+        return v if qa < qb else v.transpose(0, 3, 2, 1, 4)
 
     # -- gates -------------------------------------------------------------
 
     def apply_gate(self, gate: Gate) -> "StateVector":
         _check_operands(gate, self.num_qubits)
-        if gate.kind == "h":
-            v = self._one_axis(gate.qubits[0])
-            a = v[:, 0, :].copy()
-            b = v[:, 1, :]
-            v[:, 0, :] = (a + b) * SQRT2_INV
-            v[:, 1, :] = (a - b) * SQRT2_INV
-        elif gate.kind == "x":
-            v = self._one_axis(gate.qubits[0])
-            tmp = v[:, 0, :].copy()
-            v[:, 0, :] = v[:, 1, :]
-            v[:, 1, :] = tmp
-        elif gate.kind == "z":
-            v = self._one_axis(gate.qubits[0])
-            v[:, 1, :] *= -1.0
-        elif gate.kind == "p":
-            v = self._one_axis(gate.qubits[0])
-            v[:, 1, :] *= np.exp(1j * gate.phi)
-        elif gate.kind == "cp":
-            v, _ = self._two_axes(*gate.qubits)
-            v[:, 1, :, 1, :] *= np.exp(1j * gate.phi)
-        elif gate.kind == "cnot":
-            v, control_first = self._two_axes(*gate.qubits)
-            if control_first:
-                tmp = v[:, 1, :, 0, :].copy()
-                v[:, 1, :, 0, :] = v[:, 1, :, 1, :]
-                v[:, 1, :, 1, :] = tmp
-            else:
-                tmp = v[:, 0, :, 1, :].copy()
-                v[:, 0, :, 1, :] = v[:, 1, :, 1, :]
-                v[:, 1, :, 1, :] = tmp
+        kind, qubits = gate.kind, gate.qubits
+        if kind == "h":
+            v = self._one_axis(qubits[0])
+            a, b, order = _runs(v[:, 0, :], v[:, 1, :])
+            np.add(a, b, out=a, order=order)
+            np.multiply(a, SQRT2_INV, out=a, order=order)  # (a + b)/sqrt2
+            np.multiply(b, -2 * SQRT2_INV, out=b, order=order)
+            np.add(b, a, out=b, order=order)  # (a + b)/sqrt2 - sqrt2*b = (a - b)/sqrt2
+        elif kind == "x":
+            v = self._one_axis(qubits[0])
+            _swap(v[:, 0, :], v[:, 1, :])
+        elif kind == "cnot":
+            v = self._two_axes(*qubits)
+            _swap(v[:, 1, :, 0, :], v[:, 1, :, 1, :])
+        else:  # z, p, cp: scale the amplitudes whose operand bits are all 1
+            ones = (self._two_axes(*qubits)[:, 1, :, 1, :] if kind == "cp"
+                    else self._one_axis(qubits[0])[:, 1, :])
+            ones, order = _runs(ones)
+            np.multiply(ones, -1.0 if kind == "z" else np.exp(1j * gate.phi), out=ones, order=order)
         return self
 
     def apply_gates(self, gates) -> "StateVector":
@@ -163,21 +184,22 @@ class StateVector:
     # -- measurement -------------------------------------------------------
 
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
-        """Projectively measure one qubit; collapses and renormalizes in place."""
+        """Projectively measure one qubit; collapses and renormalizes in place.
+
+        One read pass gives p0 and p1; the rejected half is zeroed and only the
+        kept half is scaled by 1/sqrt(p).
+        """
         if not 0 <= qubit < self.num_qubits:
             raise ValueError(f"qubit {qubit} out of range")
+        f = self._one_axis(qubit, np.float64)  # sum the longer of axes 0 and 2 first
+        p0, p1 = (np.einsum("ijk,ijk->jk", f, f).sum(axis=1) if f.shape[2] < f.shape[0]
+                  else np.einsum("ijk,ijk->j", f, f))
+        bit = _draw(p0, p1, qubit, rng)
         v = self._one_axis(qubit)
-        p0 = float(np.sum(np.abs(v[:, 0, :]) ** 2))
-        p1 = float(np.sum(np.abs(v[:, 1, :]) ** 2))
-        if p0 < 1e-12 and p1 < 1e-12:
-            raise ValueError(f"corrupt state: both outcome probabilities vanish on qubit {qubit}")
-        if rng.random() < p0:
-            v[:, 1, :] = 0.0
-            self.amps /= np.sqrt(p0)
-            return 0
-        v[:, 0, :] = 0.0
-        self.amps /= np.sqrt(p1)
-        return 1
+        v[:, 1 - bit, :] = 0.0
+        kept, order = _runs(v[:, bit, :])
+        np.multiply(kept, 1.0 / math.sqrt((p0, p1)[bit]), out=kept, order=order)
+        return bit
 
     def reset(self, qubit: int, rng: np.random.Generator) -> "StateVector":
         """Measure then flip to leave the qubit deterministically in |0>."""
@@ -273,15 +295,10 @@ class ProductState:
         if not 0 <= qubit < self.num_qubits:
             raise ValueError(f"qubit {qubit} out of range")
         f = self._factors[qubit]
-        p0 = abs(f[0]) ** 2
-        p1 = abs(f[1]) ** 2
-        if p0 < 1e-12 and p1 < 1e-12:
-            raise ValueError(f"corrupt state: both outcome probabilities vanish on qubit {qubit}")
-        if rng.random() < p0:
-            f[0], f[1] = f[0] / math.sqrt(p0), 0j
-            return 0
-        f[0], f[1] = 0j, f[1] / math.sqrt(p1)
-        return 1
+        p = (abs(f[0]) ** 2, abs(f[1]) ** 2)
+        bit = _draw(*p, qubit, rng)
+        f[bit], f[1 - bit] = f[bit] / math.sqrt(p[bit]), 0j
+        return bit
 
     reset = StateVector.reset
 

@@ -1,0 +1,220 @@
+"""In-place dense kernels and known-bit resets, checked against matrix oracles.
+
+The oracles below are Kronecker products of 2x2 matrices and basis-index
+permutations; they share no code with the engine's half-state views.  The
+fabric cases pin that a reset of a qubit whose basis bit is known draws its
+one number, makes no probability pass and leaves the state a full reset
+leaves.
+"""
+
+import tracemalloc
+from functools import reduce
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dqft.fabric import Fabric, QubitAddr, make_partition
+from dqft.statevector import Gate, StateVector
+from dqft.verify import ScriptedRng
+from test_product_state import CountingRng, measure_passes  # noqa: F401 (a fixture)
+
+I2 = np.eye(2)
+H2 = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+X2 = np.array([[0, 1], [1, 0]])
+P0 = np.diag([1.0, 0.0])
+P1 = np.diag([0.0, 1.0])
+FORCE_1 = 0.999999999  # a scripted draw that picks outcome 1 whenever p1 > 1e-9
+
+
+# -- independent oracles ---------------------------------------------------------------
+
+
+def embed(ops: dict, n: int) -> np.ndarray:
+    """kron over qubits 0..n-1 (qubit 0 most significant) of ops[q], identity elsewhere."""
+    return reduce(np.kron, [ops.get(q, I2) for q in range(n)])
+
+
+def gate_matrix(gate: Gate, n: int) -> np.ndarray:
+    kind, qs = gate.kind, gate.qubits
+    if kind == "h":
+        return embed({qs[0]: H2}, n)
+    if kind == "x":
+        return embed({qs[0]: X2}, n)
+    if kind == "z":
+        return embed({qs[0]: np.diag([1, -1])}, n)
+    if kind == "p":
+        return embed({qs[0]: np.diag([1, np.exp(1j * gate.phi)])}, n)
+    if kind == "cp":
+        return embed({}, n) + (np.exp(1j * gate.phi) - 1) * embed({qs[0]: P1, qs[1]: P1}, n)
+    return embed({qs[0]: P0}, n) + embed({qs[0]: P1, qs[1]: X2}, n)  # cnot
+
+
+def permuted(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
+    """X or CNOT as a gather of basis indices: exact, no arithmetic."""
+    idx = np.arange(amps.size)
+    bit = lambda q: (idx >> (n - 1 - q)) & 1  # noqa: E731
+    if gate.kind == "x":
+        return amps[idx ^ (1 << (n - 1 - gate.qubits[0]))]
+    c, t = gate.qubits
+    return amps[idx ^ (bit(c) << (n - 1 - t))]
+
+
+def projected(amps: np.ndarray, q: int, n: int, bit: int) -> np.ndarray:
+    """Project qubit q onto |bit> and renormalize."""
+    out = embed({q: (P0, P1)[bit]}, n) @ amps
+    return out / np.linalg.norm(out)
+
+
+@st.composite
+def random_state(draw, max_n: int = 7):
+    """A register size and a random unit-norm state on it."""
+    n = draw(st.integers(1, max_n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    return n, amps / np.linalg.norm(amps)
+
+
+def layouts(n: int) -> list[int]:
+    """The first, a middle and the last qubit."""
+    return sorted({0, n // 2, n - 1})
+
+
+# -- gates -----------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=random_state(), phi=st.floats(-7.0, 7.0), pick=st.integers(0, 8))
+def test_every_gate_matches_its_kronecker_matrix(state, phi, pick):
+    n, amps = state
+    ones = [Gate.h(q) for q in layouts(n)] + [Gate.x(q) for q in layouts(n)]
+    ones += [Gate.z(q) for q in layouts(n)] + [Gate.p(phi, q) for q in layouts(n)]
+    pairs = [(a, b) for a in layouts(n) for b in range(n) if a != b]
+    twos = [Gate.cp(phi, a, b) for a, b in pairs] + [Gate.cnot(a, b) for a, b in pairs]
+    for gate in ones + twos[pick::9]:
+        got = StateVector.from_amplitudes(amps).apply_gate(gate).amps
+        assert np.max(np.abs(got - gate_matrix(gate, n) @ amps)) <= 1e-12, gate
+        if gate.kind in ("x", "cnot"):
+            assert np.array_equal(got.view(np.int64), permuted(amps, gate, n).view(np.int64)), gate
+
+
+def test_kernels_allocate_no_state_sized_temporary():
+    # 2^18 amplitudes is 4 MiB: a half-state copy would be 2 MiB, a quarter 1 MiB
+    n = 18
+    sv = StateVector(n)
+    sv.amps[:] = 1 / np.sqrt(sv.amps.size)
+    rng = np.random.default_rng(0)
+    for q in layouts(n):
+        other = n - 1 if q != n - 1 else 0
+        for op in (lambda: sv.apply_gate(Gate.h(q)), lambda: sv.apply_gate(Gate.x(q)),
+                   lambda: sv.apply_gate(Gate.p(0.3, q)), lambda: sv.apply_gate(Gate.cp(0.3, q, other)),
+                   lambda: sv.apply_gate(Gate.cnot(q, other)), lambda: sv.measure(q, rng),
+                   lambda: sv.apply_gate(Gate.h(q)), lambda: sv.reset(q, rng)):
+            tracemalloc.start()
+            try:
+                op()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < sv.amps.nbytes // 8, (q, peak)
+
+
+# -- measure and reset -----------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=random_state(), seed=st.integers(0, 1000), which=st.integers(0, 2))
+def test_measure_and_reset_match_the_projector_oracle(state, seed, which):
+    n, amps = state
+    q = layouts(n)[min(which, len(layouts(n)) - 1)]
+    p0 = np.linalg.norm(embed({q: P0}, n) @ amps) ** 2
+    expected_bit = 0 if np.random.default_rng(seed).random() < p0 else 1
+    expected = projected(amps, q, n, expected_bit)
+
+    rng = CountingRng(seed)
+    sv = StateVector.from_amplitudes(amps)
+    assert sv.measure(q, rng) == expected_bit
+    assert rng.draws == 1
+    assert np.max(np.abs(sv.amps - expected)) <= 1e-12
+
+    rng = CountingRng(seed)
+    sv = StateVector.from_amplitudes(amps).reset(q, rng)
+    assert rng.draws == 1
+    expected_reset = embed({q: X2}, n) @ expected if expected_bit else expected
+    assert np.max(np.abs(sv.amps - expected_reset)) <= 1e-12
+    assert sv.probabilities([q])[1] == 0.0
+
+
+@pytest.mark.parametrize("q", [0, 2, 4])
+def test_corrupt_state_still_raises(q):
+    sv = StateVector(5)
+    sv.amps[:] = 0.0
+    with pytest.raises(ValueError, match="corrupt state"):
+        sv.measure(q, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="corrupt state"):
+        sv.reset(q, np.random.default_rng(0))
+
+
+# -- known-bit resets in the fabric ----------------------------------------------------
+
+
+def _generic_fabric() -> Fabric:
+    # 4 logical qubits on 2 nodes, every one with both outcomes likely
+    fabric = Fabric(make_partition(4, 2))
+    for q in range(4):
+        addr = fabric.plan.addr_of(q)
+        fabric.apply("h", (addr,))
+        fabric.apply("p", (addr,), 0.3 + 0.5 * q)
+    fabric.apply("cnot", (QubitAddr(0, 0), QubitAddr(0, 1)))
+    return fabric
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("addr", [QubitAddr(0, 1), QubitAddr(1, 1)])
+def test_reset_after_measure_makes_no_pass_and_equals_a_full_reset(measure_passes, addr, bit):
+    fabric = _generic_fabric()
+    q = fabric.plan.global_index(addr)
+    rng = CountingRng(0)
+    force = ScriptedRng([FORCE_1 if bit else 0.0])
+    assert fabric.measure(addr, force) == bit
+    reference = fabric.state.copy().reset(q, rng)  # the full reset: a probability pass
+    measure_passes.clear()
+    fabric.reset(addr, rng)
+    assert measure_passes == []
+    assert rng.draws == 2  # one for the reference's reset, one for the fabric's
+    assert np.max(np.abs(fabric.state.amps - reference.amps)) <= 1e-12
+    assert fabric.state.probabilities([q])[1] == 0.0
+
+
+def test_gate_between_measure_and_reset_forces_the_full_pass(measure_passes):
+    fabric = _generic_fabric()
+    addr = QubitAddr(1, 0)
+    q = fabric.plan.global_index(addr)
+    rng = np.random.default_rng(3)
+    fabric.measure(addr, ScriptedRng([FORCE_1]))
+    fabric.apply("h", (addr,))  # the bit is no longer known
+    before = fabric.state.copy()
+    measure_passes.clear()
+    fabric.reset(addr, rng)
+    assert measure_passes == [q]
+    bit = 0 if np.random.default_rng(3).random() < 0.5 else 1  # H left p0 = p1 = 1/2
+    expected = projected(before.amps, q, 4, bit)
+    if bit:
+        expected = embed({q: X2}, 4) @ expected
+    assert np.max(np.abs(fabric.state.amps - expected)) <= 1e-12
+
+
+def test_bell_pair_write_is_bitwise_the_h_cnot_path():
+    fabric = _generic_fabric()
+    rng = np.random.default_rng(5)
+    fabric.allocate_epr(0, 1, rng)  # grows the pool to qubits 4 and 5
+    for node in (0, 1):
+        fabric.reset(QubitAddr.comm(node), rng)
+        fabric.release_comm(node)
+    fabric.apply("h", (QubitAddr(1, 1),))  # a logical gate leaves the pool qubits known |0>
+    expected = fabric.state.copy().apply_gate(Gate.h(4)).apply_gate(Gate.cnot(4, 5))
+    fabric.allocate_epr(0, 1, rng)
+    assert np.array_equal(fabric.state.amps.view(np.int64), expected.amps.view(np.int64))
+    assert fabric.state.probabilities([4, 5]) == pytest.approx([0.5, 0, 0, 0.5])
