@@ -23,8 +23,11 @@ import sys
 from dataclasses import dataclass, fields
 
 from .fabric import make_partition
-from .metrics import classical_fidelity, counts_to_distribution
-from .runner import MODES, monolithic_exact_distribution, run_distributed
+from .metrics import Distribution, classical_fidelity, counts_to_distribution
+# monolithic_exact_distribution is unused here; it stays in this namespace
+# because dqftbench/spans.py wraps bench.monolithic_exact_distribution
+from .runner import (MODES, _reference, monolithic_exact_distribution,  # noqa: F401
+                     run_distributed)
 
 CONFIG_KEYS = ("num_qubits", "nodes", "theta", "shots", "modes", "seed",
                "repeats", "output_path")
@@ -156,16 +159,22 @@ def expand_points(config: SweepConfig, log=None):
 
 
 def run_point(n: int, k: int, theta: float, mode: str, shots: int, seed: int,
-              repeat: int = 0, reference: dict[int, float] | None = None) -> ResultRow:
-    """Execute one benchmark point and fold its measurements into a row."""
+              repeat: int = 0, reference: Distribution | None = None) -> ResultRow:
+    """Execute one benchmark point and fold its measurements into a row.
+
+    reference, when given, is the monolithic exact value distribution for
+    (n, theta), as a dict or a dense array indexed by value.  The modal
+    outcome is the most frequent value, the smallest one among ties.
+    """
     theta = normalize_theta(theta)
     plan = make_partition(n, k)
     if reference is None:
-        reference = monolithic_exact_distribution(n, theta)
+        reference = _reference(n, theta)
     res = run_distributed(plan, theta, mode=mode, shots=shots, seed=seed,
                           reference=reference)
     sampled = classical_fidelity(counts_to_distribution(res.counts), reference)
-    modal = min(v for v, c in res.counts.items() if c == max(res.counts.values()))
+    top = max(res.counts.values())
+    modal = min(v for v, c in res.counts.items() if c == top)
     m = res.metrics
     return ResultRow(
         n=n, k=k, theta=theta, mode=mode, seed=seed, repeat=repeat,
@@ -271,7 +280,7 @@ def sweep(config: SweepConfig, timeout: float = DEFAULT_TIMEOUT_SECONDS,
     existing = _prepare_resume(out_path, config.shots)
     points = expand_points(config, log=log)
 
-    references: dict[tuple, dict[int, float]] = {}
+    references: dict[tuple, Distribution] = {}
     rows: list[ResultRow] = []
     failures: list[tuple] = []
     timed_out: list[tuple] = []
@@ -284,7 +293,7 @@ def sweep(config: SweepConfig, timeout: float = DEFAULT_TIMEOUT_SECONDS,
                 continue
             ref_key = (n, format_value(theta))
             if ref_key not in references:
-                references[ref_key] = monolithic_exact_distribution(n, theta)
+                references[ref_key] = _reference(n, theta)
             try:
                 row = _with_timeout(
                     lambda: run_point(n, k, theta, mode, config.shots, seed,

@@ -11,7 +11,9 @@ costs O(n^2) scalar work; its exact distribution is still computed on the
 dense engine.  Resource counters always cover one circuit execution.
 wall_time_seconds times the emulation only (prep, schedule or shots, and
 sampling); the exact distributions and the fidelity check run after the
-clock stops.
+clock stops.  Inside a run an exact distribution is one float64 array
+indexed by value, |amps|^2 gathered through bit_reverse; the public
+*_exact_distribution helpers return the same numbers as dicts.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, bit_reverse,
                        build_schedule, fourier_prep, fourier_prep_gates,
                        inverse_qft_gates, inverse_qft_local, rev_postprocess)
 from .fabric import Fabric, FabricCounters, PartitionPlan, QubitAddr
-from .metrics import RunMetrics, classical_fidelity, state_bytes
+from .metrics import Distribution, RunMetrics, classical_fidelity, state_bytes
 from .statevector import Gate, StateVector
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
 
@@ -50,16 +52,26 @@ def _validate(theta: float, shots: int) -> None:
 # -- exact output distributions ------------------------------------------------
 
 
+def _distribution(state: StateVector) -> np.ndarray:
+    """Exact post-REV value distribution of a pre-measurement logical state: p[value]."""
+    probs = np.abs(state.amps)
+    probs **= 2
+    return probs[bit_reverse(np.arange(probs.size, dtype=np.uint32), state.num_qubits)]
+
+
 def exact_value_distribution(state: StateVector) -> dict[int, float]:
-    """Exact post-REV value distribution of a pre-measurement logical state."""
-    probs = np.abs(state.amps) ** 2
-    values = bit_reverse(np.arange(probs.size), state.num_qubits)
-    return dict(zip(values.tolist(), probs.tolist()))
+    """The exact value distribution of state as a dict over every value in range(2^n)."""
+    return dict(enumerate(_distribution(state).tolist()))
 
 
 def _monolithic_state(n: int, theta: float) -> StateVector:
     """The single-register pipeline: Fourier prep, then the inverse QFT."""
     return inverse_qft_local(fourier_prep(StateVector(n), range(n), theta), range(n))
+
+
+def _reference(n: int, theta: float) -> np.ndarray:
+    """The default reference: the dense monolithic value distribution of (n, theta)."""
+    return _distribution(_monolithic_state(n, theta))
 
 
 def monolithic_exact_distribution(n: int, theta: float) -> dict[int, float]:
@@ -74,8 +86,8 @@ def _feedforward_turns(pairs, j: int):
     return sum(b / (1 << (j - l + 1)) for l, b in pairs)
 
 
-def semiclassical_exact_distribution(n: int, theta: float) -> dict[int, float]:
-    """Exact value distribution of the measure-early mode, by deferred measurement.
+def _semiclassical_state(n: int, theta: float) -> StateVector:
+    """The measure-early mode's pre-measurement state, by deferred measurement.
 
     Measuring qubit j and feeding its bit forward has the same joint outcome
     law as leaving j unmeasured and conditioning the later phases on it.  So
@@ -89,7 +101,12 @@ def semiclassical_exact_distribution(n: int, theta: float) -> dict[int, float]:
         turns = _feedforward_turns(((l, (rows >> (j - 1 - l)) & 1) for l in range(j)), j)
         state.amps.reshape(1 << j, 2, -1)[:, 1, :] *= np.exp(-1j * TWO_PI * turns)
         state.apply_gate(Gate.h(j))
-    return exact_value_distribution(state)
+    return state
+
+
+def semiclassical_exact_distribution(n: int, theta: float) -> dict[int, float]:
+    """Exact value distribution of the measure-early mode, by deferred measurement."""
+    return exact_value_distribution(_semiclassical_state(n, theta))
 
 
 # -- telegate execution ----------------------------------------------------------
@@ -134,15 +151,15 @@ def _counts_from_raw(raw_counts: dict[str, int]) -> dict[int, int]:
 
 
 def _metrics(wall: float, counters: FabricCounters, num_qubits: int, slots: int,
-             shots: int, exact: dict[int, float], reference: dict[int, float] | None,
+             shots: int, exact: np.ndarray, reference: Distribution | None,
              n: int, theta: float) -> RunMetrics:
-    """Check a finished run's exact distribution against the reference; build its metrics.
+    """Check a finished run's dense exact distribution against the reference; build its metrics.
 
     A None reference is the monolithic distribution of (n, theta).  Draws no
     random numbers, so verification never changes what a seed replays.
     """
     if reference is None:
-        reference = monolithic_exact_distribution(n, theta)
+        reference = _reference(n, theta)
     return RunMetrics(wall_time_seconds=wall,
                       peak_state_bytes=state_bytes(num_qubits),
                       epr_count=counters.epr_created,
@@ -155,11 +172,12 @@ def _metrics(wall: float, counters: FabricCounters, num_qubits: int, slots: int,
 
 def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
                     shots: int = 100, seed: int = 0, return_state: bool = False,
-                    reference: dict[int, float] | None = None) -> RunResult:
+                    reference: Distribution | None = None) -> RunResult:
     """Distributed inverse-QFT run over the plan's k nodes.
 
     reference, when given, is the monolithic exact value distribution for
-    (n, theta); otherwise it is recomputed here for the fidelity metric.
+    (n, theta), as a dict or a dense array indexed by value; otherwise it is
+    recomputed here for the fidelity metric.
     """
     if mode == "semiclassical":
         return run_semiclassical(plan, theta, shots=shots, seed=seed, reference=reference)
@@ -176,7 +194,7 @@ def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
     wall = time.perf_counter() - start
     state = fabric.logical_state()
     metrics = _metrics(wall, fabric.counters, plan.n + plan.k, slots, shots,
-                       exact_value_distribution(state), reference, plan.n, theta)
+                       _distribution(state), reference, plan.n, theta)
     return RunResult(counts, metrics, state if return_state else None)
 
 
@@ -189,7 +207,7 @@ def run_monolithic_reference(n: int, theta: float, shots: int = 100,
     state = _monolithic_state(n, theta)
     counts = _counts_from_raw(state.sample_counts(range(n), shots, rng))
     wall = time.perf_counter() - start
-    dist = exact_value_distribution(state)
+    dist = _distribution(state)
     metrics = _metrics(wall, FabricCounters(), n, 1, shots, dist, dist, n, theta)
     return RunResult(counts, metrics, state)
 
@@ -226,13 +244,14 @@ def _semiclassical_once(fabric: Fabric, prep, rng: np.random.Generator) -> int:
 
 
 def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
-                      seed: int = 0, reference: dict[int, float] | None = None) -> RunResult:
+                      seed: int = 0, reference: Distribution | None = None) -> RunResult:
     """Teleportation-free run: early measurement plus classical feed-forward.
 
     Each shot is a genuine dynamic-circuit execution; no EPR pairs and no
     communication qubits are used, so the state holds only n qubits, each
     as its own factor of a ProductState.  Reported counters cover one
-    execution (they are identical across shots).
+    execution (they are identical across shots).  reference is as in
+    run_distributed.
     """
     _validate(theta, shots)
     rng = np.random.default_rng(seed)
@@ -246,6 +265,6 @@ def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
     wall = time.perf_counter() - start
     # the counters are the same for every shot; report the last one's
     metrics = _metrics(wall, fabric.counters, plan.n, 0, shots,
-                       semiclassical_exact_distribution(plan.n, theta), reference,
+                       _distribution(_semiclassical_state(plan.n, theta)), reference,
                        plan.n, theta)
     return RunResult(counts, metrics)

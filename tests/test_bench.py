@@ -268,3 +268,15 @@ def test_cli_sweep_into_closed_pipe_exits_without_traceback(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[0] == ",".join(CSV_COLUMNS)
     assert len(rows) - 1 == len(expand_points(_config(tmp_path)))
+
+
+def test_run_point_modal_outcome_is_the_smallest_of_tied_values(monkeypatch):
+    run_distributed = dqft.bench.run_distributed
+
+    def tied(*args, **kwargs):
+        res = run_distributed(*args, **kwargs)
+        res.counts = {9: 20, 6: 40, 2: 10, 3: 40}
+        return res
+
+    monkeypatch.setattr(dqft.bench, "run_distributed", tied)
+    assert run_point(4, 2, 0.3, "telegate", shots=110, seed=0).modal_outcome == 3
