@@ -1,10 +1,9 @@
 """Classical fidelity, resource budgets, and the run metrics record.
 
-Distributions are dicts or dense arrays indexed by value (Distribution);
-validation and fidelity take either and make a few numpy passes, with no
-Python loop over values.  Peak memory is reported from the allocation model
-(16 bytes per complex amplitude) rather than an OS probe, so the metric is
-deterministic and portable.
+Validation and fidelity take a dict or a dense array (Distribution) and
+make numpy passes, no Python loop over values.  Peak memory is reported from
+the allocation model (16 bytes per complex amplitude) rather than an OS
+probe, so the metric is deterministic and portable.
 """
 
 from __future__ import annotations
@@ -40,42 +39,39 @@ def state_bytes(num_qubits: int) -> int:
     return BYTES_PER_AMPLITUDE * (1 << num_qubits)
 
 
-def validate_distribution(d: Distribution) -> tuple[np.ndarray | None, np.ndarray]:
-    """Check d; return it as (values, probabilities), values None when d is dense.
+def _sparse(d: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    return np.fromiter(d, np.int64, len(d)), np.fromiter(d.values(), np.float64, len(d))
 
-    Raises ValueError for a negative value, a negative or non-finite
-    probability, or probabilities whose sum is off 1 by more than 1e-9.
-    """
-    if isinstance(d, dict):
-        values = np.fromiter(d.keys(), np.int64, len(d))
-        probs = np.fromiter(d.values(), np.float64, len(d))
-    else:
-        values, probs = None, np.asarray(d, dtype=np.float64)
-    bad = ~np.isfinite(probs) | (probs < 0.0)
-    if values is not None:
-        bad |= values < 0
+
+def validate_distribution(d: Distribution) -> None:
+    """Raise ValueError for a negative value, a negative or non-finite
+    probability, or probabilities whose sum is off 1 by more than 1e-9."""
+    values, probs = _sparse(d) if isinstance(d, dict) else (None, np.asarray(d, np.float64))
+    bad = ~np.isfinite(probs) | (probs < 0.0) | (False if values is None else values < 0)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(f"invalid distribution: p({i if values is None else values[i]})"
-                         f" = {probs[i]}")
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"invalid distribution: probabilities sum to {total}")
-    return values, probs
+        v = i if values is None else values[i]
+        raise ValueError(f"invalid distribution: p({v}) = {probs[i]}")
+    if abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError(f"invalid distribution: probabilities sum to {probs.sum()}")
 
 
 def classical_fidelity(p: Distribution, q: Distribution) -> float:
     """Bhattacharyya overlap sum_v sqrt(p_v * q_v); missing values count as 0."""
-    (pv, pp), (qv, qp) = validate_distribution(p), validate_distribution(q)
-    if pv is not None and qv is not None:  # two dicts: their common values
+    validate_distribution(p)
+    validate_distribution(q)
+    if isinstance(p, dict) and isinstance(q, dict):  # over their common values
+        (pv, pp), (qv, qp) = _sparse(p), _sparse(q)
         _, i, j = np.intersect1d(pv, qv, assume_unique=True, return_indices=True)
-        pp, qp = pp[i], qp[j]
-    elif pv is not None or qv is not None:  # spread the dict over the dense one's values
-        values, probs, qp = (pv, pp, qp) if qv is None else (qv, qp, pp)
-        inside = values < qp.size
-        pp = np.bincount(values[inside], probs[inside], qp.size)
-    size = min(pp.size, qp.size)
-    return float(np.sqrt(pp[:size] * qp[:size]).sum())
+        return float(np.sqrt(pp[i] * qp[j]).sum())
+    if isinstance(q, dict):
+        p, q = q, p
+    if isinstance(p, dict):  # spread over the dense one's values; the rest meet only 0s
+        values, probs = _sparse(p)
+        inside = values < len(q)
+        p = np.bincount(values[inside], probs[inside], len(q))
+    size = min(len(p), len(q))
+    return float(np.sqrt(p[:size] * q[:size]).sum())
 
 
 def epr_budget(plan: PartitionPlan) -> int:

@@ -7,6 +7,7 @@ shares code with metrics.py.
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from dqft.bench import SweepConfig, run_point, sweep
 from dqft.fabric import make_partition
 from dqft.metrics import classical_fidelity, validate_distribution
 from dqft.runner import (exact_value_distribution, monolithic_exact_distribution,
-                         run_distributed, run_semiclassical,
+                         run_distributed, run_monolithic_reference, run_semiclassical,
                          semiclassical_exact_distribution)
 from oracles import oracle_value_distribution
 
@@ -180,3 +181,37 @@ def test_sweep_builds_no_value_dict(no_value_dicts, tmp_path):
                          output_path=str(tmp_path / "rows.csv"))
     summary = sweep(config, log=lambda msg: None)
     assert summary["written"] == 2 and not summary["failures"]
+
+
+# -- the clock stops before the dense verification -------------------------------
+
+
+VERIFY_SLEEP_S = 0.2
+
+
+@pytest.fixture
+def slow_dense_verification(monkeypatch):
+    """Make every dense exact distribution a run verifies with sleep first; count the calls."""
+    calls = []
+    for name in ("_distribution", "_reference", "_semiclassical_state"):
+        original = getattr(runner, name)
+
+        def slow(*args, _original=original, _name=name):
+            calls.append(_name)
+            time.sleep(VERIFY_SLEEP_S)
+            return _original(*args)
+
+        monkeypatch.setattr(runner, name, slow)
+    return calls
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_distributed(make_partition(4, 2), 1 / 3, mode="telegate", shots=20),
+    lambda: run_distributed(make_partition(4, 2), 1 / 3, mode="semiclassical", shots=20),
+    lambda: run_monolithic_reference(4, 1 / 3, shots=20),
+], ids=["telegate", "semiclassical", "monolithic"])
+def test_wall_time_excludes_dense_verification(slow_dense_verification, run):
+    res = run()
+    assert slow_dense_verification, "the run verified without the dense builders"
+    assert res.metrics.fidelity_vs_reference == pytest.approx(1.0, abs=1e-10)
+    assert 0.0 < res.metrics.wall_time_seconds < VERIFY_SLEEP_S
