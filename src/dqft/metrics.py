@@ -8,6 +8,7 @@ probe, so the metric is deterministic and portable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,39 +40,45 @@ def state_bytes(num_qubits: int) -> int:
     return BYTES_PER_AMPLITUDE * (1 << num_qubits)
 
 
-def _sparse(d: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    return np.fromiter(d, np.int64, len(d)), np.fromiter(d.values(), np.float64, len(d))
+def _checked(d: Distribution) -> tuple[np.ndarray | None, np.ndarray]:
+    """d as (values, probabilities), values None when d is dense; see validate_distribution."""
+    if isinstance(d, dict):
+        values = np.fromiter(d, np.int64, len(d))
+        probs = np.fromiter(d.values(), np.float64, len(d))
+    else:
+        values, probs = None, np.asarray(d, np.float64)
+    total = probs.sum()
+    if not (math.isfinite(total) and (probs >= 0.0).all()
+            and (values is None or values.min(initial=0) >= 0)):
+        bad = ~(probs >= 0.0) | ~np.isfinite(probs) | (False if values is None else values < 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            v = i if values is None else values[i]
+            raise ValueError(f"invalid distribution: p({v}) = {probs[i]}")
+    if abs(total - 1.0) > 1e-9:  # also a sum of finite probabilities that overflowed
+        raise ValueError(f"invalid distribution: probabilities sum to {total}")
+    return values, probs
 
 
 def validate_distribution(d: Distribution) -> None:
     """Raise ValueError for a negative value, a negative or non-finite
     probability, or probabilities whose sum is off 1 by more than 1e-9."""
-    values, probs = _sparse(d) if isinstance(d, dict) else (None, np.asarray(d, np.float64))
-    bad = ~np.isfinite(probs) | (probs < 0.0) | (False if values is None else values < 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        v = i if values is None else values[i]
-        raise ValueError(f"invalid distribution: p({v}) = {probs[i]}")
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"invalid distribution: probabilities sum to {probs.sum()}")
+    _checked(d)
 
 
 def classical_fidelity(p: Distribution, q: Distribution) -> float:
     """Bhattacharyya overlap sum_v sqrt(p_v * q_v); missing values count as 0."""
-    validate_distribution(p)
-    validate_distribution(q)
-    if isinstance(p, dict) and isinstance(q, dict):  # over their common values
-        (pv, pp), (qv, qp) = _sparse(p), _sparse(q)
+    (pv, pp), (qv, qp) = _checked(p), _checked(q)
+    if pv is not None and qv is not None:  # two dicts: their common values
         _, i, j = np.intersect1d(pv, qv, assume_unique=True, return_indices=True)
         return float(np.sqrt(pp[i] * qp[j]).sum())
-    if isinstance(q, dict):
-        p, q = q, p
-    if isinstance(p, dict):  # spread over the dense one's values; the rest meet only 0s
-        values, probs = _sparse(p)
-        inside = values < len(q)
-        p = np.bincount(values[inside], probs[inside], len(q))
-    size = min(len(p), len(q))
-    return float(np.sqrt(p[:size] * q[:size]).sum())
+    if qv is not None:
+        (pv, pp), qp = (qv, qp), pp
+    if pv is not None:  # spread over the dense one's values; the rest meet only 0s
+        inside = pv < qp.size
+        pp = np.bincount(pv[inside], pp[inside], qp.size)
+    size = min(pp.size, qp.size)
+    return float(np.sqrt(pp[:size] * qp[:size]).sum())
 
 
 def epr_budget(plan: PartitionPlan) -> int:
