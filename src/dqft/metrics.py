@@ -72,7 +72,7 @@ def classical_fidelity(p: Distribution, q: Distribution) -> float:
     if pv is not None and qv is not None:  # two dicts: their common values
         _, i, j = np.intersect1d(pv, qv, assume_unique=True, return_indices=True)
         return float(np.sqrt(pp[i] * qp[j]).sum())
-    if qv is not None:
+    if qv is not None:  # put the dict first
         (pv, pp), qp = (qv, qp), pp
     if pv is not None:  # spread over the dense one's values; the rest meet only 0s
         inside = pv < qp.size
