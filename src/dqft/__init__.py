@@ -9,10 +9,9 @@ memory along the way.
 """
 
 from .circuits import (DistributedSchedule, GradientBlock, LocalInverseQFT,
-                       MeasuredOutcome, bit_reverse, build_schedule,
-                       count_layers, flatten_schedule, fourier_prep,
-                       fourier_prep_gates, inverse_qft_gates,
-                       inverse_qft_local, rev_postprocess)
+                       bit_reverse, build_schedule, count_layers,
+                       flatten_schedule, fourier_prep, fourier_prep_gates,
+                       inverse_qft_gates, inverse_qft_local, rev_postprocess)
 from .fabric import (ClassicalMessage, CommSlotBusyError, CrossNodeGateError,
                      Fabric, FabricCounters, PartitionPlan, QubitAddr,
                      check_locality, make_partition)
@@ -29,8 +28,8 @@ from .telegate import (CatHandle, ProtocolError, apply_remote_controlled,
 __all__ = [
     "CatHandle", "ClassicalMessage", "CommSlotBusyError", "CrossNodeGateError",
     "DistributedSchedule", "Fabric", "FabricCounters", "Gate", "GradientBlock",
-    "LocalInverseQFT", "MeasuredOutcome", "PartitionPlan", "ProtocolError",
-    "QubitAddr", "RunMetrics", "RunResult", "StateVector",
+    "LocalInverseQFT", "PartitionPlan", "ProtocolError", "QubitAddr",
+    "RunMetrics", "RunResult", "StateVector",
     "apply_remote_controlled", "bit_reverse", "build_schedule",
     "cat_disentangle", "cat_entangle", "check_locality", "classical_fidelity",
     "count_layers", "counts_to_distribution", "epr_budget",

@@ -109,18 +109,6 @@ def bit_reverse(i, n: int):
     return out
 
 
-@dataclass(frozen=True)
-class MeasuredOutcome:
-    """Raw measured bits plus the value they encode after bit reversal."""
-
-    raw_bits: str
-    value: int
-
-    @staticmethod
-    def from_raw(raw_bits: str) -> "MeasuredOutcome":
-        return MeasuredOutcome(raw_bits, rev_postprocess(raw_bits))
-
-
 # -- distributed schedule -------------------------------------------------------
 
 

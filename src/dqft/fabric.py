@@ -1,26 +1,24 @@
 """Simulated multi-node fabric: partitioned qubits, EPR source, classical channels.
 
 All k nodes share one global state, but every gate must pass a locality
-check: operands may only span a single node.  Cross-node effects
-happen exclusively through EPR pairs (prepared by the fabric) and classical
-messages (delivered on a discrete tick clock).  The fabric owns all
-resource counters for a run.
+check: its operands live on one node.  Cross-node effects happen only
+through EPR pairs (prepared by the fabric) and classical messages (delivered
+on a discrete tick clock).  The fabric owns all resource counters for a run.
 
-Logical layout (PartitionPlan): the n logical qubits come first, contiguous
-per node in node order; each node's communication slot is numbered after
-them, at n + node.  The statevector holds the logical qubits at those same
-indices but only a pool of physical communication qubits after them.  A
-slot is bound to the lowest free pool qubit when an EPR pair is allocated
-on it and unbound when it is released; the pool grows by one |0> qubit
-only when every pool qubit is bound.  The telegate runner keeps at most
-two slots bound at once, so a k-node run holds n + 2 qubits, not n + k.
-The fabric knows a qubit's basis bit after its growth or reset (0) or its
-measurement (the outcome) until a gate touches it, so resetting it takes
-one draw and no probability pass; the Bell pair is then written directly.
+Layout (PartitionPlan): the n logical qubits come first, contiguous per node
+in node order, and node b's communication slot is numbered n + b.  An
+operand of apply, measure or reset is a QubitAddr or that plan global index;
+one resolver turns either into a state index.  The state holds the logical
+qubits at their global indices and, after them, a pool of communication
+qubits: allocate_epr binds a slot to the lowest free pool qubit,
+release_comm unbinds it, and the pool grows by one |0> qubit only when all
+are bound, so a telegate run holds n + 2 qubits, not n + k.  The fabric
+knows a qubit's basis bit after growth or reset (0) or measurement (the
+outcome) until a gate touches it; resetting it then takes one draw and no
+probability pass, and the Bell pair is written directly.
 
-A fabric without communication qubits (the teleportation-free mode) has
-nothing to entangle its qubits, so it holds a ProductState: n one-qubit
-factors instead of 2^n amplitudes.
+A fabric without communication qubits (the teleportation-free mode) holds a
+ProductState: n one-qubit factors instead of 2^n amplitudes.
 """
 
 from __future__ import annotations
@@ -119,11 +117,11 @@ def make_partition(n: int, k: int) -> PartitionPlan:
     return PartitionPlan(n=n, k=k, sizes=tuple(sizes))
 
 
-def check_locality(plan: PartitionPlan, addrs) -> None:
-    """Raise CrossNodeGateError unless all operands live on one node."""
-    nodes = {a.node for a in addrs}
+def check_locality(plan: PartitionPlan, qubits) -> None:
+    """Raise CrossNodeGateError unless all operands, addresses or plan indices, share a node."""
+    nodes = {q.node if isinstance(q, QubitAddr) else plan.addr_of(q).node for q in qubits}
     if len(nodes) > 1:
-        raise CrossNodeGateError(f"gate spans nodes {sorted(nodes)}: operands {list(addrs)}")
+        raise CrossNodeGateError(f"gate spans nodes {sorted(nodes)}: operands {list(qubits)}")
 
 
 @dataclass(frozen=True)
@@ -146,12 +144,10 @@ class FabricCounters:
 class Fabric:
     """k nodes over one shared state, with counters and a tick clock.
 
-    The state starts with the n logical qubits only; communication slots
-    take pool qubits as they are bound (see the module docstring), so
-    ``state.num_qubits`` is n plus the peak number of slots bound at once.
-    with_comm=False forbids communication slots (teleportation-free modes):
-    allocate_epr is then unavailable, and the state is a ProductState, which
-    rejects two-qubit gates.  Resetting a qubit whose bit ``_known`` holds makes no pass.
+    ``state.num_qubits`` is n plus the peak number of comm slots bound at
+    once (see the module docstring).  with_comm=False forbids comm slots
+    (teleportation-free modes): allocate_epr is then unavailable, and the
+    state is a ProductState, which rejects two-qubit gates.
     """
 
     def __init__(self, plan: PartitionPlan, with_comm: bool = True, latency: int = 1):
@@ -167,29 +163,31 @@ class Fabric:
 
     # -- gates and measurements --------------------------------------------
 
-    def apply(self, kind: str, addrs, phi: float = 0.0) -> None:
-        """Apply a node-local gate; raises CrossNodeGateError otherwise."""
-        addrs = tuple(addrs)
-        check_locality(self.plan, addrs)
-        qubits = tuple(self._comm_index(a, bind=True) if a.is_comm else self.plan.global_index(a)
-                       for a in addrs)
+    def apply(self, kind: str, qubits, phi: float = 0.0) -> None:
+        """Apply a gate to address or plan-index operands on one node; else CrossNodeGateError."""
+        qubits = tuple(qubits)
+        if len(qubits) > 1:  # one operand is always local
+            check_locality(self.plan, qubits)
+        qubits = tuple([self._index(q, bind=True) for q in qubits])
         for q in qubits:
             self._known[q] = None
         self.state.apply_gate(Gate(kind, qubits, phi))
 
-    def measure(self, addr: QubitAddr, rng: np.random.Generator) -> int:
-        """Measure one qubit (one draw); the fabric then knows its basis bit."""
+    def measure(self, qubit: QubitAddr | int, rng: np.random.Generator) -> int:
+        """Measure an address or plan index (one draw); the fabric then knows its basis bit."""
         self.counters.midcircuit_measurements += 1
-        q = self._comm_index(addr) if addr.is_comm else self.plan.global_index(addr)
+        q = self._index(qubit)
         if q is None:
             rng.random()  # an unbound slot is |0>: the same single draw, outcome 0
             return 0
         bit = self._known[q] = self.state.measure(q, rng)
         return bit
 
-    def reset(self, addr: QubitAddr, rng: np.random.Generator) -> None:
-        # resets are not counted as protocol measurements
-        q = self._comm_index(addr) if addr.is_comm else self.plan.global_index(addr)
+    def reset(self, qubit: QubitAddr | int, rng: np.random.Generator) -> None:
+        """Reset an address or plan index to |0> (one draw); not a protocol measurement."""
+        self._reset(self._index(qubit), rng)
+
+    def _reset(self, q: int | None, rng: np.random.Generator) -> None:
         bit = 0 if q is None else self._known[q]
         if bit is None:
             self.state.reset(q, rng)
@@ -200,19 +198,26 @@ class Fabric:
                 self.state.apply_gate(Gate.x(q))
                 self._known[q] = 0
 
-    def _comm_index(self, addr: QubitAddr, bind: bool = False) -> int | None:
-        """Global index of the pool qubit bound to a comm slot, or None if unbound.
+    def _index(self, qubit: QubitAddr | int, bind: bool = False) -> int | None:
+        """State index of an address or plan index; None for an unbound comm slot.
 
         bind=True binds an unbound slot to the lowest free pool qubit, and
         grows the state by one |0> qubit in the least significant place when
         every pool qubit is bound.
         """
-        self.plan.global_index(addr)  # validates the node
+        plan = self.plan
+        if isinstance(qubit, QubitAddr):
+            qubit = plan.global_index(qubit)
+        elif not 0 <= qubit < plan.n + plan.k:
+            raise ValueError(f"global index {qubit} out of range")
+        if qubit < plan.n:
+            return qubit
         if not self.with_comm:
             raise CommSlotBusyError("fabric built without communication qubits")
-        q = self._bound.get(addr.node)
+        node = qubit - plan.n
+        q = self._bound.get(node)
         if q is None and bind:
-            q = next((q for q in range(self.plan.n, self.state.num_qubits)
+            q = next((q for q in range(plan.n, self.state.num_qubits)
                       if q not in self._bound.values()), None)
             if q is None:
                 old = self.state.amps
@@ -221,7 +226,7 @@ class Fabric:
                 q = self.state.num_qubits
                 self.state.num_qubits += 1
                 self._known.append(0)
-            self._bound[addr.node] = q
+            self._bound[node] = q
         return q
 
     # -- EPR source ----------------------------------------------------------
@@ -239,18 +244,16 @@ class Fabric:
         for node in (node_a, node_b):
             if self._comm_busy[node]:
                 raise CommSlotBusyError(f"comm slot of node {node} is busy")
-        ga = self._comm_index(QubitAddr.comm(node_a), bind=True)
-        gb = self._comm_index(QubitAddr.comm(node_b), bind=True)
-        self.reset(QubitAddr.comm(node_a), rng)
-        self.reset(QubitAddr.comm(node_b), rng)
+        ga, gb = (self._index(QubitAddr.comm(node), bind=True) for node in (node_a, node_b))
+        self._reset(ga, rng)
+        self._reset(gb, rng)
         self._known[ga] = self._known[gb] = None
         # both are |0> now: H then CNOT would scale the |00> block by 1/sqrt2
         # and copy it to |11>, and this writes the same bits directly
         v = self.state._two_axes(ga, gb)
         v[:, 0, :, 0, :] *= SQRT2_INV
         np.positive(v[:, 0, :, 0, :], out=v[:, 1, :, 1, :])  # a ufunc; assigning would copy the block first
-        self._comm_busy[node_a] = True
-        self._comm_busy[node_b] = True
+        self._comm_busy[node_a] = self._comm_busy[node_b] = True
         self.counters.epr_created += 1
         return QubitAddr.comm(node_a), QubitAddr.comm(node_b), self.counters.epr_created
 
@@ -285,7 +288,7 @@ class Fabric:
         return q.popleft()
 
     def receive_all(self, dst: int) -> list[ClassicalMessage]:
-        """Pop every message deliverable to dst, in per-channel order."""
+        """Pop every message deliverable to dst: by increasing source node, FIFO per channel."""
         out = []
         for (src, d), q in sorted(self._queues.items()):
             if d != dst:

@@ -12,7 +12,7 @@ dense engine.  Resource counters always cover one circuit execution.
 wall_time_seconds times the emulation only (prep, schedule or shots, and
 sampling); the exact distributions and the fidelity check run after the
 clock stops.  Inside a run an exact distribution is one float64 array
-indexed by value, |amps|^2 gathered through bit_reverse; the public
+indexed by value, |amps|^2 with its qubit axes reversed (REV); the public
 *_exact_distribution helpers return the same numbers as dicts.
 """
 
@@ -56,7 +56,7 @@ def _distribution(state: StateVector) -> np.ndarray:
     """Exact post-REV value distribution of a pre-measurement logical state: p[value]."""
     probs = np.abs(state.amps)
     probs **= 2
-    return probs[bit_reverse(np.arange(probs.size, dtype=np.uint32), state.num_qubits)]
+    return probs.reshape((2,) * state.num_qubits).T.ravel()  # REV: reverse the qubit axes
 
 
 def exact_value_distribution(state: StateVector) -> dict[int, float]:
@@ -113,9 +113,8 @@ def semiclassical_exact_distribution(n: int, theta: float) -> dict[int, float]:
 
 
 def _apply_local_gates(fabric: Fabric, gates) -> None:
-    plan = fabric.plan
     for g in gates:
-        fabric.apply(g.kind, tuple(plan.addr_of(q) for q in g.qubits), g.phi)
+        fabric.apply(g.kind, g.qubits, g.phi)
 
 
 def _run_gradient_block(fabric: Fabric, block: GradientBlock,
@@ -218,28 +217,26 @@ def run_monolithic_reference(n: int, theta: float, shots: int = 100,
 def _semiclassical_once(fabric: Fabric, prep, rng: np.random.Generator) -> int:
     """One dynamic-circuit execution from the prep gates; returns the raw outcome.
 
-    The raw outcome holds qubit 0's bit in its most significant place.
+    The raw outcome holds qubit 0's bit in its most significant place.  At a
+    node's start every earlier bit is deliverable, and receive_all returns
+    them by source node, FIFO per channel: bits holds qubits 0..j-1 in order.
     """
     plan = fabric.plan
     _apply_local_gates(fabric, prep)
-    known: list[dict[int, int]] = [{} for _ in range(plan.k)]
     raw = 0
-    for j in range(plan.n):
-        addr = plan.addr_of(j)
-        node = addr.node
-        for msg in fabric.receive_all(node):
-            known[node][int(msg.tag.split(":")[1])] = msg.payload
-        # known[node] holds exactly the bits measured before j
-        turns = _feedforward_turns(known[node].items(), j)
-        if turns:
-            fabric.apply("p", (addr,), -TWO_PI * turns)
-        fabric.apply("h", (addr,))
-        bit = fabric.measure(addr, rng)
-        known[node][j] = bit
-        raw = (raw << 1) | bit
-        for later in range(node + 1, plan.k):
-            fabric.send_classical(node, later, f"m:{j}", bit)
-        fabric.advance_clock(fabric.latency)
+    for node in range(plan.k):
+        bits = [msg.payload for msg in fabric.receive_all(node)]
+        for j in plan.node_qubits(node):
+            turns = _feedforward_turns(enumerate(bits), j)
+            if turns:
+                fabric.apply("p", (j,), -TWO_PI * turns)
+            fabric.apply("h", (j,))
+            bit = fabric.measure(j, rng)
+            bits.append(bit)
+            raw = (raw << 1) | bit
+            for later in range(node + 1, plan.k):
+                fabric.send_classical(node, later, "feedforward", bit)
+            fabric.advance_clock(fabric.latency)
     return raw
 
 

@@ -6,11 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dqft.circuits import (GradientBlock, LocalInverseQFT, MeasuredOutcome,
-                           bit_reverse, build_schedule, count_layers,
-                           flatten_schedule, fourier_prep, fourier_prep_gates,
-                           inverse_qft_gates, inverse_qft_local, phase_turns,
-                           rev_postprocess)
+from dqft.circuits import (GradientBlock, LocalInverseQFT, bit_reverse,
+                           build_schedule, count_layers, flatten_schedule,
+                           fourier_prep, fourier_prep_gates, inverse_qft_gates,
+                           inverse_qft_local, phase_turns, rev_postprocess)
 from dqft.fabric import make_partition
 from dqft.statevector import StateVector
 from oracles import dft_matrix, expected_final_state
@@ -118,12 +117,6 @@ def test_bit_reverse_matches_rev():
     for n in (1, 3, 5):
         for i in range(1 << n):
             assert bit_reverse(i, n) == rev_postprocess(format(i, f"0{n}b"))
-
-
-def test_measured_outcome():
-    out = MeasuredOutcome.from_raw("1000")
-    assert out.value == 1
-    assert out.raw_bits == "1000"
 
 
 # -- distributed schedule ----------------------------------------------------------------
