@@ -124,10 +124,11 @@ def parse_config(text: str) -> SweepConfig:
     )
     if not cfg.num_qubits or not cfg.nodes or not cfg.theta or not cfg.modes:
         raise ValueError("num_qubits, nodes, theta, and modes must be nonempty lists")
-    if cfg.shots < 1:
-        raise ValueError("shots must be >= 1")
-    if cfg.repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    for key, value, low in (("num_qubits", min(cfg.num_qubits), 1), ("nodes", min(cfg.nodes), 1),
+                            ("shots", cfg.shots, 1), ("repeats", cfg.repeats, 1),
+                            ("seed", cfg.seed, 0)):
+        if value < low:
+            raise ValueError(f"{key} must be >= {low}, got {value}")
     for mode in cfg.modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")

@@ -122,9 +122,9 @@ class LocalInverseQFT:
 class GradientBlock:
     """All controlled-phase gradients from one node's qubits onto one later node.
 
-    gates holds (control local index, target local index, phi) triples;
-    every control qubit costs one teleportation session toward target_node,
-    regardless of how many targets it touches.
+    gates holds (control, target, phi) triples in plan global indices, by
+    increasing control; every control qubit costs one teleportation session
+    toward target_node, regardless of how many targets it touches.
     """
 
     control_node: int
@@ -152,20 +152,18 @@ def build_schedule(plan: PartitionPlan) -> DistributedSchedule:
     disjoint nodes, so the schedule runs in 2k-1 slots, and flattened with
     direct gates it reproduces exactly the monolithic gate multiset.
     Blocks are emitted in slot order: the local block first, then the
-    gradient blocks by increasing control node.
+    gradient blocks by increasing control node.  Gradient gates name plan
+    indices: CP(c, t) has angle -2*pi/2^(t-c+1).
     """
     blocks = []
-    offs = plan.offsets
     num_slots = 2 * plan.k - 1
     for s in range(num_slots):
         if s % 2 == 0:
             blocks.append(LocalInverseQFT(node=s // 2, slot=s))
         for i in range(max(0, s - plan.k + 1), (s + 1) // 2):
-            t = s - i
-            triples = tuple(
-                (c_loc, t_loc, inv_qft_angle((offs[t] + t_loc) - (offs[i] + c_loc) + 1))
-                for c_loc in range(plan.sizes[i]) for t_loc in range(plan.sizes[t]))
-            blocks.append(GradientBlock(control_node=i, target_node=t, slot=s, gates=triples))
+            gates = tuple((c, t, inv_qft_angle(t - c + 1))
+                          for c in plan.node_qubits(i) for t in plan.node_qubits(s - i))
+            blocks.append(GradientBlock(control_node=i, target_node=s - i, slot=s, gates=gates))
     return DistributedSchedule(plan=plan, blocks=tuple(blocks), num_slots=num_slots)
 
 
@@ -177,7 +175,5 @@ def flatten_schedule(schedule: DistributedSchedule) -> list[Gate]:
         if isinstance(block, LocalInverseQFT):
             gates.extend(inverse_qft_gates(plan.node_qubits(block.node)))
         else:
-            c_off, t_off = plan.offsets[block.control_node], plan.offsets[block.target_node]
-            for c_loc, t_loc, phi in block.gates:
-                gates.append(Gate.cp(phi, c_off + c_loc, t_off + t_loc))
+            gates.extend(Gate.cp(phi, c, t) for c, t, phi in block.gates)
     return gates

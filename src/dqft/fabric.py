@@ -33,6 +33,7 @@ import numpy as np
 from .statevector import SQRT2_INV, Gate, ProductState, StateVector
 
 COMM_SLOT = -1  # local_index sentinel marking a node's communication qubit
+LATENCY = 1  # ticks from sending a classical message to its delivery
 
 
 class CrossNodeGateError(Exception):
@@ -147,13 +148,13 @@ class Fabric:
     ``state.num_qubits`` is n plus the peak number of comm slots bound at
     once (see the module docstring).  with_comm=False forbids comm slots
     (teleportation-free modes): allocate_epr is then unavailable, and the
-    state is a ProductState, which rejects two-qubit gates.
+    state is a ProductState, which rejects two-qubit gates.  A classical
+    message is deliverable LATENCY = 1 tick after it is sent, always.
     """
 
-    def __init__(self, plan: PartitionPlan, with_comm: bool = True, latency: int = 1):
+    def __init__(self, plan: PartitionPlan, with_comm: bool = True):
         self.plan = plan
         self.with_comm = with_comm
-        self.latency = latency
         self.state = StateVector(plan.n) if with_comm else ProductState(plan.n)
         self.counters = FabricCounters()
         self._comm_busy = [False] * plan.k
@@ -270,7 +271,7 @@ class Fabric:
     def send_classical(self, src: int, dst: int, tag: str, payload: int) -> ClassicalMessage:
         if src == dst:
             raise ValueError("classical message must cross nodes (src == dst)")
-        msg = ClassicalMessage(src, dst, tag, payload, self.counters.current_tick + self.latency)
+        msg = ClassicalMessage(src, dst, tag, payload, self.counters.current_tick + LATENCY)
         self._queues.setdefault((src, dst), deque()).append(msg)
         self.counters.classical_messages += 1
         return msg

@@ -27,7 +27,7 @@ import numpy as np
 from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, bit_reverse,
                        build_schedule, fourier_prep, fourier_prep_gates,
                        inverse_qft_gates, inverse_qft_local, rev_postprocess)
-from .fabric import Fabric, FabricCounters, PartitionPlan, QubitAddr
+from .fabric import LATENCY, Fabric, FabricCounters, PartitionPlan
 from .metrics import Distribution, RunMetrics, classical_fidelity, state_bytes
 from .statevector import Gate, StateVector
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
@@ -78,12 +78,13 @@ def monolithic_exact_distribution(n: int, theta: float) -> dict[int, float]:
     return exact_value_distribution(_monolithic_state(n, theta))
 
 
-def _feedforward_turns(pairs, j: int):
-    """Griffiths-Niu phase on qubit j in turns: an exact dyadic sum over earlier (l, bit).
+def _feedforward(turns, bit):
+    """Griffiths-Niu phase of qubit j+1 in turns from qubit j's phase and bit (or arrays).
 
-    A bit is an int, or an integer numpy array giving every branch's phase at once.
+    From t(0) = 0 this folds to the sum of b(l)/2^(j-l+1) over l < j, exactly
+    in float64 for up to 52 qubits.
     """
-    return sum(b / (1 << (j - l + 1)) for l, b in pairs)
+    return turns / 2 + bit / 4
 
 
 def _semiclassical_state(n: int, theta: float) -> StateVector:
@@ -94,11 +95,13 @@ def _semiclassical_state(n: int, theta: float) -> StateVector:
     one pass per qubit does it: in the (2^j, 2, rest) view, row r holds the
     bits of qubits 0..j-1 (qubit 0 most significant); the |1> half of qubit j
     takes row r's feed-forward phase, then the engine's H.  Nothing is pruned.
+    Row 2r + b's phase is one _feedforward step from row r's of qubit j-1.
     """
     state = fourier_prep(StateVector(n), range(n), theta)
+    turns = np.zeros((1, 1))
     for j in range(n):
-        rows = np.arange(1 << j)[:, None]
-        turns = _feedforward_turns(((l, (rows >> (j - 1 - l)) & 1) for l in range(j)), j)
+        if j:
+            turns = _feedforward(turns, np.arange(2)).reshape(-1, 1)
         state.amps.reshape(1 << j, 2, -1)[:, 1, :] *= np.exp(-1j * TWO_PI * turns)
         state.apply_gate(Gate.h(j))
     return state
@@ -120,12 +123,11 @@ def _apply_local_gates(fabric: Fabric, gates) -> None:
 def _run_gradient_block(fabric: Fabric, block: GradientBlock,
                         rng: np.random.Generator) -> None:
     # one cat session per control qubit covers all its targets on this node
-    for c_loc, triples in groupby(block.gates, key=lambda g: g[0]):
-        handle = cat_entangle(fabric, QubitAddr(block.control_node, c_loc),
-                              block.target_node, rng)
-        for _, t_loc, phi in triples:
-            apply_remote_controlled(fabric, handle, phi,
-                                    QubitAddr(block.target_node, t_loc))
+    addr_of = fabric.plan.addr_of
+    for c, triples in groupby(block.gates, key=lambda g: g[0]):
+        handle = cat_entangle(fabric, addr_of(c), block.target_node, rng)
+        for _, t, phi in triples:
+            apply_remote_controlled(fabric, handle, phi, addr_of(t))
         cat_disentangle(fabric, handle, rng)
 
 
@@ -219,24 +221,26 @@ def _semiclassical_once(fabric: Fabric, prep, rng: np.random.Generator) -> int:
 
     The raw outcome holds qubit 0's bit in its most significant place.  At a
     node's start every earlier bit is deliverable, and receive_all returns
-    them by source node, FIFO per channel: bits holds qubits 0..j-1 in order.
+    them by source node, FIFO per channel, so folding them in that order
+    through _feedforward gives the running phase of the node's first qubit.
     """
     plan = fabric.plan
     _apply_local_gates(fabric, prep)
     raw = 0
     for node in range(plan.k):
-        bits = [msg.payload for msg in fabric.receive_all(node)]
+        turns = 0.0
+        for msg in fabric.receive_all(node):
+            turns = _feedforward(turns, msg.payload)
         for j in plan.node_qubits(node):
-            turns = _feedforward_turns(enumerate(bits), j)
             if turns:
                 fabric.apply("p", (j,), -TWO_PI * turns)
             fabric.apply("h", (j,))
             bit = fabric.measure(j, rng)
-            bits.append(bit)
+            turns = _feedforward(turns, bit)
             raw = (raw << 1) | bit
             for later in range(node + 1, plan.k):
                 fabric.send_classical(node, later, "feedforward", bit)
-            fabric.advance_clock(fabric.latency)
+            fabric.advance_clock(LATENCY)
     return raw
 
 

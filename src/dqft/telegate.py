@@ -5,7 +5,8 @@ through one EPR pair.  Any number of controlled-phase gates can then run
 locally on B against that "cat" copy, and a final disentangler returns the
 control to exactly the state it would have after direct gate application.
 Cost per session: 1 EPR pair, 2 classical messages, 2 mid-circuit
-measurements, independent of how many gates ran under the session.
+measurements, independent of how many gates ran under the session.  Each
+half ends in _signal (measure a comm qubit, send the bit) and an X or Z.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fabric import Fabric, QubitAddr
+from .fabric import LATENCY, Fabric, QubitAddr
 
 
 class ProtocolError(Exception):
@@ -31,6 +32,18 @@ class CatHandle:
     entangled: bool = True
 
 
+def _signal(fabric: Fabric, comm: QubitAddr, dst: int, tag: str,
+            rng: np.random.Generator) -> int:
+    """Measure comm, reset and free its slot, and return the bit as dst receives it LATENCY later."""
+    src = comm.node
+    bit = fabric.measure(comm, rng)
+    fabric.reset(comm, rng)
+    fabric.release_comm(src)
+    fabric.send_classical(src, dst, tag, bit)
+    fabric.advance_clock(LATENCY)
+    return fabric.receive(src, dst).payload
+
+
 def cat_entangle(fabric: Fabric, control: QubitAddr, target_node: int,
                  rng: np.random.Generator) -> CatHandle:
     """Extend `control` onto target_node's comm qubit via one EPR pair.
@@ -43,17 +56,9 @@ def cat_entangle(fabric: Fabric, control: QubitAddr, target_node: int,
         raise ProtocolError("control must be a logical qubit")
     if control.node == target_node:
         raise ProtocolError(f"control already lives on node {target_node}")
-    src = control.node
-    epr_a, epr_b, epr_id = fabric.allocate_epr(src, target_node, rng)
+    epr_a, epr_b, epr_id = fabric.allocate_epr(control.node, target_node, rng)
     fabric.apply("cnot", (control, epr_a))
-    bit = fabric.measure(epr_a, rng)
-    # sender's half is done: reset frees the slot within the same session
-    fabric.reset(epr_a, rng)
-    fabric.release_comm(src)
-    fabric.send_classical(src, target_node, "cat_entangle", bit)
-    fabric.advance_clock(fabric.latency)
-    msg = fabric.receive(src, target_node)
-    if msg.payload == 1:
+    if _signal(fabric, epr_a, target_node, "cat_entangle", rng):
         fabric.apply("x", (epr_b,))
     return CatHandle(control=control, remote_cat=epr_b, epr_id=epr_id)
 
@@ -76,15 +81,7 @@ def cat_disentangle(fabric: Fabric, handle: CatHandle, rng: np.random.Generator)
     """
     if not handle.entangled:
         raise ProtocolError("session already disentangled")
-    b_node = handle.remote_cat.node
-    a_node = handle.control.node
     fabric.apply("h", (handle.remote_cat,))
-    bit = fabric.measure(handle.remote_cat, rng)
-    fabric.reset(handle.remote_cat, rng)
-    fabric.send_classical(b_node, a_node, "cat_disentangle", bit)
-    fabric.advance_clock(fabric.latency)
-    msg = fabric.receive(b_node, a_node)
-    if msg.payload == 1:
+    if _signal(fabric, handle.remote_cat, handle.control.node, "cat_disentangle", rng):
         fabric.apply("z", (handle.control,))
-    fabric.release_comm(b_node)
     handle.entangled = False

@@ -62,6 +62,15 @@ def test_parse_config_errors():
         parse_config(CONFIG_TEXT.format(out="x").replace("0.333333", "1.5"))
 
 
+@pytest.mark.parametrize("old, new, key", [("seed: 7", "seed: -3", "seed"),
+                                           ("[4, 6]", "[0]", "num_qubits"),
+                                           ("[1, 2, 4]", "[1, 0]", "nodes"),
+                                           ("[1, 2, 4]", "[-2]", "nodes")])
+def test_parse_config_rejects_negative_seed_and_sizes_below_one(old, new, key):
+    with pytest.raises(ValueError, match=f"^{key} must be >= "):
+        parse_config(CONFIG_TEXT.format(out="x").replace(old, new))
+
+
 def test_normalize_theta():
     assert normalize_theta(0.333333) == 1 / 3
     assert normalize_theta(0.666667) == 2 / 3
@@ -213,6 +222,13 @@ def test_cli_run_bad_theta(capsys):
     assert code == 2
 
 
+def test_cli_run_negative_seed_exits_2(capsys):
+    code = main(["run", "--n", "4", "--k", "2", "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+
+
 def test_cli_run_invalid_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--n", "four", "--k", "2"])
@@ -232,6 +248,17 @@ def test_cli_sweep_and_summary(tmp_path, capsys):
 
 def test_cli_sweep_missing_config(capsys):
     assert main(["sweep", "/nonexistent/sweep.cfg"]) == 2
+
+
+@pytest.mark.parametrize("old, new", [("seed: 7", "seed: -3"), ("[4, 6]", "[0]"),
+                                      ("[1, 2, 4]", "[1, 0]")])
+def test_cli_sweep_bad_config_exits_2_and_writes_nothing(tmp_path, capsys, old, new):
+    out, cfg_path = tmp_path / "bad.csv", tmp_path / "bad.cfg"
+    cfg_path.write_text(CONFIG_TEXT.format(out=out).replace(old, new))
+    assert main(["sweep", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
 
 @pytest.mark.parametrize("change", ["shots", "header"])

@@ -194,12 +194,11 @@ def test_gradient_block_gates_commute():
     base = fourier_prep(StateVector(6), range(6), 1 / 3)
     fwd = base.copy()
     rev = base.copy()
-    c_off, t_off = plan.offsets[block.control_node], plan.offsets[block.target_node]
     from dqft.statevector import Gate
-    for c_loc, t_loc, phi in block.gates:
-        fwd.apply_gate(Gate.cp(phi, c_off + c_loc, t_off + t_loc))
-    for c_loc, t_loc, phi in reversed(block.gates):
-        rev.apply_gate(Gate.cp(phi, c_off + c_loc, t_off + t_loc))
+    for c, t, phi in block.gates:
+        fwd.apply_gate(Gate.cp(phi, c, t))
+    for c, t, phi in reversed(block.gates):
+        rev.apply_gate(Gate.cp(phi, c, t))
     assert np.max(np.abs(fwd.amps - rev.amps)) < 1e-12
 
 
@@ -220,9 +219,6 @@ def test_multiset_oracle_catches_wrong_gradient_angles():
         if isinstance(block, LocalInverseQFT):
             mutated.extend(inverse_qft_gates(plan.node_qubits(block.node)))
         else:
-            c_off = plan.offsets[block.control_node]
-            t_off = plan.offsets[block.target_node]
-            for c_loc, t_loc, _ in block.gates:
-                d = (t_off + t_loc) - (c_off + c_loc)  # off by one: missing +1
-                mutated.append(Gate.cp(inv_qft_angle(d), c_off + c_loc, t_off + t_loc))
+            for c, t, _ in block.gates:  # off by one: missing +1
+                mutated.append(Gate.cp(inv_qft_angle(t - c), c, t))
     assert Counter(mutated) != Counter(inverse_qft_gates(range(6)))

@@ -133,7 +133,7 @@ def test_allocate_epr_same_node_and_no_comm():
 
 
 def test_send_classical_counts_and_latency():
-    fabric = Fabric(make_partition(4, 2), latency=1)
+    fabric = Fabric(make_partition(4, 2))
     fabric.advance_clock(5)
     msg = fabric.send_classical(0, 1, "test", 1)
     assert msg.tick == 6  # sent at tick 5, deliverable at >= 6
