@@ -281,7 +281,6 @@ def sweep(config: SweepConfig, timeout: float = DEFAULT_TIMEOUT_SECONDS,
     existing = _prepare_resume(out_path, config.shots)
     points = expand_points(config, log=log)
 
-    references: dict[tuple, Distribution] = {}
     rows: list[ResultRow] = []
     failures: list[tuple] = []
     timed_out: list[tuple] = []
@@ -292,13 +291,9 @@ def sweep(config: SweepConfig, timeout: float = DEFAULT_TIMEOUT_SECONDS,
             if _point_key(n, k, theta, mode, seed, repeat) in existing:
                 skipped += 1
                 continue
-            ref_key = (n, format_value(theta))
-            if ref_key not in references:
-                references[ref_key] = _reference(n, theta)
             try:
                 row = _with_timeout(
-                    lambda: run_point(n, k, theta, mode, config.shots, seed,
-                                      repeat, reference=references[ref_key]),
+                    lambda: run_point(n, k, theta, mode, config.shots, seed, repeat),
                     timeout)
             except _RunTimeout:
                 log(f"notice: run n={n} k={k} theta={format_value(theta)} mode={mode} "

@@ -41,11 +41,11 @@ def _cmd_run(args) -> int:
     if not 0.0 <= theta < 1.0:
         print(f"error: theta must lie in [0, 1), got {args.theta}", file=sys.stderr)
         return 2
-    if args.k > args.n:
-        print(f"error: k exceeds n ({args.k} > {args.n})", file=sys.stderr)
-        return 2
     if args.n < 1 or args.k < 1 or args.shots < 1 or args.seed < 0:
         print("error: n, k, and shots must be positive and seed non-negative", file=sys.stderr)
+        return 2
+    if args.k > args.n:
+        print(f"error: k exceeds n ({args.k} > {args.n})", file=sys.stderr)
         return 2
     row = bench.run_point(args.n, args.k, theta, args.mode, args.shots, args.seed)
     width = max(len(c) for c in CSV_COLUMNS)

@@ -7,29 +7,34 @@ outcomes never change the logical state) and samples shot counts from the
 final state; the semiclassical path measures early, so it executes one
 dynamic circuit per shot.  No gate of a semiclassical shot entangles two
 qubits, so its fabric holds n one-qubit factors (a ProductState) and a shot
-costs O(n^2) scalar work; its exact distribution is still computed on the
-dense engine.  Resource counters always cover one circuit execution.
-wall_time_seconds times the emulation only (prep, schedule or shots, and
-sampling); the exact distributions and the fidelity check run after the
-clock stops.  Inside a run an exact distribution is one float64 array
-indexed by value, |amps|^2 with its qubit axes reversed (REV); the public
+costs O(n^2) scalar work.  Resource counters always cover one circuit
+execution.  wall_time_seconds times the emulation only (prep, schedule or
+shots, and sampling); the exact distributions and the fidelity check run
+after the clock stops.  Inside a run an exact distribution is one float64
+array indexed by value.  The reference (the Fejer kernel) and the
+measure-early law (a branch tree) are closed forms that share no code with
+the engine; only a telegate or monolithic run's own distribution is read
+from its state, as |amps|^2 with its qubit axes reversed (REV).  The public
 *_exact_distribution helpers return the same numbers as dicts.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import groupby
 
 import numpy as np
 
 from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, bit_reverse,
                        build_schedule, fourier_prep, fourier_prep_gates,
-                       inverse_qft_gates, inverse_qft_local, rev_postprocess)
+                       inverse_qft_gates, inverse_qft_local, phase_turns,
+                       rev_postprocess)
 from .fabric import LATENCY, Fabric, FabricCounters, PartitionPlan
 from .metrics import Distribution, RunMetrics, classical_fidelity, state_bytes
-from .statevector import Gate, StateVector
+from .statevector import StateVector
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
 
 MODES = ("telegate", "semiclassical")
@@ -70,16 +75,43 @@ def _monolithic_state(n: int, theta: float) -> StateVector:
 
 
 def _reference(n: int, theta: float) -> np.ndarray:
-    """The default reference: the dense monolithic value distribution of (n, theta)."""
-    return _distribution(_monolithic_state(n, theta))
+    """The monolithic value distribution of (n, theta) in closed form: the Fejer kernel.
+
+    With 2^n*theta = I + f, I the nearest integer, the inverse QFT of the
+    Fourier state reads v with p(v) = sin^2(pi f) / (4^n sin^2(pi (w_v + f) / 2^n)),
+    where w_v is the integer I - v wrapped into [-2^(n-1), 2^(n-1)) (Cleve,
+    Ekert, Macchiavello & Mosca 1998).  I and f come exactly from the float's
+    rational value, as in phase_turns, and no float theta - v/2^n is formed.
+    At the peak v = I mod 2^n the kernel equals the product of
+    cos^2(pi f / 2^j), j = 1..n, which is used there because it stays exact
+    as f -> 0; f = 0 gives the point mass.  Computed in place on one float64
+    array; shares no code with the engine.
+    """
+    size = 1 << n
+    scaled = Fraction(theta) * size
+    near = round(scaled)
+    f = float(scaled - near)
+    peak = near % size
+    # w_v descends from 2^(n-1) - 1 as v grows; roll it so that w_peak = 0
+    p = np.roll(np.arange(size // 2 - 1, -size // 2 - 1, -1, dtype=np.float64),
+                peak + 1 - size // 2)
+    p += f
+    p *= math.pi / size
+    np.sin(p, out=p)
+    p[peak] = 1.0  # any non-zero divisor; the peak is set below
+    np.divide(math.sin(math.pi * f) / size, p, out=p)
+    p *= p
+    p[peak] = math.prod(math.cos(math.pi * f / (2 << j)) for j in range(n)) ** 2
+    return p
 
 
 def monolithic_exact_distribution(n: int, theta: float) -> dict[int, float]:
-    return exact_value_distribution(_monolithic_state(n, theta))
+    """The closed-form monolithic value distribution (_reference) as a dict."""
+    return dict(enumerate(_reference(n, theta).tolist()))
 
 
 def _feedforward(turns, bit):
-    """Griffiths-Niu phase of qubit j+1 in turns from qubit j's phase and bit (or arrays).
+    """Griffiths-Niu phase of qubit j+1 in turns from qubit j's phase and bit.
 
     From t(0) = 0 this folds to the sum of b(l)/2^(j-l+1) over l < j, exactly
     in float64 for up to 52 qubits.
@@ -87,29 +119,35 @@ def _feedforward(turns, bit):
     return turns / 2 + bit / 4
 
 
-def _semiclassical_state(n: int, theta: float) -> StateVector:
-    """The measure-early mode's pre-measurement state, by deferred measurement.
+def _semiclassical_law(n: int, theta: float) -> np.ndarray:
+    """The measure-early mode's value distribution, as a branch tree with one qubit per level.
 
-    Measuring qubit j and feeding its bit forward has the same joint outcome
-    law as leaving j unmeasured and conditioning the later phases on it.  So
-    one pass per qubit does it: in the (2^j, 2, rest) view, row r holds the
-    bits of qubits 0..j-1 (qubit 0 most significant); the |1> half of qubit j
-    takes row r's feed-forward phase, then the engine's H.  Nothing is pruned.
-    Row 2r + b's phase is one _feedforward step from row r's of qubit j-1.
+    Row r of level j holds the bits of qubits 0..j-1, qubit l at bit l (the
+    value so far).  The feed-forward has folded them to t_j(r) = r / 2^(j+1)
+    turns (the _feedforward recurrence from t = 0), so qubit j, prepared with
+    phi_j = phase_turns(theta, n-1-j), reads 1 with probability
+    p1(r) = sin^2(pi (phi_j - t_j(r))) (Griffiths & Niu 1996).  Level j makes
+    prob[r + 2^j] = prob[r] * p1(r) and prob[r] *= p0(r), in place.  Shares no
+    code with the engine or the shot loop.
     """
-    state = fourier_prep(StateVector(n), range(n), theta)
-    turns = np.zeros((1, 1))
+    prob = np.empty(1 << n)
+    prob[0] = 1.0
     for j in range(n):
-        if j:
-            turns = _feedforward(turns, np.arange(2)).reshape(-1, 1)
-        state.amps.reshape(1 << j, 2, -1)[:, 1, :] *= np.exp(-1j * TWO_PI * turns)
-        state.apply_gate(Gate.h(j))
-    return state
+        rows = 1 << j
+        low, high = prob[:rows], prob[rows:2 * rows]
+        np.multiply(np.arange(rows, dtype=np.float64), -0.5 / rows, out=high)  # -t_j(r)
+        high += phase_turns(theta, n - 1 - j)
+        high *= math.pi
+        np.sin(high, out=high)
+        high *= high
+        high *= low
+        low -= high
+    return prob
 
 
 def semiclassical_exact_distribution(n: int, theta: float) -> dict[int, float]:
-    """Exact value distribution of the measure-early mode, by deferred measurement."""
-    return exact_value_distribution(_semiclassical_state(n, theta))
+    """The closed-form measure-early value distribution (_semiclassical_law) as a dict."""
+    return dict(enumerate(_semiclassical_law(n, theta).tolist()))
 
 
 # -- telegate execution ----------------------------------------------------------
@@ -201,15 +239,19 @@ def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
 
 def run_monolithic_reference(n: int, theta: float, shots: int = 100,
                              seed: int = 0) -> RunResult:
-    """Single-register reference: same pipeline, no fabric, no teleportation."""
+    """Single-register run: same pipeline, no fabric, no teleportation.
+
+    Its engine state is checked against the closed-form _reference, so a
+    kernel defect shows here as a fidelity below 1.
+    """
     _validate(theta, shots)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     state = _monolithic_state(n, theta)
     counts = _counts_from_raw(state.sample_counts(range(n), shots, rng))
     wall = time.perf_counter() - start
-    dist = _distribution(state)
-    metrics = _metrics(wall, FabricCounters(), n, 1, shots, dist, dist, n, theta)
+    metrics = _metrics(wall, FabricCounters(), n, 1, shots, _distribution(state), None,
+                       n, theta)
     return RunResult(counts, metrics, state)
 
 
@@ -266,6 +308,5 @@ def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
     wall = time.perf_counter() - start
     # the counters are the same for every shot; report the last one's
     metrics = _metrics(wall, fabric.counters, plan.n, 0, shots,
-                       _distribution(_semiclassical_state(plan.n, theta)), reference,
-                       plan.n, theta)
+                       _semiclassical_law(plan.n, theta), reference, plan.n, theta)
     return RunResult(counts, metrics)

@@ -28,7 +28,6 @@ class CatHandle:
 
     control: QubitAddr
     remote_cat: QubitAddr
-    epr_id: int
     entangled: bool = True
 
 
@@ -56,11 +55,11 @@ def cat_entangle(fabric: Fabric, control: QubitAddr, target_node: int,
         raise ProtocolError("control must be a logical qubit")
     if control.node == target_node:
         raise ProtocolError(f"control already lives on node {target_node}")
-    epr_a, epr_b, epr_id = fabric.allocate_epr(control.node, target_node, rng)
+    epr_a, epr_b, _ = fabric.allocate_epr(control.node, target_node, rng)
     fabric.apply("cnot", (control, epr_a))
     if _signal(fabric, epr_a, target_node, "cat_entangle", rng):
         fabric.apply("x", (epr_b,))
-    return CatHandle(control=control, remote_cat=epr_b, epr_id=epr_id)
+    return CatHandle(control=control, remote_cat=epr_b)
 
 
 def apply_remote_controlled(fabric: Fabric, handle: CatHandle, phi: float,

@@ -1,4 +1,5 @@
-"""Self-verification checks: structural oracle, branch exhaustion, equivalence.
+"""Self-verification checks: structural oracle, branch exhaustion, equivalence,
+and the closed-form laws against the engine.
 
 Each check returns (name, passed, detail) so the CLI can print a pass/fail
 table and the test suite can assert on the same code paths.
@@ -10,10 +11,11 @@ from collections import Counter
 
 import numpy as np
 
-from .circuits import build_schedule, flatten_schedule, fourier_prep, inverse_qft_gates
+from .circuits import build_schedule, flatten_schedule, inverse_qft_gates
 from .fabric import Fabric, QubitAddr, make_partition
 from .metrics import epr_budget
-from .runner import run_distributed, run_monolithic_reference
+from .runner import (_distribution, _monolithic_state, _reference, _semiclassical_law,
+                     run_distributed, run_monolithic_reference)
 from .statevector import Gate, StateVector, equal_up_to_global_phase
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
 
@@ -119,6 +121,21 @@ def check_state_equivalence(seeds=(0,), tol: float = 1e-8):
     return ("distributed-equals-monolithic", True, f"{checked} runs within {tol}")
 
 
+def check_closed_form_reference(tol: float = 1e-12):
+    """The Fejer-kernel reference == the engine pipeline, and the measure-early tree law == it."""
+    pairs = sorted({(n, theta) for n, _, theta in equivalence_grid()})
+    for n, theta in pairs:
+        reference = _reference(n, theta)
+        for name, law in (("engine pipeline", _distribution(_monolithic_state(n, theta))),
+                          ("semiclassical law", _semiclassical_law(n, theta))):
+            gap = float(np.abs(reference - law).max())
+            if not gap <= tol:
+                return ("closed-form-reference", False,
+                        f"n={n}, theta={theta}: reference and {name} differ by {gap:.3g}")
+    return ("closed-form-reference", True,
+            f"{len(pairs)} (n, theta) pairs: reference == engine == semiclassical law within {tol}")
+
+
 def check_epr_formula():
     """Runtime EPR counter must equal the grouped budget on every plan."""
     for n, k, theta in equivalence_grid(thetas=(1 / 3,)):
@@ -139,5 +156,6 @@ def run_all():
         check_gate_multiset(),
         check_telegate_branches(),
         check_state_equivalence(),
+        check_closed_form_reference(),
         check_epr_formula(),
     ]

@@ -27,6 +27,11 @@ def oracle_value_distribution(n: int, theta: float) -> dict[int, float]:
     return {v: float(p) for v, p in enumerate(probs)}
 
 
+def fft_value_distribution(n: int, theta: float) -> np.ndarray:
+    """The same law by numpy's FFT, p[v]: F^dag psi is fft(psi)/sqrt(N), with no N x N matrix."""
+    return np.abs(np.fft.fft(fourier_state(n, theta)) / np.sqrt(1 << n)) ** 2
+
+
 def bitrev(i: int, n: int) -> int:
     return int(format(i, f"0{n}b")[::-1], 2)
 

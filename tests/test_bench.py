@@ -217,6 +217,13 @@ def test_cli_run_k_exceeds_n(capsys):
     assert "k exceeds n" in capsys.readouterr().err
 
 
+def test_cli_run_nonpositive_n_is_reported_before_k_exceeds_n(capsys):
+    code = main(["run", "--n", "0", "--k", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "must be positive" in err and "k exceeds n" not in err
+
+
 def test_cli_run_bad_theta(capsys):
     code = main(["run", "--n", "4", "--k", "2", "--theta", "1.5"])
     assert code == 2

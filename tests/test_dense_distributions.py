@@ -128,7 +128,7 @@ def test_public_dicts_are_the_dense_arrays(n, theta):
         (exact_value_distribution(state), runner._distribution(state)),
         (monolithic_exact_distribution(n, theta), runner._reference(n, theta)),
         (semiclassical_exact_distribution(n, theta),
-         runner._distribution(runner._semiclassical_state(n, theta))),
+         runner._semiclassical_law(n, theta)),
     ]
     oracle = oracle_value_distribution(n, theta)
     for as_dict, arr in pairs:
@@ -193,7 +193,7 @@ VERIFY_SLEEP_S = 0.2
 def slow_dense_verification(monkeypatch):
     """Make every dense exact distribution a run verifies with sleep first; count the calls."""
     calls = []
-    for name in ("_distribution", "_reference", "_semiclassical_state"):
+    for name in ("_distribution", "_reference", "_semiclassical_law"):
         original = getattr(runner, name)
 
         def slow(*args, _original=original, _name=name):

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from dqft.circuits import (GradientBlock, LocalInverseQFT, bit_reverse, build_schedule,
                            flatten_schedule, inverse_qft_gates, rev_postprocess)
 from dqft.fabric import PartitionPlan, QubitAddr
-from dqft.runner import (run_distributed, run_monolithic_reference,
+from dqft.runner import (_distribution, _monolithic_state, _reference, _semiclassical_law,
+                         run_distributed, run_monolithic_reference,
                          semiclassical_exact_distribution)
 from dqft.statevector import equal_up_to_global_phase
-from oracles import bitrev, oracle_value_distribution
+from oracles import bitrev, fft_value_distribution, oracle_value_distribution
 
 
 def _plan(sizes) -> PartitionPlan:
@@ -127,6 +128,19 @@ def test_semiclassical_exact_distribution_is_dense_and_matches_oracle(case):
     assert sorted(dist) == list(range(1 << n))
     oracle = oracle_value_distribution(n, theta)
     assert max(abs(dist[v] - p) for v, p in oracle.items()) <= 1e-10
+
+
+@settings(deadline=None)
+@given(register_and_theta(12))
+def test_closed_forms_match_the_oracle_and_the_engine(case):
+    n, theta = case
+    engine = _distribution(_monolithic_state(n, theta))
+    oracle = fft_value_distribution(n, theta)
+    for law in (_reference(n, theta), _semiclassical_law(n, theta)):
+        assert law.shape == (1 << n,)
+        assert abs(law.sum() - 1.0) <= 1e-12
+        assert np.abs(law - oracle).max() <= 1e-12
+        assert np.abs(law - engine).max() <= 1e-12
 
 
 @pytest.mark.parametrize("raw", ["", "0b1", "1_0", " 01", "012", "-1"])

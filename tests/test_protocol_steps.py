@@ -17,8 +17,8 @@ from dqft.circuits import (TWO_PI, GradientBlock, build_schedule, fourier_prep,
                            fourier_prep_gates, inv_qft_angle)
 from dqft.fabric import Fabric, PartitionPlan, make_partition
 from dqft.metrics import epr_budget
-from dqft.runner import (_execute_schedule, _feedforward, _semiclassical_once,
-                         _semiclassical_state)
+from dqft.runner import (_distribution, _execute_schedule, _feedforward,
+                         _semiclassical_law, _semiclassical_once)
 from dqft.statevector import Gate, StateVector
 
 
@@ -101,6 +101,9 @@ def _per_row_sum_state(n: int, theta: float) -> StateVector:
 
 @pytest.mark.parametrize("theta", [0.0, 1 / 3, 2 / 3, 0.123, 0.8])
 def test_semiclassical_state_is_bit_identical_to_the_per_row_sum(theta):
+    # the closed-form tree law makes other float ops than the per-row sum, so
+    # the two agree to rounding, not bit for bit
     for n in range(1, 13):
-        got = _semiclassical_state(n, theta).amps
-        assert got.tobytes() == _per_row_sum_state(n, theta).amps.tobytes(), n
+        want = _distribution(_per_row_sum_state(n, theta))
+        np.testing.assert_allclose(_semiclassical_law(n, theta), want, rtol=0, atol=1e-12,
+                                   err_msg=f"n={n}")
