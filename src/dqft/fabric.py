@@ -8,14 +8,16 @@ on a discrete tick clock).  The fabric owns all resource counters for a run.
 Layout (PartitionPlan): the n logical qubits come first, contiguous per node
 in node order, and node b's communication slot is numbered n + b.  An
 operand of apply, measure or reset is a QubitAddr or that plan global index;
-one resolver turns either into a state index.  The state holds the logical
-qubits at their global indices and, after them, a pool of communication
-qubits: allocate_epr binds a slot to the lowest free pool qubit,
-release_comm unbinds it, and the pool grows by one |0> qubit only when all
-are bound, so a telegate run holds n + 2 qubits, not n + k.  The fabric
-knows a qubit's basis bit after growth or reset (0) or measurement (the
-outcome) until a gate touches it; resetting it then takes one draw and no
-probability pass, and the Bell pair is written directly.
+one resolver turns either into a state index.  The state's most significant
+end holds a pool of communication qubits, pool qubit s at state index s,
+and logical qubit q follows at q + pool, so a cat session's kernels on a
+pool qubit run over long contiguous halves.  allocate_epr binds a slot to
+the lowest free pool qubit, release_comm unbinds it, and the pool grows by
+one |0> qubit (at index pool) only when all are bound, so a telegate run
+holds n + 2 qubits, not n + k.  The fabric knows a qubit's basis bit after
+growth or reset (0) or measurement (the outcome) until a gate touches it;
+resetting it then takes one draw and no probability pass, and the Bell
+pair is written directly.
 
 A fabric without communication qubits (the teleportation-free mode) holds a
 ProductState: n one-qubit factors instead of 2^n amplitudes.
@@ -145,10 +147,10 @@ class FabricCounters:
 class Fabric:
     """k nodes over one shared state, with counters and a tick clock.
 
-    ``state.num_qubits`` is n plus the peak number of comm slots bound at
-    once (see the module docstring).  with_comm=False forbids comm slots
-    (teleportation-free modes): allocate_epr is then unavailable, and the
-    state is a ProductState, which rejects two-qubit gates.  A classical
+    ``state.num_qubits`` is n plus the pool, the peak number of comm slots
+    bound at once (see the module docstring).  with_comm=False forbids comm
+    slots (teleportation-free modes): allocate_epr is then unavailable, and
+    the state is a ProductState, which rejects two-qubit gates.  A classical
     message is deliverable LATENCY = 1 tick after it is sent, always.
     """
 
@@ -158,7 +160,7 @@ class Fabric:
         self.state = StateVector(plan.n) if with_comm else ProductState(plan.n)
         self.counters = FabricCounters()
         self._comm_busy = [False] * plan.k
-        self._bound: dict[int, int] = {}  # node -> global index of its pool qubit
+        self._bound: dict[int, int] = {}  # node -> state index of its pool qubit
         self._known: list[int | None] = [None] * plan.n  # qubit -> basis bit; None after a gate
         self._queues: dict[tuple[int, int], deque[ClassicalMessage]] = {}
 
@@ -169,6 +171,8 @@ class Fabric:
         qubits = tuple(qubits)
         if len(qubits) > 1:  # one operand is always local
             check_locality(self.plan, qubits)
+            for q in qubits:  # bind all first: growing the pool shifts the logical indices
+                self._index(q, bind=True)
         qubits = tuple([self._index(q, bind=True) for q in qubits])
         for q in qubits:
             self._known[q] = None
@@ -202,31 +206,30 @@ class Fabric:
     def _index(self, qubit: QubitAddr | int, bind: bool = False) -> int | None:
         """State index of an address or plan index; None for an unbound comm slot.
 
-        bind=True binds an unbound slot to the lowest free pool qubit, and
-        grows the state by one |0> qubit in the least significant place when
-        every pool qubit is bound.
+        Logical qubit q sits at q + pool.  bind=True binds an unbound slot
+        to the lowest free pool qubit, or to a new |0> qubit inserted at
+        index pool ([:, 0, :] of (2^pool, 2, 2^n) keeps the old state).
         """
         plan = self.plan
         if isinstance(qubit, QubitAddr):
             qubit = plan.global_index(qubit)
         elif not 0 <= qubit < plan.n + plan.k:
             raise ValueError(f"global index {qubit} out of range")
+        pool = self.state.num_qubits - plan.n
         if qubit < plan.n:
-            return qubit
+            return qubit + pool
         if not self.with_comm:
             raise CommSlotBusyError("fabric built without communication qubits")
         node = qubit - plan.n
         q = self._bound.get(node)
         if q is None and bind:
-            q = next((q for q in range(plan.n, self.state.num_qubits)
-                      if q not in self._bound.values()), None)
-            if q is None:
+            q = next((q for q in range(pool) if q not in self._bound.values()), pool)
+            if q == pool:
                 old = self.state.amps
                 self.state.amps = np.zeros(2 * old.size, dtype=np.complex128)
-                self.state.amps[0::2] = old
-                q = self.state.num_qubits
+                self.state.amps.reshape(1 << pool, 2, -1)[:, 0, :] = old.reshape(1 << pool, -1)
                 self.state.num_qubits += 1
-                self._known.append(0)
+                self._known.insert(pool, 0)
             self._bound[node] = q
         return q
 
@@ -303,18 +306,15 @@ class Fabric:
     def logical_state(self) -> StateVector:
         """The n logical qubits as a standalone dense state; pool qubits must be |0>.
 
-        Pool qubits sit at the lowest-significance index bits, so with all
-        of them in |0> the logical amplitudes are a stride-2^pool slice.  A
-        fabric without communication qubits returns the Kronecker product
-        of its ProductState's factors.
+        Pool qubits sit at the most significant index bits, so with all of
+        them in |0> the logical amplitudes are the first 2^n, and the rest
+        must carry no weight.  A fabric without communication qubits returns
+        the Kronecker product of its ProductState's factors.
         """
         if not self.with_comm:
             return self.state.to_statevector()
-        pool = self.state.num_qubits - self.plan.n
-        if not pool:
-            return self.state.copy()
-        block = self.state.amps.reshape(1 << self.plan.n, 1 << pool)
-        rest = float(np.sum(np.abs(block[:, 1:]) ** 2))
-        if rest > 1e-9:
-            raise RuntimeError(f"comm qubits not disentangled: residual weight {rest:.3e}")
-        return StateVector.from_amplitudes(block[:, 0])
+        logical, rest = np.split(self.state.amps, [1 << self.plan.n])
+        weight = np.vdot(rest, rest).real
+        if weight > 1e-9:
+            raise RuntimeError(f"comm qubits not disentangled: residual weight {weight:.3e}")
+        return StateVector.from_amplitudes(logical)

@@ -78,7 +78,8 @@ def classical_fidelity(p: Distribution, q: Distribution) -> float:
         inside = pv < qp.size
         pp = np.bincount(pv[inside], pp[inside], qp.size)
     size = min(pp.size, qp.size)
-    return float(np.sqrt(pp[:size] * qp[:size]).sum())
+    prod = pp[:size] * qp[:size]
+    return float(np.sqrt(prod, out=prod).sum())
 
 
 def epr_budget(plan: PartitionPlan) -> int:

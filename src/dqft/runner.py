@@ -4,13 +4,14 @@ Every run prepares a Fourier state with phase theta, undoes it with the
 swap-free inverse QFT, and reads out values through the classical bit
 reversal.  The telegate path executes the circuit once (teleportation
 outcomes never change the logical state) and samples shot counts from the
-final state; the semiclassical path measures early, so it executes one
-dynamic circuit per shot.  No gate of a semiclassical shot entangles two
-qubits, so its fabric holds n one-qubit factors (a ProductState) and a shot
-costs O(n^2) scalar work.  Resource counters always cover one circuit
-execution.  wall_time_seconds times the emulation only (prep, schedule or
-shots, and sampling); the exact distributions and the fidelity check run
-after the clock stops.  Inside a run an exact distribution is one float64
+final logical state, the first 2^n amplitudes of the fabric's state; the
+semiclassical path measures early, so it executes one dynamic circuit per
+shot.  No gate of a semiclassical shot entangles two qubits, so its fabric
+holds n one-qubit factors (a ProductState) and a shot costs O(n^2) scalar
+work.  Resource counters always cover one circuit execution.
+wall_time_seconds times the emulation only (prep, schedule or shots, and
+sampling); the exact distributions and the fidelity check run after the
+clock stops.  Inside a run an exact distribution is one float64
 array indexed by value.  The reference (the Fejer kernel) and the
 measure-early law (a branch tree) are closed forms that share no code with
 the engine; only a telegate or monolithic run's own distribution is read
@@ -229,9 +230,9 @@ def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
     start = time.perf_counter()
     _apply_local_gates(fabric, fourier_prep_gates(range(plan.n), theta))
     slots = _execute_schedule(fabric, schedule, rng)
-    counts = _counts_from_raw(fabric.state.sample_counts(range(plan.n), shots, rng))
+    state = fabric.logical_state()  # the pool is |0>: sample the 2^n logical amplitudes
+    counts = _counts_from_raw(state.sample_counts(range(plan.n), shots, rng))
     wall = time.perf_counter() - start
-    state = fabric.logical_state()
     metrics = _metrics(wall, fabric.counters, plan.n + plan.k, slots, shots,
                        _distribution(state), reference, plan.n, theta)
     return RunResult(counts, metrics, state if return_state else None)

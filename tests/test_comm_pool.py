@@ -13,6 +13,7 @@ from dqft.circuits import build_schedule, fourier_prep_gates
 from dqft.fabric import CommSlotBusyError, Fabric, QubitAddr, make_partition
 from dqft.metrics import epr_budget
 from dqft.runner import _apply_local_gates, _execute_schedule, run_distributed
+from dqft.statevector import Gate, StateVector
 from dqft.telegate import cat_disentangle, cat_entangle
 
 
@@ -52,12 +53,12 @@ def test_pool_grows_only_when_every_qubit_is_bound():
     fabric.release_comm(0)
     fabric.allocate_epr(2, 3, rng)  # node 2 reuses node 0's pool qubit
     assert fabric.state.num_qubits == 7
-    assert fabric.state.probabilities([4, 6]) == pytest.approx([0.5, 0, 0, 0.5])
+    assert fabric.state.probabilities([0, 2]) == pytest.approx([0.5, 0, 0, 0.5])
     fabric.release_comm(1)
     fabric.release_comm(2)
     fabric.allocate_epr(0, 1, rng)  # both freed qubits are reused
     assert fabric.state.num_qubits == 7
-    assert fabric.state.probabilities([4, 5]) == pytest.approx([0.5, 0, 0, 0.5])
+    assert fabric.state.probabilities([0, 1]) == pytest.approx([0.5, 0, 0, 0.5])
 
 
 def test_one_draw_per_measure_and_reset():
@@ -78,6 +79,30 @@ def test_one_draw_per_measure_and_reset():
     fabric.reset(QubitAddr.comm(1), rng)
     assert rng.draws == 12
     assert fabric.counters.midcircuit_measurements == 4
+
+
+@pytest.mark.parametrize("kind", ["cp", "cnot"])
+@pytest.mark.parametrize("logical_first", [True, False], ids=["logical-first", "comm-first"])
+def test_comm_operand_that_grows_the_pool_does_not_shift_the_logical_one(kind, logical_first):
+    # the comm operand's growth puts a pool qubit in front of the logical
+    # qubits, so resolving the logical operand before binding the comm one
+    # would name the wrong qubit
+    plan = make_partition(4, 2)
+    for q in range(plan.n):
+        fabric, direct = Fabric(plan), StateVector(plan.n)
+        for p in range(plan.n):
+            for gate in (Gate.h(p), Gate.p(0.3 + 0.5 * p, p)):
+                fabric.apply(gate.kind, gate.qubits, gate.phi)
+                direct.apply_gate(gate)
+        comm = plan.n + plan.addr_of(q).node
+        # on the grown state the comm qubit is pool qubit 0 and q sits at q + 1
+        operands, resolved = ((q, comm), (q + 1, 0)) if logical_first else ((comm, q), (0, q + 1))
+        fabric.apply(kind, operands, 0.7)
+        expected = StateVector.from_amplitudes(np.kron([1, 0], direct.amps))
+        expected.apply_gate(Gate(kind, resolved, 0.7))
+        assert np.array_equal(fabric.state.amps, expected.amps), q
+        fabric.apply(kind, operands, 0.7)  # cnot uncopies, cp stays the identity on a |0> comm
+        assert np.array_equal(fabric.logical_state().amps, direct.amps), q
 
 
 def test_fabric_without_comm_rejects_comm_slots():

@@ -104,8 +104,8 @@ def test_allocate_epr_prepares_bell_pair():
     assert (a, b) == (QubitAddr.comm(0), QubitAddr.comm(1))
     assert epr_id == 1
     assert fabric.counters.epr_created == 1
-    # comm qubits are the two least-significant index bits here (4-qubit state)
-    probs = fabric.state.probabilities(plan.comm_slots)
+    # comm qubits are the two most-significant index bits here (4-qubit state)
+    probs = fabric.state.probabilities([0, 1])
     assert np.allclose(probs, [0.5, 0, 0, 0.5])
 
 

@@ -209,12 +209,12 @@ def test_gate_between_measure_and_reset_forces_the_full_pass(measure_passes):
 def test_bell_pair_write_is_bitwise_the_h_cnot_path():
     fabric = _generic_fabric()
     rng = np.random.default_rng(5)
-    fabric.allocate_epr(0, 1, rng)  # grows the pool to qubits 4 and 5
+    fabric.allocate_epr(0, 1, rng)  # grows the pool to qubits 0 and 1
     for node in (0, 1):
         fabric.reset(QubitAddr.comm(node), rng)
         fabric.release_comm(node)
     fabric.apply("h", (QubitAddr(1, 1),))  # a logical gate leaves the pool qubits known |0>
-    expected = fabric.state.copy().apply_gate(Gate.h(4)).apply_gate(Gate.cnot(4, 5))
+    expected = fabric.state.copy().apply_gate(Gate.h(0)).apply_gate(Gate.cnot(0, 1))
     fabric.allocate_epr(0, 1, rng)
     assert np.array_equal(fabric.state.amps.view(np.int64), expected.amps.view(np.int64))
-    assert fabric.state.probabilities([4, 5]) == pytest.approx([0.5, 0, 0, 0.5])
+    assert fabric.state.probabilities([0, 1]) == pytest.approx([0.5, 0, 0, 0.5])

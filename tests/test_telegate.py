@@ -24,10 +24,10 @@ def test_entangle_classical_branches():
             fabric.state.apply_gate(prep)
         handle = cat_entangle(fabric, QubitAddr(0, 0), 1, np.random.default_rng(0))
         # cat qubit copies the classical control; control itself unchanged
-        cat_global = fabric.plan.global_index(handle.remote_cat)
+        cat_global = fabric._index(handle.remote_cat)
         assert np.allclose(fabric.state.probabilities([cat_global]),
                            [1 - bit, bit])
-        assert np.allclose(fabric.state.probabilities([0]), [1 - bit, bit])
+        assert np.allclose(fabric.state.probabilities([fabric._index(0)]), [1 - bit, bit])
 
 
 def test_entangle_superposed_control_gives_cat_state_on_both_branches():
@@ -36,8 +36,8 @@ def test_entangle_superposed_control_gives_cat_state_on_both_branches():
         fabric.state.apply_gate(Gate.h(0))
         rng = ScriptedRng([0.0, 0.0, forced])
         handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
-        cat_global = fabric.plan.global_index(handle.remote_cat)
-        joint = fabric.state.probabilities([0, cat_global])
+        cat_global = fabric._index(handle.remote_cat)
+        joint = fabric.state.probabilities([fabric._index(0), cat_global])
         assert np.allclose(joint, [0.5, 0, 0, 0.5], atol=1e-12)
 
 
