@@ -17,7 +17,8 @@ one |0> qubit (at index pool) only when all are bound, so a telegate run
 holds n + 2 qubits, not n + k.  The fabric knows a qubit's basis bit after
 growth or reset (0) or measurement (the outcome) until a gate touches it;
 resetting it then takes one draw and no probability pass, and the Bell
-pair is written directly.
+pair is written directly.  Gates, measurements and resets run on the live
+window: the prefix of the state past the leading pool qubits known |0>.
 
 A fabric without communication qubits (the teleportation-free mode) holds a
 ProductState: n one-qubit factors instead of 2^n amplitudes.
@@ -148,10 +149,10 @@ class Fabric:
     """k nodes over one shared state, with counters and a tick clock.
 
     ``state.num_qubits`` is n plus the pool, the peak number of comm slots
-    bound at once (see the module docstring).  with_comm=False forbids comm
-    slots (teleportation-free modes): allocate_epr is then unavailable, and
-    the state is a ProductState, which rejects two-qubit gates.  A classical
-    message is deliverable LATENCY = 1 tick after it is sent, always.
+    bound at once; gates run on its live window (see the module docstring).
+    with_comm=False forbids comm slots (teleportation-free modes): then
+    allocate_epr is unavailable and the state is a ProductState, which
+    rejects two-qubit gates.  A message is deliverable LATENCY = 1 tick later.
     """
 
     def __init__(self, plan: PartitionPlan, with_comm: bool = True):
@@ -176,7 +177,11 @@ class Fabric:
         qubits = tuple([self._index(q, bind=True) for q in qubits])
         for q in qubits:
             self._known[q] = None
-        self.state.apply_gate(Gate(kind, qubits, phi))
+        state = self.state
+        if self.with_comm:  # a product state has no pool, and its gates pay for no window
+            state, lead = self._live(min(qubits))
+            qubits = tuple([q - lead for q in qubits])
+        state.apply_gate(Gate(kind, qubits, phi))
 
     def measure(self, qubit: QubitAddr | int, rng: np.random.Generator) -> int:
         """Measure an address or plan index (one draw); the fabric then knows its basis bit."""
@@ -185,7 +190,8 @@ class Fabric:
         if q is None:
             rng.random()  # an unbound slot is |0>: the same single draw, outcome 0
             return 0
-        bit = self._known[q] = self.state.measure(q, rng)
+        state, lead = self._live(q) if self.with_comm else (self.state, 0)
+        bit = self._known[q] = state.measure(q - lead, rng)
         return bit
 
     def reset(self, qubit: QubitAddr | int, rng: np.random.Generator) -> None:
@@ -194,14 +200,32 @@ class Fabric:
 
     def _reset(self, q: int | None, rng: np.random.Generator) -> None:
         bit = 0 if q is None else self._known[q]
-        if bit is None:
-            self.state.reset(q, rng)
-            self._known[q] = 0
-        else:
+        if bit is not None:
             rng.random()  # an unbound slot is |0>, a known bit needs no pass: the one draw
-            if bit:  # the |0> half is empty: X moves the |1> half into it
-                self.state.apply_gate(Gate.x(q))
-                self._known[q] = 0
+        if bit == 0:
+            return
+        state, lead = self._live(q) if self.with_comm else (self.state, 0)
+        if bit is None:
+            state.reset(q - lead, rng)
+        elif self.with_comm:  # the |0> half is empty: move the |1> half into it
+            v = state._one_axis(q - lead)
+            v[:, 0, :], v[:, 1, :] = v[:, 1, :], 0.0
+        else:  # a product factor (0, b): X makes it (b, 0)
+            state.apply_gate(Gate.x(q))
+        self._known[q] = 0
+
+    def _live(self, first: int) -> tuple[StateVector, int]:
+        """The live window amps[:2^(Q - lead)], where state index q is q - lead, and lead:
+        the count of leading pool qubits below first known |0>, so amplitudes past it are zero."""
+        lead, top = 0, min(first, self.state.num_qubits - self.plan.n)
+        while lead < top and self._known[lead] == 0:
+            lead += 1
+        if not lead:
+            return self.state, 0
+        live = StateVector.__new__(StateVector)
+        live.num_qubits = self.state.num_qubits - lead
+        live.amps = self.state.amps[:1 << live.num_qubits]
+        return live, lead
 
     def _index(self, qubit: QubitAddr | int, bind: bool = False) -> int | None:
         """State index of an address or plan index; None for an unbound comm slot.

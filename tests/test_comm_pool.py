@@ -9,7 +9,7 @@ when every node had its own comm qubit.
 import numpy as np
 import pytest
 
-from dqft.circuits import build_schedule, fourier_prep_gates
+from dqft.circuits import build_schedule, fourier_prep_gates, inverse_qft_gates
 from dqft.fabric import CommSlotBusyError, Fabric, QubitAddr, make_partition
 from dqft.metrics import epr_budget
 from dqft.runner import _apply_local_gates, _execute_schedule, run_distributed
@@ -112,6 +112,41 @@ def test_fabric_without_comm_rejects_comm_slots():
     with pytest.raises(CommSlotBusyError):
         fabric.reset(QubitAddr.comm(1), np.random.default_rng(0))
     assert fabric.state.num_qubits == 4
+
+
+def test_gates_past_known_zero_pool_qubits_run_on_the_live_window(monkeypatch):
+    # n=8 on 2 nodes: the pool grows to 2 qubits in node 0's first session
+    # and is known |0> again after each; a gate then skips the 2^10 - 2^8 or
+    # 2^10 - 2^9 amplitudes behind the pool qubits that precede its operands
+    plan = make_partition(8, 2)
+    kinds = []
+    original = StateVector.apply_gate
+
+    def recorded(self, gate):
+        kinds.append((gate.kind, self.num_qubits))
+        return original(self, gate)
+
+    monkeypatch.setattr(StateVector, "apply_gate", recorded)
+    run_distributed(plan, 0.3)
+    local = len(inverse_qft_gates(plan.node_qubits(1)))
+    before = len(fourier_prep_gates(range(plan.n), 0.3)) + local  # the prep and node 0's block
+    assert kinds[:before] == [(kind, 8) for kind, _ in kinds[:before]]  # no pool yet
+    assert kinds[-local:] == [(kind, 8) for kind, _ in kinds[-local:]]  # node 1's block
+    session_cps = [nq for kind, nq in kinds[before:-local] if kind == "cp"]
+    assert session_cps == [9] * (4 * 4)  # each of node 0's 4 qubits onto node 1's 4
+    assert ("cnot", 10) in kinds  # the cat CNOT onto pool qubit 0 covers the whole state
+
+
+def test_measuring_a_known_zero_pool_qubit_keeps_it_in_its_window():
+    # lead counts only the pool qubits before the operand, or it would drop the operand itself
+    fabric = Fabric(make_partition(4, 2))
+    rng = np.random.default_rng(0)
+    fabric.allocate_epr(0, 1, rng)
+    for node in (0, 1):
+        fabric.reset(QubitAddr.comm(node), rng)  # known |0> and still bound
+    before = fabric.state.amps.copy()
+    assert [fabric.measure(QubitAddr.comm(node), rng) for node in (1, 0)] == [0, 0]
+    assert np.max(np.abs(fabric.state.amps - before)) <= 1e-12
 
 
 # Counts captured with one comm qubit per node (state of n + k qubits); the

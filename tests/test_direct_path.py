@@ -69,6 +69,25 @@ def test_plan_indices_and_addresses_run_bit_identically(program, seed):
     assert np.array_equal(by_index.state.amps, by_addr.state.amps)
 
 
+@settings(max_examples=150, deadline=None)
+@given(programs(), st.integers(0, 2**32 - 1))
+def test_live_window_runs_programs_like_the_whole_state(program, seed):
+    # measuring or resetting a pool qubit known |0> must not drop it from its own window.
+    # The amplitudes may differ in the last bit: numpy multiplies a lone element by the
+    # phase with the scalar formula and a longer run with its vector loop, so a phase
+    # gate on a one-amplitude window can round unlike the same gate on the whole state.
+    plan, with_comm, ops = program
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fabric, "_live", lambda fabric, first: (fabric.state, 0))
+        whole, out_whole = _run(plan, with_comm, ops, int, seed)
+    live, out_live = _run(plan, with_comm, ops, int, seed)
+    assert out_live == out_whole
+    assert live.counters == whole.counters
+    assert live._known == whole._known
+    assert live.state.num_qubits == whole.state.num_qubits
+    assert np.max(np.abs(live.state.amps - whole.state.amps), initial=0.0) <= 1e-12
+
+
 def test_cross_node_gate_on_plan_indices_raises_before_binding():
     plan = make_partition(6, 3)
     fabric = Fabric(plan)

@@ -198,7 +198,7 @@ def test_gate_between_measure_and_reset_forces_the_full_pass(measure_passes):
     before = fabric.state.copy()
     measure_passes.clear()
     fabric.reset(addr, rng)
-    assert measure_passes == [q]
+    assert measure_passes == [(q, 4)]  # no pool yet: the pass covers the whole state
     bit = 0 if np.random.default_rng(3).random() < 0.5 else 1  # H left p0 = p1 = 1/2
     expected = projected(before.amps, q, 4, bit)
     if bit:

@@ -117,12 +117,15 @@ def test_semiclassical_counts_replay_on_factors(point, counts):
 
 @pytest.fixture
 def measure_passes(monkeypatch):
-    """A list that gets one entry per StateVector.measure pass (resets included)."""
+    """One (qubit, num_qubits) entry per StateVector.measure pass (resets included).
+
+    The fabric runs a pass on its live window, so qubit is the window's index.
+    """
     passes = []
     original = StateVector.measure
 
     def counted(self, qubit, rng):
-        passes.append(qubit)
+        passes.append((qubit, self.num_qubits))
         return original(self, qubit, rng)
 
     monkeypatch.setattr(StateVector, "measure", counted)
@@ -149,7 +152,7 @@ def test_qubit_touched_since_its_reset_gets_a_full_reset(measure_passes):
     fabric.release_comm(0)  # still entangled with node 1's qubit
     fabric.release_comm(1)
     fabric.allocate_epr(2, 3, rng)
-    assert measure_passes == [0, 1]
+    assert measure_passes == [(0, 6), (0, 5)]  # pool qubit 1 behind a reset pool qubit 0
     assert fabric.state.probabilities([0, 1]) == pytest.approx([0.5, 0, 0, 0.5])
     fabric.reset(QubitAddr.comm(2), rng)  # known |0> again ...
     fabric.reset(QubitAddr.comm(3), rng)
@@ -157,6 +160,6 @@ def test_qubit_touched_since_its_reset_gets_a_full_reset(measure_passes):
     fabric.release_comm(2)
     fabric.release_comm(3)
     fabric.allocate_epr(0, 1, rng)
-    assert measure_passes == [0, 1, 0, 1, 0]
+    assert measure_passes == [(0, 6), (0, 5), (0, 6), (0, 5), (0, 6)]
     assert fabric.state.num_qubits == 6
     assert fabric.state.probabilities([0, 1]) == pytest.approx([0.5, 0, 0, 0.5])

@@ -126,6 +126,29 @@ def test_telegate_schedule_leaves_the_pool_at_exact_zeros(sizes, theta, seed):
     assert np.count_nonzero(pool) == 0
 
 
+def _scheduled(sizes, theta, seed):
+    plan = _plan(sizes)
+    fabric, rng = Fabric(plan), np.random.default_rng(seed)
+    _apply_local_gates(fabric, fourier_prep_gates(range(plan.n), theta))
+    _execute_schedule(fabric, build_schedule(plan), rng)
+    return fabric, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(node_sizes(9), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2**32 - 1))
+def test_live_window_runs_like_the_whole_state(sizes, theta, seed):
+    # the amplitudes the window skips are exact zeros, so running every
+    # kernel over the whole state must give the same amplitudes and draws
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fabric, "_live", lambda fabric, first: (fabric.state, 0))
+        whole, whole_rng = _scheduled(sizes, theta, seed)
+    live, live_rng = _scheduled(sizes, theta, seed)
+    assert np.array_equal(live.state.amps, whole.state.amps)
+    assert live_rng.bit_generator.state == whole_rng.bit_generator.state
+    assert live.counters == whole.counters
+    assert live._known == whole._known
+
+
 @settings(deadline=None)
 @given(st.integers(1, 12))
 def test_bit_reverse_array_matches_scalar_and_oracle(n):
