@@ -10,19 +10,22 @@ however many gates ran in between.
 
 import numpy as np
 
-from dqft import (Fabric, Gate, QubitAddr, StateVector, apply_remote_controlled,
+from dqft import (Fabric, Gate, StateVector, apply_remote_controlled,
                   cat_disentangle, cat_entangle, equal_up_to_global_phase,
                   make_partition)
 
 rng = np.random.default_rng(3)
 
-# Node 0 owns qubit 0, node 1 owns qubits 1 and 2; one comm slot per node.
-# The fabric starts with the 3 logical qubits and binds each slot to a
-# pooled comm qubit only while an EPR pair lives on it.
+# Every qubit is named by its plan index.  Node 0 owns qubit 0, node 1 owns
+# qubits 1 and 2, and node b's comm slot is 3 + b.  The fabric starts with
+# the 3 logical qubits and binds each slot to a pooled comm qubit only while
+# an EPR pair lives on it.
 plan = make_partition(3, 2)
 fabric = Fabric(plan)
-print("plan sizes:", plan.sizes, "| logical comm slots", plan.comm_slots,
-      "| qubits held before any EPR:", fabric.state.num_qubits)
+control, (target_a, target_b) = plan.node_qubits(0)[0], plan.node_qubits(1)
+print("plan sizes:", plan.sizes, "| node 1's qubits", list(plan.node_qubits(1)),
+      "| comm slots", plan.comm_slots, "| qubits held before any EPR:",
+      fabric.state.num_qubits)
 
 # Some generic product state so every protocol branch is populated.
 for q in range(3):
@@ -31,16 +34,17 @@ for q in range(3):
 
 # Cross-node gates are forbidden -- that is the whole point of the fabric.
 try:
-    fabric.apply("cp", (QubitAddr(0, 0), QubitAddr(1, 0)), np.pi / 4)
+    fabric.apply("cp", (control, target_a), np.pi / 4)
 except Exception as err:
     print("direct cross-node gate rejected:", err)
 
 # One session, two remote gates.
-handle = cat_entangle(fabric, control=QubitAddr(0, 0), target_node=1, rng=rng)
+handle = cat_entangle(fabric, control=control, target_node=1, rng=rng)
 print("after entangle: EPRs =", fabric.counters.epr_created,
       "| messages =", fabric.counters.classical_messages)
-apply_remote_controlled(fabric, handle, np.pi / 4, QubitAddr(1, 0))
-apply_remote_controlled(fabric, handle, np.pi / 8, QubitAddr(1, 1))
+print("cat copy of qubit", handle.control, "on node 1's comm slot", handle.remote_cat)
+apply_remote_controlled(fabric, handle, np.pi / 4, target_a)
+apply_remote_controlled(fabric, handle, np.pi / 8, target_b)
 cat_disentangle(fabric, handle, rng)
 print("after disentangle: EPRs =", fabric.counters.epr_created,
       "| messages =", fabric.counters.classical_messages,

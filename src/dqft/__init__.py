@@ -13,8 +13,8 @@ from .circuits import (DistributedSchedule, GradientBlock, LocalInverseQFT,
                        flatten_schedule, fourier_prep, fourier_prep_gates,
                        inverse_qft_gates, inverse_qft_local, rev_postprocess)
 from .fabric import (ClassicalMessage, CommSlotBusyError, CrossNodeGateError,
-                     Fabric, FabricCounters, PartitionPlan, QubitAddr,
-                     check_locality, make_partition)
+                     Fabric, FabricCounters, PartitionPlan, check_locality,
+                     make_partition)
 from .metrics import (RunMetrics, classical_fidelity, counts_to_distribution,
                       epr_budget, naive_epr_budget, state_bytes)
 from .runner import (RunResult, exact_value_distribution,
@@ -28,8 +28,7 @@ from .telegate import (CatHandle, ProtocolError, apply_remote_controlled,
 __all__ = [
     "CatHandle", "ClassicalMessage", "CommSlotBusyError", "CrossNodeGateError",
     "DistributedSchedule", "Fabric", "FabricCounters", "Gate", "GradientBlock",
-    "LocalInverseQFT", "PartitionPlan", "ProtocolError", "QubitAddr",
-    "RunMetrics", "RunResult", "StateVector",
+    "LocalInverseQFT", "PartitionPlan", "ProtocolError", "RunMetrics", "RunResult", "StateVector",
     "apply_remote_controlled", "bit_reverse", "build_schedule",
     "cat_disentangle", "cat_entangle", "check_locality", "classical_fidelity",
     "count_layers", "counts_to_distribution", "epr_budget",

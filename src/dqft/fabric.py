@@ -5,10 +5,10 @@ check: its operands live on one node.  Cross-node effects happen only
 through EPR pairs (prepared by the fabric) and classical messages (delivered
 on a discrete tick clock).  The fabric owns all resource counters for a run.
 
-Layout (PartitionPlan): the n logical qubits come first, contiguous per node
-in node order, and node b's communication slot is numbered n + b.  An
-operand of apply, measure or reset is a QubitAddr or that plan global index;
-one resolver turns either into a state index.  The state's most significant
+Layout (PartitionPlan): a qubit is named by its plan index.  The n logical
+qubits come first, contiguous per node in node order, and node b's
+communication slot is n + b; plan.node_of names the node of an index.  One
+resolver turns a plan index into a state index.  The state's most significant
 end holds a pool of communication qubits, pool qubit s at state index s,
 and logical qubit q follows at q + pool, so a cat session's kernels on a
 pool qubit run over long contiguous halves.  allocate_epr binds a slot to
@@ -35,7 +35,6 @@ import numpy as np
 
 from .statevector import SQRT2_INV, Gate, ProductState, StateVector
 
-COMM_SLOT = -1  # local_index sentinel marking a node's communication qubit
 LATENCY = 1  # ticks from sending a classical message to its delivery
 
 
@@ -48,22 +47,6 @@ class CommSlotBusyError(Exception):
 
 
 @dataclass(frozen=True)
-class QubitAddr:
-    """A qubit named by (node, local index); COMM_SLOT addresses the comm qubit."""
-
-    node: int
-    local_index: int
-
-    @staticmethod
-    def comm(node: int) -> "QubitAddr":
-        return QubitAddr(node, COMM_SLOT)
-
-    @property
-    def is_comm(self) -> bool:
-        return self.local_index == COMM_SLOT
-
-
-@dataclass(frozen=True)
 class PartitionPlan:
     """Assignment of n logical qubits to k nodes, plus comm-qubit slots."""
 
@@ -73,18 +56,18 @@ class PartitionPlan:
 
     def __post_init__(self):
         sizes = self.sizes
-        if len(sizes) != self.k or min(sizes, default=1) < 1 or sum(sizes) != self.n:
-            raise ValueError(f"sizes {sizes}: need k={self.k} nonempty nodes summing to n={self.n}")
+        if self.k < 1 or len(sizes) != self.k or min(sizes) < 1 or sum(sizes) != self.n:
+            raise ValueError(f"sizes {sizes}: need k={self.k} >= 1 nonempty nodes summing to n={self.n}")
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
         return tuple(accumulate(self.sizes[:-1], initial=0))
 
     @cached_property
-    def _addrs(self) -> tuple[QubitAddr, ...]:
-        # global index -> address: logical qubits node by node, then comm slots
-        return (tuple(QubitAddr(node, i) for node, m in enumerate(self.sizes) for i in range(m))
-                + tuple(QubitAddr.comm(node) for node in range(self.k)))
+    def _nodes(self) -> tuple[int, ...]:
+        # plan index -> node: logical qubits node by node, then one comm slot per node
+        return (tuple(node for node, m in enumerate(self.sizes) for _ in range(m))
+                + tuple(range(self.k)))
 
     @property
     def comm_slots(self) -> tuple[int, ...]:
@@ -94,19 +77,11 @@ class PartitionPlan:
         off = self.offsets[node]
         return range(off, off + self.sizes[node])
 
-    def global_index(self, addr: QubitAddr) -> int:
-        if not 0 <= addr.node < self.k:
-            raise ValueError(f"node {addr.node} out of range for k={self.k}")
-        if addr.is_comm:
-            return self.n + addr.node
-        if not 0 <= addr.local_index < self.sizes[addr.node]:
-            raise ValueError(f"local index {addr.local_index} out of range on node {addr.node}")
-        return self.offsets[addr.node] + addr.local_index
-
-    def addr_of(self, global_index: int) -> QubitAddr:
-        if not 0 <= global_index < self.n + self.k:
-            raise ValueError(f"global index {global_index} out of range")
-        return self._addrs[global_index]
+    def node_of(self, index: int) -> int:
+        """The node holding plan index index: a logical qubit or a comm slot."""
+        if not 0 <= index < self.n + self.k:
+            raise ValueError(f"plan index {index} out of range 0..{self.n + self.k - 1}")
+        return self._nodes[index]
 
 
 def make_partition(n: int, k: int) -> PartitionPlan:
@@ -122,8 +97,8 @@ def make_partition(n: int, k: int) -> PartitionPlan:
 
 
 def check_locality(plan: PartitionPlan, qubits) -> None:
-    """Raise CrossNodeGateError unless all operands, addresses or plan indices, share a node."""
-    nodes = {q.node if isinstance(q, QubitAddr) else plan.addr_of(q).node for q in qubits}
+    """Raise CrossNodeGateError unless all plan-index operands share a node."""
+    nodes = {plan.node_of(q) for q in qubits}
     if len(nodes) > 1:
         raise CrossNodeGateError(f"gate spans nodes {sorted(nodes)}: operands {list(qubits)}")
 
@@ -168,7 +143,7 @@ class Fabric:
     # -- gates and measurements --------------------------------------------
 
     def apply(self, kind: str, qubits, phi: float = 0.0) -> None:
-        """Apply a gate to address or plan-index operands on one node; else CrossNodeGateError."""
+        """Apply a gate to plan-index operands on one node; else CrossNodeGateError."""
         qubits = tuple(qubits)
         if len(qubits) > 1:  # one operand is always local
             check_locality(self.plan, qubits)
@@ -183,8 +158,8 @@ class Fabric:
             qubits = tuple([q - lead for q in qubits])
         state.apply_gate(Gate(kind, qubits, phi))
 
-    def measure(self, qubit: QubitAddr | int, rng: np.random.Generator) -> int:
-        """Measure an address or plan index (one draw); the fabric then knows its basis bit."""
+    def measure(self, qubit: int, rng: np.random.Generator) -> int:
+        """Measure a plan index (one draw); the fabric then knows its basis bit."""
         self.counters.midcircuit_measurements += 1
         q = self._index(qubit)
         if q is None:
@@ -194,8 +169,8 @@ class Fabric:
         bit = self._known[q] = state.measure(q - lead, rng)
         return bit
 
-    def reset(self, qubit: QubitAddr | int, rng: np.random.Generator) -> None:
-        """Reset an address or plan index to |0> (one draw); not a protocol measurement."""
+    def reset(self, qubit: int, rng: np.random.Generator) -> None:
+        """Reset a plan index to |0> (one draw); not a protocol measurement."""
         self._reset(self._index(qubit), rng)
 
     def _reset(self, q: int | None, rng: np.random.Generator) -> None:
@@ -227,18 +202,16 @@ class Fabric:
         live.amps = self.state.amps[:1 << live.num_qubits]
         return live, lead
 
-    def _index(self, qubit: QubitAddr | int, bind: bool = False) -> int | None:
-        """State index of an address or plan index; None for an unbound comm slot.
+    def _index(self, qubit: int, bind: bool = False) -> int | None:
+        """State index of a plan index; None for an unbound comm slot.
 
         Logical qubit q sits at q + pool.  bind=True binds an unbound slot
         to the lowest free pool qubit, or to a new |0> qubit inserted at
         index pool ([:, 0, :] of (2^pool, 2, 2^n) keeps the old state).
         """
         plan = self.plan
-        if isinstance(qubit, QubitAddr):
-            qubit = plan.global_index(qubit)
-        elif not 0 <= qubit < plan.n + plan.k:
-            raise ValueError(f"global index {qubit} out of range")
+        if not 0 <= qubit < plan.n + plan.k:
+            raise ValueError(f"plan index {qubit} out of range 0..{plan.n + plan.k - 1}")
         pool = self.state.num_qubits - plan.n
         if qubit < plan.n:
             return qubit + pool
@@ -260,7 +233,8 @@ class Fabric:
     # -- EPR source ----------------------------------------------------------
 
     def allocate_epr(self, node_a: int, node_b: int, rng: np.random.Generator):
-        """Prepare (|00>+|11>)/sqrt(2) on the two nodes' comm qubits.
+        """Prepare (|00>+|11>)/sqrt(2) on the two nodes' comm qubits; returns
+        their plan indices n + node_a and n + node_b and the pair's serial.
 
         Entanglement distribution is the fabric's own privilege: it is the
         only place a two-node operation touches the state directly.
@@ -270,9 +244,10 @@ class Fabric:
         if node_a == node_b:
             raise ValueError("EPR endpoints must be distinct nodes")
         for node in (node_a, node_b):
-            if self._comm_busy[node]:
+            if self._comm_busy[self._node(node)]:
                 raise CommSlotBusyError(f"comm slot of node {node} is busy")
-        ga, gb = (self._index(QubitAddr.comm(node), bind=True) for node in (node_a, node_b))
+        n = self.plan.n
+        ga, gb = (self._index(n + node, bind=True) for node in (node_a, node_b))
         self._reset(ga, rng)
         self._reset(gb, rng)
         self._known[ga] = self._known[gb] = None
@@ -283,15 +258,21 @@ class Fabric:
         np.positive(v[:, 0, :, 0, :], out=v[:, 1, :, 1, :])  # a ufunc; assigning would copy the block first
         self._comm_busy[node_a] = self._comm_busy[node_b] = True
         self.counters.epr_created += 1
-        return QubitAddr.comm(node_a), QubitAddr.comm(node_b), self.counters.epr_created
+        return n + node_a, n + node_b, self.counters.epr_created
 
     def release_comm(self, node: int) -> None:
         """Free node's slot and unbind its pool qubit for the next allocation."""
-        self._comm_busy[node] = False
+        self._comm_busy[self._node(node)] = False
         self._bound.pop(node, None)
 
     def comm_busy(self, node: int) -> bool:
-        return self._comm_busy[node]
+        return self._comm_busy[self._node(node)]
+
+    def _node(self, node: int) -> int:
+        """node itself; ValueError outside 0..k-1, where a list index would wrap."""
+        if not 0 <= node < self.plan.k:
+            raise ValueError(f"node {node} out of range for k={self.plan.k}")
+        return node
 
     # -- classical messaging and clock ---------------------------------------
 

@@ -162,11 +162,10 @@ def _apply_local_gates(fabric: Fabric, gates) -> None:
 def _run_gradient_block(fabric: Fabric, block: GradientBlock,
                         rng: np.random.Generator) -> None:
     # one cat session per control qubit covers all its targets on this node
-    addr_of = fabric.plan.addr_of
     for c, triples in groupby(block.gates, key=lambda g: g[0]):
-        handle = cat_entangle(fabric, addr_of(c), block.target_node, rng)
+        handle = cat_entangle(fabric, c, block.target_node, rng)
         for _, t, phi in triples:
-            apply_remote_controlled(fabric, handle, phi, addr_of(t))
+            apply_remote_controlled(fabric, handle, phi, t)
         cat_disentangle(fabric, handle, rng)
 
 

@@ -7,6 +7,7 @@ control to exactly the state it would have after direct gate application.
 Cost per session: 1 EPR pair, 2 classical messages, 2 mid-circuit
 measurements, independent of how many gates ran under the session.  Each
 half ends in _signal (measure a comm qubit, send the bit) and an X or Z.
+Qubits are plan indices: logical qubit q is q, node b's comm qubit n + b.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fabric import LATENCY, Fabric, QubitAddr
+from .fabric import LATENCY, Fabric
 
 
 class ProtocolError(Exception):
@@ -26,15 +27,15 @@ class ProtocolError(Exception):
 class CatHandle:
     """A live teleported-control session."""
 
-    control: QubitAddr
-    remote_cat: QubitAddr
+    control: int
+    remote_cat: int
     entangled: bool = True
 
 
-def _signal(fabric: Fabric, comm: QubitAddr, dst: int, tag: str,
+def _signal(fabric: Fabric, comm: int, dst: int, tag: str,
             rng: np.random.Generator) -> int:
     """Measure comm, reset and free its slot, and return the bit as dst receives it LATENCY later."""
-    src = comm.node
+    src = fabric.plan.node_of(comm)
     bit = fabric.measure(comm, rng)
     fabric.reset(comm, rng)
     fabric.release_comm(src)
@@ -43,7 +44,7 @@ def _signal(fabric: Fabric, comm: QubitAddr, dst: int, tag: str,
     return fabric.receive(src, dst).payload
 
 
-def cat_entangle(fabric: Fabric, control: QubitAddr, target_node: int,
+def cat_entangle(fabric: Fabric, control: int, target_node: int,
                  rng: np.random.Generator) -> CatHandle:
     """Extend `control` onto target_node's comm qubit via one EPR pair.
 
@@ -51,11 +52,13 @@ def cat_entangle(fabric: Fabric, control: QubitAddr, target_node: int,
     it, send the outcome, and apply a conditional X on the remote half.
     Afterward the remote cat qubit is perfectly correlated with the control.
     """
-    if control.is_comm:
+    plan = fabric.plan
+    node = plan.node_of(control)
+    if control >= plan.n:
         raise ProtocolError("control must be a logical qubit")
-    if control.node == target_node:
+    if node == target_node:
         raise ProtocolError(f"control already lives on node {target_node}")
-    epr_a, epr_b, _ = fabric.allocate_epr(control.node, target_node, rng)
+    epr_a, epr_b, _ = fabric.allocate_epr(node, target_node, rng)
     fabric.apply("cnot", (control, epr_a))
     if _signal(fabric, epr_a, target_node, "cat_entangle", rng):
         fabric.apply("x", (epr_b,))
@@ -63,12 +66,14 @@ def cat_entangle(fabric: Fabric, control: QubitAddr, target_node: int,
 
 
 def apply_remote_controlled(fabric: Fabric, handle: CatHandle, phi: float,
-                            target: QubitAddr) -> None:
+                            target: int) -> None:
     """CP(phi) between the session's cat qubit and a local target on node B."""
     if not handle.entangled:
         raise ProtocolError("session already disentangled")
-    if target.node != handle.remote_cat.node or target.is_comm:
-        raise ProtocolError(f"target {target} is not a logical qubit on node {handle.remote_cat.node}")
+    plan = fabric.plan
+    node = plan.node_of(handle.remote_cat)
+    if plan.node_of(target) != node or target >= plan.n:
+        raise ProtocolError(f"target {target} is not a logical qubit on node {node}")
     fabric.apply("cp", (handle.remote_cat, target), phi)
 
 
@@ -81,6 +86,7 @@ def cat_disentangle(fabric: Fabric, handle: CatHandle, rng: np.random.Generator)
     if not handle.entangled:
         raise ProtocolError("session already disentangled")
     fabric.apply("h", (handle.remote_cat,))
-    if _signal(fabric, handle.remote_cat, handle.control.node, "cat_disentangle", rng):
+    if _signal(fabric, handle.remote_cat, fabric.plan.node_of(handle.control),
+               "cat_disentangle", rng):
         fabric.apply("z", (handle.control,))
     handle.entangled = False

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 
 from .circuits import build_schedule, flatten_schedule, inverse_qft_gates
-from .fabric import Fabric, QubitAddr, make_partition
+from .fabric import Fabric, make_partition
 from .metrics import epr_budget
 from .runner import (_distribution, _monolithic_state, _reference, _semiclassical_law,
                      run_distributed, run_monolithic_reference)
@@ -68,9 +68,9 @@ def telegate_branch_states(phis=(np.pi / 4,)):
             rng = ScriptedRng(force)
             fabric = Fabric(plan, with_comm=True)
             _prepare_generic(fabric.state, plan)
-            handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
-            for t_loc, phi in enumerate(phis):
-                apply_remote_controlled(fabric, handle, phi, QubitAddr(1, t_loc))
+            handle = cat_entangle(fabric, 0, 1, rng)
+            for target, phi in zip(plan.node_qubits(1), phis):
+                apply_remote_controlled(fabric, handle, phi, target)
             cat_disentangle(fabric, handle, rng)
             states[(b_ent, b_dis)] = fabric.logical_state()
     return states

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dqft.circuits import build_schedule, fourier_prep_gates, inverse_qft_gates
-from dqft.fabric import CommSlotBusyError, Fabric, QubitAddr, make_partition
+from dqft.fabric import CommSlotBusyError, Fabric, make_partition
 from dqft.metrics import epr_budget
 from dqft.runner import _apply_local_gates, _execute_schedule, run_distributed
 from dqft.statevector import Gate, StateVector
@@ -63,20 +63,21 @@ def test_pool_grows_only_when_every_qubit_is_bound():
 
 def test_one_draw_per_measure_and_reset():
     fabric = Fabric(make_partition(4, 2))
+    plan = fabric.plan
     rng = CountingRng(3)
-    fabric.reset(QubitAddr.comm(1), rng)  # unbound: no pool qubit, one draw
+    fabric.reset(plan.comm_slots[1], rng)  # unbound: no pool qubit, one draw
     assert (rng.draws, fabric.state.num_qubits) == (1, 4)
-    assert fabric.measure(QubitAddr.comm(0), rng) == 0
+    assert fabric.measure(plan.comm_slots[0], rng) == 0
     assert (rng.draws, fabric.counters.midcircuit_measurements) == (2, 1)
-    fabric.measure(QubitAddr(0, 1), rng)
-    fabric.reset(QubitAddr(1, 0), rng)
+    fabric.measure(plan.node_qubits(0)[1], rng)
+    fabric.reset(plan.node_qubits(1)[0], rng)
     assert rng.draws == 4
-    handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
+    handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
     assert rng.draws == 4 + 4  # 2 EPR resets, 1 measurement, 1 reset
     cat_disentangle(fabric, handle, rng)
     assert rng.draws == 8 + 2  # 1 measurement, 1 reset
-    fabric.reset(QubitAddr.comm(0), rng)
-    fabric.reset(QubitAddr.comm(1), rng)
+    fabric.reset(plan.comm_slots[0], rng)
+    fabric.reset(plan.comm_slots[1], rng)
     assert rng.draws == 12
     assert fabric.counters.midcircuit_measurements == 4
 
@@ -94,7 +95,7 @@ def test_comm_operand_that_grows_the_pool_does_not_shift_the_logical_one(kind, l
             for gate in (Gate.h(p), Gate.p(0.3 + 0.5 * p, p)):
                 fabric.apply(gate.kind, gate.qubits, gate.phi)
                 direct.apply_gate(gate)
-        comm = plan.n + plan.addr_of(q).node
+        comm = plan.comm_slots[plan.node_of(q)]
         # on the grown state the comm qubit is pool qubit 0 and q sits at q + 1
         operands, resolved = ((q, comm), (q + 1, 0)) if logical_first else ((comm, q), (0, q + 1))
         fabric.apply(kind, operands, 0.7)
@@ -107,10 +108,11 @@ def test_comm_operand_that_grows_the_pool_does_not_shift_the_logical_one(kind, l
 
 def test_fabric_without_comm_rejects_comm_slots():
     fabric = Fabric(make_partition(4, 2), with_comm=False)
+    plan = fabric.plan
     with pytest.raises(CommSlotBusyError):
-        fabric.apply("h", (QubitAddr.comm(0),))
+        fabric.apply("h", (plan.comm_slots[0],))
     with pytest.raises(CommSlotBusyError):
-        fabric.reset(QubitAddr.comm(1), np.random.default_rng(0))
+        fabric.reset(plan.comm_slots[1], np.random.default_rng(0))
     assert fabric.state.num_qubits == 4
 
 
@@ -140,12 +142,13 @@ def test_gates_past_known_zero_pool_qubits_run_on_the_live_window(monkeypatch):
 def test_measuring_a_known_zero_pool_qubit_keeps_it_in_its_window():
     # lead counts only the pool qubits before the operand, or it would drop the operand itself
     fabric = Fabric(make_partition(4, 2))
+    plan = fabric.plan
     rng = np.random.default_rng(0)
     fabric.allocate_epr(0, 1, rng)
     for node in (0, 1):
-        fabric.reset(QubitAddr.comm(node), rng)  # known |0> and still bound
+        fabric.reset(plan.comm_slots[node], rng)  # known |0> and still bound
     before = fabric.state.amps.copy()
-    assert [fabric.measure(QubitAddr.comm(node), rng) for node in (1, 0)] == [0, 0]
+    assert [fabric.measure(plan.comm_slots[node], rng) for node in (1, 0)] == [0, 0]
     assert np.max(np.abs(fabric.state.amps - before)) <= 1e-12
 
 

@@ -1,10 +1,12 @@
-"""Plan-index operands: the fabric takes a qubit's global index as readily as its address.
+"""Plan-index operands: the fabric names every qubit by its plan index.
 
-Node b's comm slot is plan index n + b.  Gates, measurements and resets given
-as plan indices must do exactly what their addresses do, the feed-forward
-bits rely on receive_all's delivery order, and the dense readout's axis
-reversal must equal the bit_reverse gather it replaced.
+Node b's comm slot is plan index n + b.  Gates, measurements and resets run
+on the live window as they would on the whole state, out-of-range indices
+raise, the feed-forward bits rely on receive_all's delivery order, and the
+dense readout's axis reversal must equal the bit_reverse gather it replaced.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from hypothesis import strategies as st
 
 from dqft.circuits import bit_reverse
 from dqft.fabric import (CommSlotBusyError, CrossNodeGateError, Fabric,
-                         QubitAddr, check_locality, make_partition)
+                         check_locality, make_partition)
 from dqft.runner import _distribution
-from dqft.statevector import StateVector
+from dqft.statevector import Gate, StateVector
 
 
 @st.composite
@@ -41,7 +43,7 @@ def programs(draw):
     return plan, with_comm, ops
 
 
-def _run(plan, with_comm, ops, name, seed):
+def _run(plan, with_comm, ops, seed):
     fabric = Fabric(plan, with_comm=with_comm)
     rng = np.random.default_rng(seed)
     outcomes = []
@@ -49,24 +51,12 @@ def _run(plan, with_comm, ops, name, seed):
         if op == "release":
             fabric.release_comm(qubits[0])
         elif op == "measure":
-            outcomes.append(fabric.measure(name(qubits[0]), rng))
+            outcomes.append(fabric.measure(qubits[0], rng))
         elif op == "reset":
-            fabric.reset(name(qubits[0]), rng)
+            fabric.reset(qubits[0], rng)
         else:
-            fabric.apply(op, tuple(map(name, qubits)), phi)
+            fabric.apply(op, qubits, phi)
     return fabric, outcomes
-
-
-@settings(max_examples=150, deadline=None)
-@given(programs(), st.integers(0, 2**32 - 1))
-def test_plan_indices_and_addresses_run_bit_identically(program, seed):
-    plan, with_comm, ops = program
-    by_index, out_index = _run(plan, with_comm, ops, int, seed)
-    by_addr, out_addr = _run(plan, with_comm, ops, plan.addr_of, seed)
-    assert out_index == out_addr
-    assert by_index.counters == by_addr.counters
-    assert by_index.state.num_qubits == by_addr.state.num_qubits
-    assert np.array_equal(by_index.state.amps, by_addr.state.amps)
 
 
 @settings(max_examples=150, deadline=None)
@@ -79,8 +69,8 @@ def test_live_window_runs_programs_like_the_whole_state(program, seed):
     plan, with_comm, ops = program
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Fabric, "_live", lambda fabric, first: (fabric.state, 0))
-        whole, out_whole = _run(plan, with_comm, ops, int, seed)
-    live, out_live = _run(plan, with_comm, ops, int, seed)
+        whole, out_whole = _run(plan, with_comm, ops, seed)
+    live, out_live = _run(plan, with_comm, ops, seed)
     assert out_live == out_whole
     assert live.counters == whole.counters
     assert live._known == whole._known
@@ -96,7 +86,7 @@ def test_cross_node_gate_on_plan_indices_raises_before_binding():
             fabric.apply("cp", qubits, 0.3)
         assert fabric.state.num_qubits == 6
     with pytest.raises(CrossNodeGateError):
-        check_locality(plan, (1, QubitAddr(2, 0)))
+        check_locality(plan, (1, plan.node_qubits(2)[0]))
 
 
 @pytest.mark.parametrize("q", [-1, 8 + 3])
@@ -120,23 +110,25 @@ def test_plan_index_out_of_range_raises(q):
 @pytest.mark.parametrize("node", [0, 1, 2])
 def test_comm_slot_index_binds_like_its_address(node):
     plan = make_partition(5, 3)
-    by_index, by_addr = Fabric(plan), Fabric(plan)
-    rng_i, rng_a = np.random.default_rng(4), np.random.default_rng(4)
+    fabric = Fabric(plan)
+    rng = np.random.default_rng(4)
     # an unbound slot measures 0 and resets with one draw, binding nothing
-    assert by_index.measure(5 + node, rng_i) == by_addr.measure(QubitAddr.comm(node), rng_a) == 0
-    by_index.reset(5 + node, rng_i)
-    by_addr.reset(QubitAddr.comm(node), rng_a)
-    assert by_index.state.num_qubits == 5
+    assert fabric.measure(5 + node, rng) == 0
+    fabric.reset(5 + node, rng)
+    assert fabric.state.num_qubits == 5
     logical = plan.node_qubits(node)[0]
-    by_index.apply("h", (logical,))
-    by_addr.apply("h", (plan.addr_of(logical),))
-    by_index.apply("cnot", (logical, 5 + node))
-    by_addr.apply("cnot", (plan.addr_of(logical), QubitAddr.comm(node)))
-    assert by_index._bound == by_addr._bound == {node: 0}
-    assert by_index.state.num_qubits == by_addr.state.num_qubits == 6
-    assert np.array_equal(by_index.state.amps, by_addr.state.amps)
-    assert by_index.measure(5 + node, rng_i) == by_addr.measure(QubitAddr.comm(node), rng_a)
-    assert np.array_equal(by_index.state.amps, by_addr.state.amps)
+    fabric.apply("h", (logical,))
+    fabric.apply("cnot", (logical, 5 + node))
+    # the slot binds pool qubit 0, in front of the logical qubits
+    expected = StateVector.from_amplitudes(
+        np.kron([1, 0], StateVector(5).apply_gate(Gate.h(logical)).amps))
+    expected.apply_gate(Gate.cnot(logical + 1, 0))
+    assert fabric._bound == {node: 0}
+    assert fabric.state.num_qubits == 6
+    assert np.array_equal(fabric.state.amps, expected.amps)
+    twin = copy.deepcopy(rng)
+    assert fabric.measure(5 + node, rng) == expected.measure(0, twin)
+    assert np.array_equal(fabric.state.amps, expected.amps)
 
 
 def test_comm_slot_index_without_comm_qubits_raises():

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from dqft.fabric import (COMM_SLOT, CommSlotBusyError, CrossNodeGateError,
-                         Fabric, PartitionPlan, QubitAddr, check_locality,
-                         make_partition)
+from dqft.fabric import (CommSlotBusyError, CrossNodeGateError, Fabric,
+                         PartitionPlan, check_locality, make_partition)
 from dqft.metrics import epr_budget, naive_epr_budget
 
 SQ2 = 1 / np.sqrt(2)
@@ -43,25 +42,10 @@ def test_partition_invariants_across_plans():
             assert plan.sizes[:-1] == tuple([n // k] * (k - 1))
 
 
-def test_addr_global_index_roundtrip():
-    plan = make_partition(10, 4)
-    for g in range(10):
-        addr = plan.addr_of(g)
-        assert plan.global_index(addr) == g
-    # comm qubits occupy the highest global indices
-    assert plan.comm_slots == (10, 11, 12, 13)
-    assert plan.addr_of(12) == QubitAddr.comm(2)
-    assert plan.global_index(QubitAddr.comm(0)) == 10
-
-
-def test_addr_validation():
-    plan = make_partition(6, 2)
+def test_plan_without_nodes_is_rejected():
+    # k=0 would pass the size checks: no sizes, summing to n=0
     with pytest.raises(ValueError):
-        plan.global_index(QubitAddr(0, 5))
-    with pytest.raises(ValueError):
-        plan.global_index(QubitAddr(2, 0))
-    with pytest.raises(ValueError):
-        plan.addr_of(8)
+        PartitionPlan(n=0, k=0, sizes=())
 
 
 # -- locality -----------------------------------------------------------------
@@ -69,28 +53,29 @@ def test_addr_validation():
 
 def test_locality_local_gate_ok():
     plan = make_partition(4, 2)
-    check_locality(plan, (QubitAddr(0, 0), QubitAddr(0, 1)))
+    check_locality(plan, (plan.node_qubits(0)[0], plan.node_qubits(0)[1]))
 
 
 def test_locality_cross_node_raises():
     plan = make_partition(4, 2)
     with pytest.raises(CrossNodeGateError) as err:
-        check_locality(plan, (QubitAddr(0, 1), QubitAddr(1, 0)))
+        check_locality(plan, (plan.node_qubits(0)[1], plan.node_qubits(1)[0]))
     assert "node" in str(err.value)
 
 
 def test_locality_comm_qubit_belongs_to_its_node():
     plan = make_partition(4, 2)
-    check_locality(plan, (QubitAddr.comm(1), QubitAddr(1, 0)))
+    check_locality(plan, (plan.comm_slots[1], plan.node_qubits(1)[0]))
     with pytest.raises(CrossNodeGateError):
-        check_locality(plan, (QubitAddr.comm(0), QubitAddr(1, 0)))
+        check_locality(plan, (plan.comm_slots[0], plan.node_qubits(1)[0]))
 
 
 def test_fabric_apply_enforces_locality():
     fabric = Fabric(make_partition(4, 2))
-    fabric.apply("h", (QubitAddr(0, 0),))
+    plan = fabric.plan
+    fabric.apply("h", (plan.node_qubits(0)[0],))
     with pytest.raises(CrossNodeGateError):
-        fabric.apply("cnot", (QubitAddr(0, 0), QubitAddr(1, 0)))
+        fabric.apply("cnot", (plan.node_qubits(0)[0], plan.node_qubits(1)[0]))
 
 
 # -- EPR source -------------------------------------------------------------------
@@ -101,7 +86,7 @@ def test_allocate_epr_prepares_bell_pair():
     fabric = Fabric(plan)
     rng = np.random.default_rng(0)
     a, b, epr_id = fabric.allocate_epr(0, 1, rng)
-    assert (a, b) == (QubitAddr.comm(0), QubitAddr.comm(1))
+    assert (a, b) == (plan.comm_slots[0], plan.comm_slots[1])
     assert epr_id == 1
     assert fabric.counters.epr_created == 1
     # comm qubits are the two most-significant index bits here (4-qubit state)
@@ -117,6 +102,25 @@ def test_allocate_epr_busy_slot():
         fabric.allocate_epr(1, 2, rng)
     fabric.release_comm(1)
     fabric.allocate_epr(1, 2, rng)
+
+
+@pytest.mark.parametrize("node", [-2, -1, 3, 5])
+def test_node_outside_the_plan_raises_and_leaves_the_slots_alone(node):
+    # a list index would wrap a negative node onto another node's slot
+    fabric = Fabric(make_partition(3, 3))
+    rng = np.random.default_rng(0)
+    fabric.allocate_epr(0, 1, rng)
+    for call in (lambda: fabric.allocate_epr(node, 2, rng),
+                 lambda: fabric.allocate_epr(2, node, rng),
+                 lambda: fabric.release_comm(node),
+                 lambda: fabric.comm_busy(node)):
+        with pytest.raises(ValueError):
+            call()
+    assert [fabric.comm_busy(b) for b in range(3)] == [True, True, False]
+    assert fabric._bound == {0: 0, 1: 1}
+    assert fabric.counters.epr_created == 1
+    with pytest.raises(CommSlotBusyError):  # node 1's EPR half is still live
+        fabric.allocate_epr(1, 2, rng)
 
 
 def test_allocate_epr_same_node_and_no_comm():
@@ -192,8 +196,9 @@ def test_counters_zero_after_construction():
 
 def test_logical_state_strips_comm_qubits():
     fabric = Fabric(make_partition(2, 2))
-    fabric.apply("h", (QubitAddr(0, 0),))
-    fabric.apply("x", (QubitAddr(1, 0),))
+    plan = fabric.plan
+    fabric.apply("h", (plan.node_qubits(0)[0],))
+    fabric.apply("x", (plan.node_qubits(1)[0],))
     logical = fabric.logical_state()
     assert logical.num_qubits == 2
     assert np.allclose(logical.amps, [0, SQ2, 0, SQ2])

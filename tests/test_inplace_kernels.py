@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqft.fabric import Fabric, QubitAddr, make_partition
+from dqft.fabric import Fabric, make_partition
 from dqft.statevector import Gate, StateVector
 from dqft.verify import ScriptedRng
 from test_product_state import CountingRng, measure_passes  # noqa: F401 (a fixture)
@@ -162,26 +162,26 @@ def test_corrupt_state_still_raises(q):
 
 def _generic_fabric() -> Fabric:
     # 4 logical qubits on 2 nodes, every one with both outcomes likely
-    fabric = Fabric(make_partition(4, 2))
+    plan = make_partition(4, 2)
+    fabric = Fabric(plan)
     for q in range(4):
-        addr = fabric.plan.addr_of(q)
-        fabric.apply("h", (addr,))
-        fabric.apply("p", (addr,), 0.3 + 0.5 * q)
-    fabric.apply("cnot", (QubitAddr(0, 0), QubitAddr(0, 1)))
+        fabric.apply("h", (q,))
+        fabric.apply("p", (q,), 0.3 + 0.5 * q)
+    fabric.apply("cnot", (plan.node_qubits(0)[0], plan.node_qubits(0)[1]))
     return fabric
 
 
 @pytest.mark.parametrize("bit", [0, 1])
-@pytest.mark.parametrize("addr", [QubitAddr(0, 1), QubitAddr(1, 1)])
-def test_reset_after_measure_makes_no_pass_and_equals_a_full_reset(measure_passes, addr, bit):
+@pytest.mark.parametrize("node", [0, 1])
+def test_reset_after_measure_makes_no_pass_and_equals_a_full_reset(measure_passes, node, bit):
     fabric = _generic_fabric()
-    q = fabric.plan.global_index(addr)
+    q = fabric.plan.node_qubits(node)[1]
     rng = CountingRng(0)
     force = ScriptedRng([FORCE_1 if bit else 0.0])
-    assert fabric.measure(addr, force) == bit
+    assert fabric.measure(q, force) == bit
     reference = fabric.state.copy().reset(q, rng)  # the full reset: a probability pass
     measure_passes.clear()
-    fabric.reset(addr, rng)
+    fabric.reset(q, rng)
     assert measure_passes == []
     assert rng.draws == 2  # one for the reference's reset, one for the fabric's
     assert np.max(np.abs(fabric.state.amps - reference.amps)) <= 1e-12
@@ -190,14 +190,13 @@ def test_reset_after_measure_makes_no_pass_and_equals_a_full_reset(measure_passe
 
 def test_gate_between_measure_and_reset_forces_the_full_pass(measure_passes):
     fabric = _generic_fabric()
-    addr = QubitAddr(1, 0)
-    q = fabric.plan.global_index(addr)
+    q = fabric.plan.node_qubits(1)[0]
     rng = np.random.default_rng(3)
-    fabric.measure(addr, ScriptedRng([FORCE_1]))
-    fabric.apply("h", (addr,))  # the bit is no longer known
+    fabric.measure(q, ScriptedRng([FORCE_1]))
+    fabric.apply("h", (q,))  # the bit is no longer known
     before = fabric.state.copy()
     measure_passes.clear()
-    fabric.reset(addr, rng)
+    fabric.reset(q, rng)
     assert measure_passes == [(q, 4)]  # no pool yet: the pass covers the whole state
     bit = 0 if np.random.default_rng(3).random() < 0.5 else 1  # H left p0 = p1 = 1/2
     expected = projected(before.amps, q, 4, bit)
@@ -208,12 +207,13 @@ def test_gate_between_measure_and_reset_forces_the_full_pass(measure_passes):
 
 def test_bell_pair_write_is_bitwise_the_h_cnot_path():
     fabric = _generic_fabric()
+    plan = fabric.plan
     rng = np.random.default_rng(5)
     fabric.allocate_epr(0, 1, rng)  # grows the pool to qubits 0 and 1
     for node in (0, 1):
-        fabric.reset(QubitAddr.comm(node), rng)
+        fabric.reset(plan.comm_slots[node], rng)
         fabric.release_comm(node)
-    fabric.apply("h", (QubitAddr(1, 1),))  # a logical gate leaves the pool qubits known |0>
+    fabric.apply("h", (plan.node_qubits(1)[1],))  # a logical gate leaves the pool qubits known |0>
     expected = fabric.state.copy().apply_gate(Gate.h(0)).apply_gate(Gate.cnot(0, 1))
     fabric.allocate_epr(0, 1, rng)
     assert np.array_equal(fabric.state.amps.view(np.int64), expected.amps.view(np.int64))

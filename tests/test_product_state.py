@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqft.circuits import fourier_prep_gates
-from dqft.fabric import Fabric, QubitAddr, make_partition
+from dqft.fabric import Fabric, make_partition
 from dqft.runner import _semiclassical_once, run_semiclassical
 from dqft.statevector import Gate, ProductState, StateVector, equal_up_to_global_phase
 from dqft.telegate import cat_disentangle, cat_entangle
@@ -74,13 +74,14 @@ def test_product_state_rejects_entangling_and_bad_operands():
 
 def test_fabric_without_comm_holds_factors_and_rejects_two_qubit_gates():
     fabric = Fabric(make_partition(4, 2), with_comm=False)
+    plan = fabric.plan
     assert isinstance(fabric.state, ProductState)
     assert fabric.state.amps.size == 8
     for kind in ("cp", "cnot"):
         with pytest.raises(ValueError):
-            fabric.apply(kind, (QubitAddr(0, 0), QubitAddr(0, 1)), 0.5)
-    fabric.apply("h", (QubitAddr(1, 0),))
-    fabric.apply("p", (QubitAddr(1, 0),), 0.7)
+            fabric.apply(kind, (plan.node_qubits(0)[0], plan.node_qubits(0)[1]), 0.5)
+    fabric.apply("h", (plan.node_qubits(1)[0],))
+    fabric.apply("p", (plan.node_qubits(1)[0],), 0.7)
     expected = StateVector(4).apply_gates([Gate.h(2), Gate.p(0.7, 2)])
     assert np.allclose(fabric.logical_state().amps, expected.amps, atol=1e-15)
 
@@ -134,10 +135,11 @@ def measure_passes(monkeypatch):
 
 def test_cat_session_skips_the_reset_pass_of_known_zero_qubits(measure_passes):
     fabric = Fabric(make_partition(4, 2))
-    fabric.apply("h", (QubitAddr(0, 0),))
+    plan = fabric.plan
+    fabric.apply("h", (plan.node_qubits(0)[0],))
     rng = CountingRng(1)
     for session in range(1, 3):  # grown pool qubits, then reset and reused ones
-        handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
+        handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
         cat_disentangle(fabric, handle, rng)
         assert len(measure_passes) == 2 * session  # 2 measurements; both resets know their bit
         assert rng.draws == 6 * session  # the EPR resets still draw
@@ -146,6 +148,7 @@ def test_cat_session_skips_the_reset_pass_of_known_zero_qubits(measure_passes):
 
 def test_qubit_touched_since_its_reset_gets_a_full_reset(measure_passes):
     fabric = Fabric(make_partition(4, 4))
+    plan = fabric.plan
     rng = np.random.default_rng(0)
     fabric.allocate_epr(0, 1, rng)
     assert measure_passes == []  # both pool qubits were just grown
@@ -154,9 +157,9 @@ def test_qubit_touched_since_its_reset_gets_a_full_reset(measure_passes):
     fabric.allocate_epr(2, 3, rng)
     assert measure_passes == [(0, 6), (0, 5)]  # pool qubit 1 behind a reset pool qubit 0
     assert fabric.state.probabilities([0, 1]) == pytest.approx([0.5, 0, 0, 0.5])
-    fabric.reset(QubitAddr.comm(2), rng)  # known |0> again ...
-    fabric.reset(QubitAddr.comm(3), rng)
-    fabric.apply("x", (QubitAddr.comm(2),))  # ... until a gate touches it
+    fabric.reset(plan.comm_slots[2], rng)  # known |0> again ...
+    fabric.reset(plan.comm_slots[3], rng)
+    fabric.apply("x", (plan.comm_slots[2],))  # ... until a gate touches it
     fabric.release_comm(2)
     fabric.release_comm(3)
     fabric.allocate_epr(0, 1, rng)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dqft.circuits import (GradientBlock, LocalInverseQFT, bit_reverse, build_schedule,
                            flatten_schedule, fourier_prep_gates, inverse_qft_gates,
                            rev_postprocess)
-from dqft.fabric import Fabric, PartitionPlan, QubitAddr
+from dqft.fabric import Fabric, PartitionPlan
 from dqft.runner import (_apply_local_gates, _distribution, _execute_schedule,
                          _monolithic_state, _reference, _semiclassical_law, run_distributed,
                          run_monolithic_reference, semiclassical_exact_distribution)
@@ -53,18 +53,14 @@ def register_and_theta(draw, max_n: int):
 
 @settings(deadline=None)
 @given(node_sizes(16))
-def test_addr_of_inverts_global_index(sizes):
+def test_node_of_names_the_node_of_every_plan_index(sizes):
     plan = _plan(sizes)
-    for g in range(plan.n + plan.k):
-        assert plan.global_index(plan.addr_of(g)) == g
-    for node, m in enumerate(sizes):
-        for i in range(m):
-            assert plan.addr_of(plan.global_index(QubitAddr(node, i))) == QubitAddr(node, i)
-    assert [plan.addr_of(g) for g in plan.comm_slots] == [
-        QubitAddr.comm(node) for node in range(plan.k)]
-    for g in (-1, plan.n + plan.k):
+    for node in range(plan.k):
+        assert [plan.node_of(q) for q in plan.node_qubits(node)] == [node] * sizes[node]
+        assert plan.node_of(plan.comm_slots[node]) == node
+    for q in (-1, plan.n + plan.k):
         with pytest.raises(ValueError):
-            plan.addr_of(g)
+            plan.node_of(q)
 
 
 @settings(deadline=None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dqft.fabric import CommSlotBusyError, Fabric, QubitAddr, make_partition
+from dqft.fabric import CommSlotBusyError, Fabric, make_partition
 from dqft.statevector import Gate, StateVector, equal_up_to_global_phase
 from dqft.telegate import (ProtocolError, apply_remote_controlled,
                            cat_disentangle, cat_entangle)
@@ -20,9 +20,10 @@ def _fabric_2x1():
 def test_entangle_classical_branches():
     for bit, prep in ((0, None), (1, Gate.x(0))):
         fabric = _fabric_2x1()
+        plan = fabric.plan
         if prep:
             fabric.state.apply_gate(prep)
-        handle = cat_entangle(fabric, QubitAddr(0, 0), 1, np.random.default_rng(0))
+        handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, np.random.default_rng(0))
         # cat qubit copies the classical control; control itself unchanged
         cat_global = fabric._index(handle.remote_cat)
         assert np.allclose(fabric.state.probabilities([cat_global]),
@@ -33,9 +34,10 @@ def test_entangle_classical_branches():
 def test_entangle_superposed_control_gives_cat_state_on_both_branches():
     for forced in (0.0, 0.999999999):  # force each entangle measurement outcome
         fabric = _fabric_2x1()
+        plan = fabric.plan
         fabric.state.apply_gate(Gate.h(0))
         rng = ScriptedRng([0.0, 0.0, forced])
-        handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
+        handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
         cat_global = fabric._index(handle.remote_cat)
         joint = fabric.state.probabilities([fabric._index(0), cat_global])
         assert np.allclose(joint, [0.5, 0, 0, 0.5], atol=1e-12)
@@ -43,11 +45,12 @@ def test_entangle_superposed_control_gives_cat_state_on_both_branches():
 
 def test_entangle_disentangle_identity_roundtrip():
     fabric = _fabric_2x1()
+    plan = fabric.plan
     fabric.state.apply_gate(Gate.h(0))
     fabric.state.apply_gate(Gate.p(0.9, 0))
     before = fabric.logical_state()
     rng = np.random.default_rng(4)
-    handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
+    handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
     cat_disentangle(fabric, handle, rng)
     assert equal_up_to_global_phase(fabric.logical_state(), before, 1e-10)
 
@@ -61,9 +64,10 @@ def test_remote_cp_matches_direct_gate_over_random_states():
                 Gate.cp(angles[2], 0, 1), Gate.p(angles[3], 0)]
 
         fabric = _fabric_2x1()
+        plan = fabric.plan
         fabric.state.apply_gates(prep)
-        handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
-        apply_remote_controlled(fabric, handle, phi, QubitAddr(1, 0))
+        handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
+        apply_remote_controlled(fabric, handle, phi, plan.node_qubits(1)[0])
         cat_disentangle(fabric, handle, rng)
 
         direct = StateVector(2).apply_gates(prep).apply_gate(Gate.cp(phi, 0, 1))
@@ -72,11 +76,12 @@ def test_remote_cp_matches_direct_gate_over_random_states():
 
 def test_remote_cz_on_plus_plus():
     fabric = _fabric_2x1()
+    plan = fabric.plan
     fabric.state.apply_gate(Gate.h(0))
     fabric.state.apply_gate(Gate.h(1))
     rng = np.random.default_rng(1)
-    handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
-    apply_remote_controlled(fabric, handle, np.pi, QubitAddr(1, 0))
+    handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
+    apply_remote_controlled(fabric, handle, np.pi, plan.node_qubits(1)[0])
     cat_disentangle(fabric, handle, rng)
     expected = np.array([0.5, 0.5, 0.5, -0.5])
     assert equal_up_to_global_phase(fabric.logical_state(), expected, 1e-10)
@@ -103,13 +108,14 @@ def test_all_four_measurement_branches_match_direct_circuit():
 def test_session_cost_independent_of_gate_count():
     for n_gates in (0, 1, 3):
         fabric = Fabric(make_partition(4, 2))  # node 1 holds qubits 2, 3
+        plan = fabric.plan
         for q in range(4):
             fabric.state.apply_gate(Gate.h(q))
         rng = np.random.default_rng(2)
-        handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
+        handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
         for i in range(n_gates):
             apply_remote_controlled(fabric, handle, 0.1 * (i + 1),
-                                    QubitAddr(1, i % 2))
+                                    plan.node_qubits(1)[i % 2])
         cat_disentangle(fabric, handle, rng)
         c = fabric.counters
         assert c.epr_created == 1
@@ -119,14 +125,15 @@ def test_session_cost_independent_of_gate_count():
 
 def test_comm_qubits_end_reset_and_factorized():
     fabric = _fabric_2x1()
+    plan = fabric.plan
     fabric.state.apply_gate(Gate.h(0))
     rng = np.random.default_rng(6)
-    handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
-    apply_remote_controlled(fabric, handle, 0.77, QubitAddr(1, 0))
+    handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
+    apply_remote_controlled(fabric, handle, 0.77, plan.node_qubits(1)[0])
     cat_disentangle(fabric, handle, rng)
     before = fabric.state.amps.copy()
     for node in (0, 1):
-        fabric.reset(QubitAddr.comm(node), rng)
+        fabric.reset(plan.comm_slots[node], rng)
     assert np.max(np.abs(fabric.state.amps - before)) < 1e-12
     assert not fabric.comm_busy(0) and not fabric.comm_busy(1)
 
@@ -134,8 +141,9 @@ def test_comm_qubits_end_reset_and_factorized():
 def test_sender_slot_frees_within_session():
     # three nodes: while node 0 -> node 1 session is open, node 0 can host a new EPR
     fabric = Fabric(make_partition(3, 3))
+    plan = fabric.plan
     rng = np.random.default_rng(0)
-    handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
+    handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
     assert not fabric.comm_busy(0)
     assert fabric.comm_busy(1)
     fabric.allocate_epr(0, 2, rng)
@@ -148,8 +156,9 @@ def test_sender_slot_frees_within_session():
 
 def test_double_disentangle_raises():
     fabric = _fabric_2x1()
+    plan = fabric.plan
     rng = np.random.default_rng(0)
-    handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
+    handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
     cat_disentangle(fabric, handle, rng)
     with pytest.raises(ProtocolError):
         cat_disentangle(fabric, handle, rng)
@@ -157,31 +166,34 @@ def test_double_disentangle_raises():
 
 def test_remote_gate_after_disentangle_raises():
     fabric = _fabric_2x1()
+    plan = fabric.plan
     rng = np.random.default_rng(0)
-    handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
+    handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
     cat_disentangle(fabric, handle, rng)
     with pytest.raises(ProtocolError):
-        apply_remote_controlled(fabric, handle, 0.1, QubitAddr(1, 0))
+        apply_remote_controlled(fabric, handle, 0.1, plan.node_qubits(1)[0])
 
 
 def test_remote_gate_wrong_node_raises():
     fabric = Fabric(make_partition(3, 3))
+    plan = fabric.plan
     rng = np.random.default_rng(0)
-    handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
+    handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
     with pytest.raises(ProtocolError):
-        apply_remote_controlled(fabric, handle, 0.1, QubitAddr(2, 0))
+        apply_remote_controlled(fabric, handle, 0.1, plan.node_qubits(2)[0])
 
 
 def test_entangle_preconditions():
     fabric = Fabric(make_partition(4, 2))
+    plan = fabric.plan
     rng = np.random.default_rng(0)
     with pytest.raises(ProtocolError):
-        cat_entangle(fabric, QubitAddr.comm(0), 1, rng)
+        cat_entangle(fabric, plan.comm_slots[0], 1, rng)
     with pytest.raises(ProtocolError):
-        cat_entangle(fabric, QubitAddr(1, 0), 1, rng)
-    cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
+        cat_entangle(fabric, plan.node_qubits(1)[0], 1, rng)
+    cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
     with pytest.raises(CommSlotBusyError):
-        cat_entangle(fabric, QubitAddr(0, 1), 1, rng)
+        cat_entangle(fabric, plan.node_qubits(0)[1], 1, rng)
 
 
 # -- mutation sensitivity: the oracles must catch broken protocols ---------------------
@@ -191,10 +203,11 @@ def test_dropping_z_correction_breaks_equivalence():
     # a disentangler that forgets the conditional Z must fail the state check
     # on the branch where the correction fires
     fabric = _fabric_2x1()
+    plan = fabric.plan
     fabric.state.apply_gate(Gate.h(0))
     rng = ScriptedRng([0.0, 0.0, 0.0, 0.0, 0.999999999, 0.0])  # disentangle -> 1
-    handle = cat_entangle(fabric, QubitAddr(0, 0), 1, rng)
-    apply_remote_controlled(fabric, handle, np.pi / 4, QubitAddr(1, 0))
+    handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
+    apply_remote_controlled(fabric, handle, np.pi / 4, plan.node_qubits(1)[0])
     # broken disentangle: H, measure, reset, no classical correction
     fabric.apply("h", (handle.remote_cat,))
     bit = fabric.measure(handle.remote_cat, rng)
