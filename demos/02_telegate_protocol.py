@@ -38,13 +38,12 @@ try:
 except Exception as err:
     print("direct cross-node gate rejected:", err)
 
-# One session, two remote gates.
+# One session, two remote gates: one fan from the cat qubit onto node 1's run.
 handle = cat_entangle(fabric, control=control, target_node=1, rng=rng)
 print("after entangle: EPRs =", fabric.counters.epr_created,
       "| messages =", fabric.counters.classical_messages)
 print("cat copy of qubit", handle.control, "on node 1's comm slot", handle.remote_cat)
-apply_remote_controlled(fabric, handle, np.pi / 4, target_a)
-apply_remote_controlled(fabric, handle, np.pi / 8, target_b)
+apply_remote_controlled(fabric, handle, [target_a, target_b], [np.pi / 4, np.pi / 8])
 cat_disentangle(fabric, handle, rng)
 print("after disentangle: EPRs =", fabric.counters.epr_created,
       "| messages =", fabric.counters.classical_messages,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from .fabric import PartitionPlan
-from .statevector import Gate, StateVector
+from .statevector import Gate, ProductState, StateVector
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,6 +56,11 @@ def fourier_prep(state: StateVector, qubits, theta: float) -> StateVector:
     return state.apply_gates(fourier_prep_gates(qubits, theta))
 
 
+def fourier_product(n: int, theta: float) -> ProductState:
+    """The Fourier state on qubits 0..n-1 as n factors, by the prep gates' own formulas."""
+    return ProductState(n).apply_gates(fourier_prep_gates(range(n), theta))
+
+
 # -- swap-free inverse QFT ----------------------------------------------------
 
 
@@ -75,8 +80,24 @@ def inverse_qft_gates(qubits) -> list[Gate]:
     return gates
 
 
+def inverse_qft_fans(qubits):
+    """inverse_qft_gates fused: per qubit j, (j, the qubits before j, their CP angles onto j).
+
+    A fan from j onto the qubits before it, then H on j, for each in order,
+    is the gate list.
+    """
+    qubits = list(qubits)
+    for j, q in enumerate(qubits):
+        yield q, qubits[:j], [inv_qft_angle(j - l + 1) for l in range(j)]
+
+
 def inverse_qft_local(state: StateVector, qubits) -> StateVector:
-    return state.apply_gates(inverse_qft_gates(qubits))
+    """The swap-free inverse QFT over consecutive qubits: one fan and one H per qubit."""
+    for q, earlier, phis in inverse_qft_fans(qubits):
+        if earlier:
+            state.apply_fan(q, earlier, phis)
+        state.apply_gate(Gate.h(q))
+    return state
 
 
 def count_layers(gates) -> int:
@@ -131,6 +152,12 @@ class GradientBlock:
     target_node: int
     slot: int
     gates: tuple[tuple[int, int, float], ...]
+
+    def fans(self):
+        """(control, targets, phis) per control qubit: its CPs as one fan onto the target node."""
+        for c, triples in groupby(self.gates, key=lambda g: g[0]):
+            _, targets, phis = zip(*triples)
+            yield c, targets, phis
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,9 @@ growth or reset (0) or measurement (the outcome) until a gate touches it;
 resetting it then takes one draw and no probability pass, and the Bell
 pair is written directly.  Gates, measurements and resets run on the live
 window: the prefix of the state past the leading pool qubits known |0>.
+apply_fan applies the CPs from one qubit onto a run of consecutive qubits as
+one phase pass (a fan), with the same checks as apply.  The logical qubits
+start in a ProductState, expanded with one Kronecker product.
 
 A fabric without communication qubits (the teleportation-free mode) holds a
 ProductState: n one-qubit factors instead of 2^n amplitudes.
@@ -123,17 +126,21 @@ class FabricCounters:
 class Fabric:
     """k nodes over one shared state, with counters and a tick clock.
 
-    ``state.num_qubits`` is n plus the pool, the peak number of comm slots
-    bound at once; gates run on its live window (see the module docstring).
-    with_comm=False forbids comm slots (teleportation-free modes): then
-    allocate_epr is unavailable and the state is a ProductState, which
-    rejects two-qubit gates.  A message is deliverable LATENCY = 1 tick later.
+    The n logical qubits start in prep, a ProductState the fabric takes
+    over (|0...0> by default).  ``state.num_qubits`` is n plus the pool, the
+    peak number of comm slots bound at once; gates run on its live window
+    (see the module docstring).  with_comm=False forbids comm slots
+    (teleportation-free modes): then allocate_epr is unavailable and the
+    state is the ProductState, which rejects two-qubit gates.  A message is
+    deliverable LATENCY = 1 tick later.
     """
 
-    def __init__(self, plan: PartitionPlan, with_comm: bool = True):
+    def __init__(self, plan: PartitionPlan, with_comm: bool = True,
+                 prep: ProductState | None = None):
         self.plan = plan
         self.with_comm = with_comm
-        self.state = StateVector(plan.n) if with_comm else ProductState(plan.n)
+        prep = ProductState(plan.n) if prep is None else prep
+        self.state = prep.to_statevector() if with_comm else prep
         self.counters = FabricCounters()
         self._comm_busy = [False] * plan.k
         self._bound: dict[int, int] = {}  # node -> state index of its pool qubit
@@ -157,6 +164,21 @@ class Fabric:
             state, lead = self._live(min(qubits))
             qubits = tuple([q - lead for q in qubits])
         state.apply_gate(Gate(kind, qubits, phi))
+
+    def apply_fan(self, source: int, targets, phis) -> None:
+        """CP(phis[i]) from source onto consecutive targets[i], all on one node, as one fan.
+
+        Checked, bound and resolved as apply does, and run on the live window.
+        """
+        qubits = (source, *targets)
+        check_locality(self.plan, qubits)
+        for q in qubits:
+            self._index(q, bind=True)
+        qubits = [self._index(q) for q in qubits]
+        for q in qubits:
+            self._known[q] = None
+        state, lead = self._live(min(qubits))
+        state.apply_fan(qubits[0] - lead, [q - lead for q in qubits[1:]], phis)
 
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
         """Measure a plan index (one draw); the fabric then knows its basis bit."""
@@ -197,10 +219,7 @@ class Fabric:
             lead += 1
         if not lead:
             return self.state, 0
-        live = StateVector.__new__(StateVector)
-        live.num_qubits = self.state.num_qubits - lead
-        live.amps = self.state.amps[:1 << live.num_qubits]
-        return live, lead
+        return StateVector._of(self.state.amps[:1 << (self.state.num_qubits - lead)]), lead
 
     def _index(self, qubit: int, bind: bool = False) -> int | None:
         """State index of a plan index; None for an unbound comm slot.

@@ -2,7 +2,10 @@
 
 Every run prepares a Fourier state with phase theta, undoes it with the
 swap-free inverse QFT, and reads out values through the classical bit
-reversal.  The telegate path executes the circuit once (teleportation
+reversal.  The telegate and monolithic paths expand the Fourier state's
+one-qubit factors with one Kronecker product, and apply controlled phases
+as fans: one phase pass per qubit of a node's block and one per cat
+session.  The telegate path executes the circuit once (teleportation
 outcomes never change the logical state) and samples shot counts from the
 final logical state, the first 2^n amplitudes of the fabric's state; the
 semiclassical path measures early, so it executes one dynamic circuit per
@@ -25,14 +28,14 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 import numpy as np
 
 from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, bit_reverse,
-                       build_schedule, fourier_prep, fourier_prep_gates,
-                       inverse_qft_gates, inverse_qft_local, phase_turns,
+                       build_schedule, fourier_prep_gates, fourier_product,
+                       inverse_qft_fans, inverse_qft_local, phase_turns,
                        rev_postprocess)
+from .circuits import inverse_qft_gates  # noqa: F401 (the unfused block: traced by dqftbench)
 from .fabric import LATENCY, Fabric, FabricCounters, PartitionPlan
 from .metrics import Distribution, RunMetrics, classical_fidelity, state_bytes
 from .statevector import StateVector
@@ -71,8 +74,8 @@ def exact_value_distribution(state: StateVector) -> dict[int, float]:
 
 
 def _monolithic_state(n: int, theta: float) -> StateVector:
-    """The single-register pipeline: Fourier prep, then the inverse QFT."""
-    return inverse_qft_local(fourier_prep(StateVector(n), range(n), theta), range(n))
+    """The single-register pipeline: the Fourier state's factors expanded, then the inverse QFT."""
+    return inverse_qft_local(fourier_product(n, theta).to_statevector(), range(n))
 
 
 def _reference(n: int, theta: float) -> np.ndarray:
@@ -162,10 +165,9 @@ def _apply_local_gates(fabric: Fabric, gates) -> None:
 def _run_gradient_block(fabric: Fabric, block: GradientBlock,
                         rng: np.random.Generator) -> None:
     # one cat session per control qubit covers all its targets on this node
-    for c, triples in groupby(block.gates, key=lambda g: g[0]):
+    for c, targets, phis in block.fans():
         handle = cat_entangle(fabric, c, block.target_node, rng)
-        for _, t, phi in triples:
-            apply_remote_controlled(fabric, handle, phi, t)
+        apply_remote_controlled(fabric, handle, targets, phis)
         cat_disentangle(fabric, handle, rng)
 
 
@@ -174,9 +176,11 @@ def _execute_schedule(fabric: Fabric, schedule, rng: np.random.Generator) -> int
     slots = 0
     for _, group in schedule.blocks_by_slot():
         for block in group:
-            if isinstance(block, LocalInverseQFT):
-                _apply_local_gates(
-                    fabric, inverse_qft_gates(fabric.plan.node_qubits(block.node)))
+            if isinstance(block, LocalInverseQFT):  # inverse_qft_local on the fabric
+                for q, earlier, phis in inverse_qft_fans(fabric.plan.node_qubits(block.node)):
+                    if earlier:
+                        fabric.apply_fan(q, earlier, phis)
+                    fabric.apply("h", (q,))
             else:
                 _run_gradient_block(fabric, block, rng)
         fabric.advance_clock(1)
@@ -224,10 +228,9 @@ def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
         raise ValueError(f"unknown mode {mode!r}")
     _validate(theta, shots)
     rng = np.random.default_rng(seed)
-    fabric = Fabric(plan, with_comm=True)
     schedule = build_schedule(plan)
     start = time.perf_counter()
-    _apply_local_gates(fabric, fourier_prep_gates(range(plan.n), theta))
+    fabric = Fabric(plan, prep=fourier_product(plan.n, theta))
     slots = _execute_schedule(fabric, schedule, rng)
     state = fabric.logical_state()  # the pool is |0>: sample the 2^n logical amplitudes
     counts = _counts_from_raw(state.sample_counts(range(plan.n), shots, rng))

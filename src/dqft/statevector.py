@@ -6,7 +6,9 @@ measurements (the measure-early semiclassical mode).
 
 StateVector's kernels work in place, with no temporary the size of the
 state: H adds and scales the qubit's halves, X and CNOT swap them through a
-small slab, and measure reads the state once and rescales only the kept half.
+small slab, measure reads the state once and rescales only the kept half,
+and a fan (the CPs from one qubit onto a run of consecutive qubits) makes
+one broadcast multiply per FAN_CHUNK qubits of its run.
 
 Bit-ordering convention, used package-wide: qubit 0 is the MOST significant
 bit of a basis-state index.  For a register of Q qubits, basis index i
@@ -21,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
+FAN_CHUNK = 10  # run qubits per fan pass: a phase table of at most 2^10 entries (16 KiB)
 ONE_QUBIT_KINDS = ("h", "x", "z", "p")
 TWO_QUBIT_KINDS = ("cp", "cnot")
 
@@ -105,6 +108,22 @@ def _swap(a, b) -> None:
         y[...] = slab
 
 
+@lru_cache(maxsize=1024)
+def _fan_table(phis: tuple[float, ...]) -> np.ndarray:
+    """The read-only phase table of a fan's run, past entry 0 (all run qubits 0, phase 1).
+
+    Entry b - 1 is the product, in run order, of e^(i phis[i]) over the run
+    qubits set in b, run qubit 0 most significant.  Runs take inverse-QFT
+    angles of consecutive distances, so few tables recur across blocks and runs.
+    """
+    table = np.ones(1 << len(phis), dtype=np.complex128)
+    for i, phi in enumerate(phis):  # run qubit i's 1 half
+        table.reshape(1 << i, 2, -1)[:, 1, :] *= np.exp(1j * phi)
+    table = table[1:]
+    table.flags.writeable = False
+    return table
+
+
 class StateVector:
     """2^Q double-precision complex amplitudes, gates applied in place."""
 
@@ -117,23 +136,25 @@ class StateVector:
 
     @classmethod
     def from_amplitudes(cls, amps) -> "StateVector":
-        """Wrap an existing amplitude array (must be unit-norm, length 2^Q)."""
+        """Wrap a copy of an amplitude array (must be unit-norm, length 2^Q)."""
         arr = np.asarray(amps, dtype=np.complex128)
         n = arr.size
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"amplitude count must be a power of two >= 2, got {n}")
         if abs(np.vdot(arr, arr).real - 1.0) > 1e-9:
             raise ValueError("amplitudes are not normalized")
+        return cls._of(arr.copy())
+
+    @classmethod
+    def _of(cls, amps: np.ndarray) -> "StateVector":
+        """A state over amps itself, a complex128 array of 2^Q entries: no copy, no check."""
         sv = cls.__new__(cls)
-        sv.num_qubits = n.bit_length() - 1
-        sv.amps = arr.copy()
+        sv.num_qubits = amps.size.bit_length() - 1
+        sv.amps = amps
         return sv
 
     def copy(self) -> "StateVector":
-        sv = StateVector.__new__(StateVector)
-        sv.num_qubits = self.num_qubits
-        sv.amps = self.amps.copy()
-        return sv
+        return StateVector._of(self.amps.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -179,6 +200,35 @@ class StateVector:
     def apply_gates(self, gates) -> "StateVector":
         for g in gates:
             self.apply_gate(g)
+        return self
+
+    def apply_fan(self, source: int, targets, phis) -> "StateVector":
+        """CP(phis[i], source, targets[i]) for every i, in place; targets are consecutive qubits.
+
+        The source = 1 half is multiplied by the Kronecker product of
+        [1, e^(i phis[i])] over the run (_fan_table), one chunk of at most
+        FAN_CHUNK run qubits at a time.  An empty fan is the identity.
+        """
+        targets, size = list(targets), self.num_qubits
+        lo = targets[0] if targets else 0
+        if (len(phis) != len(targets) or targets != list(range(lo, lo + len(targets)))
+                or not 0 <= source < size or lo < 0 or lo + len(targets) > size
+                or source in targets):
+            raise ValueError(f"fan from {source} onto {targets} with {len(phis)} phases: need "
+                             f"one phase per qubit of a run of consecutive qubits without {source}")
+        ones = self._one_axis(source)[:, 1, :]  # the qubits before and after source
+        for c in range(0, len(targets), FAN_CHUNK):
+            first, w = targets[c], len(targets[c:c + FAN_CHUNK])
+            table = _fan_table(tuple(phis[c:c + FAN_CHUNK]))
+            # [1:] on the run axis: the amplitudes with every run qubit 0 keep phase 1
+            if source < first:  # the run sits in the qubits after source
+                view = ones.reshape(1 << source, 1 << (first - source - 1), 1 << w, -1)[:, :, 1:]
+                table = table.reshape(1, 1, -1, 1)
+            else:  # the run sits in the qubits before source
+                view = ones.reshape(1 << first, 1 << w, -1, ones.shape[1])[:, 1:]
+                table = table.reshape(1, -1, 1, 1)
+            view, table, order = _runs(view, table)
+            np.multiply(view, table, out=view, order=order)
         return self
 
     # -- measurement -------------------------------------------------------
@@ -272,7 +322,7 @@ class ProductState:
 
     def to_statevector(self) -> StateVector:
         """The dense state: the Kronecker product of the factors, qubit 0 most significant."""
-        return StateVector.from_amplitudes(reduce(np.kron, self.amps.reshape(-1, 2)))
+        return StateVector._of(reduce(np.kron, self.amps.reshape(-1, 2)))
 
     def apply_gate(self, gate: Gate) -> "ProductState":
         _check_operands(gate, self.num_qubits)
@@ -290,6 +340,9 @@ class ProductState:
             f[1] = b * complex(np.exp(1j * gate.phi))
         return self
 
+    def apply_fan(self, source: int, targets, phis) -> "ProductState":
+        raise ValueError(f"a fan from {source} onto {list(targets)} would entangle a product state")
+
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
         """Projectively measure one qubit; collapses and renormalizes its factor."""
         if not 0 <= qubit < self.num_qubits:
@@ -300,6 +353,7 @@ class ProductState:
         f[bit], f[1 - bit] = f[bit] / math.sqrt(p[bit]), 0j
         return bit
 
+    apply_gates = StateVector.apply_gates
     reset = StateVector.reset
 
 

@@ -1,9 +1,10 @@
 """Cat-entangler / cat-disentangler gate teleportation.
 
 A control qubit on node A is extended onto node B's communication qubit
-through one EPR pair.  Any number of controlled-phase gates can then run
-locally on B against that "cat" copy, and a final disentangler returns the
-control to exactly the state it would have after direct gate application.
+through one EPR pair.  Controlled-phase gates onto any run of B's qubits can
+then run locally against that "cat" copy, as one fan (one phase pass), and a
+final disentangler returns the control to exactly the state it would have
+after direct gate application.
 Cost per session: 1 EPR pair, 2 classical messages, 2 mid-circuit
 measurements, independent of how many gates ran under the session.  Each
 half ends in _signal (measure a comm qubit, send the bit) and an X or Z.
@@ -65,16 +66,19 @@ def cat_entangle(fabric: Fabric, control: int, target_node: int,
     return CatHandle(control=control, remote_cat=epr_b)
 
 
-def apply_remote_controlled(fabric: Fabric, handle: CatHandle, phi: float,
-                            target: int) -> None:
-    """CP(phi) between the session's cat qubit and a local target on node B."""
+def apply_remote_controlled(fabric: Fabric, handle: CatHandle, targets, phis) -> None:
+    """CP(phis[i]) between the session's cat qubit and each targets[i], as one fan.
+
+    The targets are consecutive logical qubits on node B (Fabric.apply_fan).
+    """
     if not handle.entangled:
         raise ProtocolError("session already disentangled")
     plan = fabric.plan
     node = plan.node_of(handle.remote_cat)
-    if plan.node_of(target) != node or target >= plan.n:
-        raise ProtocolError(f"target {target} is not a logical qubit on node {node}")
-    fabric.apply("cp", (handle.remote_cat, target), phi)
+    for target in targets:
+        if plan.node_of(target) != node or target >= plan.n:
+            raise ProtocolError(f"target {target} is not a logical qubit on node {node}")
+    fabric.apply_fan(handle.remote_cat, targets, phis)
 
 
 def cat_disentangle(fabric: Fabric, handle: CatHandle, rng: np.random.Generator) -> None:

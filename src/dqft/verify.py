@@ -11,7 +11,8 @@ from collections import Counter
 
 import numpy as np
 
-from .circuits import build_schedule, flatten_schedule, inverse_qft_gates
+from .circuits import (LocalInverseQFT, build_schedule, flatten_schedule, fourier_prep_gates,
+                       fourier_product, inverse_qft_gates, inverse_qft_local)
 from .fabric import Fabric, make_partition
 from .metrics import epr_budget
 from .runner import (_distribution, _monolithic_state, _reference, _semiclassical_law,
@@ -69,8 +70,7 @@ def telegate_branch_states(phis=(np.pi / 4,)):
             fabric = Fabric(plan, with_comm=True)
             _prepare_generic(fabric.state, plan)
             handle = cat_entangle(fabric, 0, 1, rng)
-            for target, phi in zip(plan.node_qubits(1), phis):
-                apply_remote_controlled(fabric, handle, phi, target)
+            apply_remote_controlled(fabric, handle, plan.node_qubits(1)[:len(phis)], phis)
             cat_disentangle(fabric, handle, rng)
             states[(b_ent, b_dis)] = fabric.logical_state()
     return states
@@ -136,6 +136,40 @@ def check_closed_form_reference(tol: float = 1e-12):
             f"{len(pairs)} (n, theta) pairs: reference == engine == semiclassical law within {tol}")
 
 
+def check_fused_application(max_n: int = 10, nodes=EQUIV_NODES, tol: float = 1e-12):
+    """The fused run path == the unfused gate lists, on random unit states.
+
+    For every plan: each node's inverse_qft_local (a fan and an H per
+    qubit) == its inverse_qft_gates applied gate by gate, each session's
+    fan == the block's Gate.cp list for its control, and the Kronecker prep
+    == fourier_prep_gates applied to |0...0>.
+    """
+    rng = np.random.default_rng(0)
+    plans = [make_partition(n, k) for n in range(1, max_n + 1) for k in nodes if k <= n]
+    for plan in plans:
+        n, theta = plan.n, float(rng.random())
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+        cases = [(fourier_product(n, theta).to_statevector(), StateVector(n),
+                  fourier_prep_gates(range(n), theta), "the Kronecker prep")]
+        for block in build_schedule(plan).blocks:
+            if isinstance(block, LocalInverseQFT):
+                qubits = plan.node_qubits(block.node)
+                cases.append((inverse_qft_local(state.copy(), qubits), state,
+                              inverse_qft_gates(qubits), f"node {block.node}'s block"))
+            else:
+                cases += [(state.copy().apply_fan(c, targets, phis), state,
+                           [Gate.cp(phi, d, t) for d, t, phi in block.gates if d == c],
+                           f"the fan from qubit {c}") for c, targets, phis in block.fans()]
+        for fused, start, gates, what in cases:
+            gap = float(np.abs(fused.amps - start.copy().apply_gates(gates).amps).max())
+            if not gap <= tol:
+                return ("fused-application", False,
+                        f"n={n}, k={plan.k}: {what} differs from its gates by {gap:.3g}")
+    return ("fused-application", True, f"{len(plans)} plans: blocks, session fans and the "
+            f"Kronecker prep == their gates within {tol}")
+
+
 def check_epr_formula():
     """Runtime EPR counter must equal the grouped budget on every plan."""
     for n, k, theta in equivalence_grid(thetas=(1 / 3,)):
@@ -157,5 +191,6 @@ def run_all():
         check_telegate_branches(),
         check_state_equivalence(),
         check_closed_form_reference(),
+        check_fused_application(),
         check_epr_formula(),
     ]

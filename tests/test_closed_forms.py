@@ -21,15 +21,19 @@ from oracles import fft_value_distribution, oracle_value_distribution
 
 @pytest.fixture
 def cp_conjugated(monkeypatch):
-    """Negate the phase of every CP gate the engine applies, and nothing else."""
-    original = StateVector.apply_gate
+    """Negate the phase of every CP the engine applies, as a gate or in a fan, and nothing else."""
+    original, original_fan = StateVector.apply_gate, StateVector.apply_fan
 
     def apply_gate(self, gate):
         if gate.kind == "cp":
             gate = dataclasses.replace(gate, phi=-gate.phi)
         return original(self, gate)
 
+    def apply_fan(self, source, targets, phis):
+        return original_fan(self, source, targets, [-phi for phi in phis])
+
     monkeypatch.setattr(StateVector, "apply_gate", apply_gate)
+    monkeypatch.setattr(StateVector, "apply_fan", apply_fan)
 
 
 def test_cp_only_conjugation_fails_the_telegate_run(cp_conjugated):

@@ -9,7 +9,7 @@ when every node had its own comm qubit.
 import numpy as np
 import pytest
 
-from dqft.circuits import build_schedule, fourier_prep_gates, inverse_qft_gates
+from dqft.circuits import build_schedule, fourier_prep_gates
 from dqft.fabric import CommSlotBusyError, Fabric, make_partition
 from dqft.metrics import epr_budget
 from dqft.runner import _apply_local_gates, _execute_schedule, run_distributed
@@ -117,26 +117,32 @@ def test_fabric_without_comm_rejects_comm_slots():
 
 
 def test_gates_past_known_zero_pool_qubits_run_on_the_live_window(monkeypatch):
-    # n=8 on 2 nodes: the pool grows to 2 qubits in node 0's first session
-    # and is known |0> again after each; a gate then skips the 2^10 - 2^8 or
-    # 2^10 - 2^9 amplitudes behind the pool qubits that precede its operands
+    # n=8 on 2 nodes: the prep makes no pass, the pool grows to 2 qubits in
+    # node 0's first session and is known |0> again after each; a gate or a
+    # fan then skips the 2^10 - 2^8 or 2^10 - 2^9 amplitudes behind the pool
+    # qubits that precede its operands
     plan = make_partition(8, 2)
     kinds = []
-    original = StateVector.apply_gate
+    original, original_fan = StateVector.apply_gate, StateVector.apply_fan
 
     def recorded(self, gate):
         kinds.append((gate.kind, self.num_qubits))
         return original(self, gate)
 
+    def recorded_fan(self, source, targets, phis):
+        kinds.append((f"fan{len(targets)}", self.num_qubits))
+        return original_fan(self, source, targets, phis)
+
     monkeypatch.setattr(StateVector, "apply_gate", recorded)
+    monkeypatch.setattr(StateVector, "apply_fan", recorded_fan)
     run_distributed(plan, 0.3)
-    local = len(inverse_qft_gates(plan.node_qubits(1)))
-    before = len(fourier_prep_gates(range(plan.n), 0.3)) + local  # the prep and node 0's block
-    assert kinds[:before] == [(kind, 8) for kind, _ in kinds[:before]]  # no pool yet
-    assert kinds[-local:] == [(kind, 8) for kind, _ in kinds[-local:]]  # node 1's block
-    session_cps = [nq for kind, nq in kinds[before:-local] if kind == "cp"]
-    assert session_cps == [9] * (4 * 4)  # each of node 0's 4 qubits onto node 1's 4
+    block = ["h", "fan1", "h", "fan2", "h", "fan3", "h"]  # a 4-qubit inverse QFT
+    assert kinds[:7] == [(kind, 8) for kind in block]  # node 0's block, no pool yet
+    assert kinds[-7:] == [(kind, 8) for kind in block]  # node 1's block
+    session_fans = [(kind, nq) for kind, nq in kinds[7:-7] if kind.startswith("fan")]
+    assert session_fans == [("fan4", 9)] * 4  # each of node 0's 4 qubits onto node 1's 4
     assert ("cnot", 10) in kinds  # the cat CNOT onto pool qubit 0 covers the whole state
+    assert "cp" not in [kind for kind, _ in kinds]
 
 
 def test_measuring_a_known_zero_pool_qubit_keeps_it_in_its_window():

@@ -67,7 +67,7 @@ def test_remote_cp_matches_direct_gate_over_random_states():
         plan = fabric.plan
         fabric.state.apply_gates(prep)
         handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
-        apply_remote_controlled(fabric, handle, phi, plan.node_qubits(1)[0])
+        apply_remote_controlled(fabric, handle, [plan.node_qubits(1)[0]], [phi])
         cat_disentangle(fabric, handle, rng)
 
         direct = StateVector(2).apply_gates(prep).apply_gate(Gate.cp(phi, 0, 1))
@@ -81,7 +81,7 @@ def test_remote_cz_on_plus_plus():
     fabric.state.apply_gate(Gate.h(1))
     rng = np.random.default_rng(1)
     handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
-    apply_remote_controlled(fabric, handle, np.pi, plan.node_qubits(1)[0])
+    apply_remote_controlled(fabric, handle, [plan.node_qubits(1)[0]], [np.pi])
     cat_disentangle(fabric, handle, rng)
     expected = np.array([0.5, 0.5, 0.5, -0.5])
     assert equal_up_to_global_phase(fabric.logical_state(), expected, 1e-10)
@@ -114,8 +114,8 @@ def test_session_cost_independent_of_gate_count():
         rng = np.random.default_rng(2)
         handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
         for i in range(n_gates):
-            apply_remote_controlled(fabric, handle, 0.1 * (i + 1),
-                                    plan.node_qubits(1)[i % 2])
+            apply_remote_controlled(fabric, handle, [plan.node_qubits(1)[i % 2]],
+                                    [0.1 * (i + 1)])
         cat_disentangle(fabric, handle, rng)
         c = fabric.counters
         assert c.epr_created == 1
@@ -129,7 +129,7 @@ def test_comm_qubits_end_reset_and_factorized():
     fabric.state.apply_gate(Gate.h(0))
     rng = np.random.default_rng(6)
     handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
-    apply_remote_controlled(fabric, handle, 0.77, plan.node_qubits(1)[0])
+    apply_remote_controlled(fabric, handle, [plan.node_qubits(1)[0]], [0.77])
     cat_disentangle(fabric, handle, rng)
     before = fabric.state.amps.copy()
     for node in (0, 1):
@@ -171,7 +171,7 @@ def test_remote_gate_after_disentangle_raises():
     handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
     cat_disentangle(fabric, handle, rng)
     with pytest.raises(ProtocolError):
-        apply_remote_controlled(fabric, handle, 0.1, plan.node_qubits(1)[0])
+        apply_remote_controlled(fabric, handle, [plan.node_qubits(1)[0]], [0.1])
 
 
 def test_remote_gate_wrong_node_raises():
@@ -180,7 +180,7 @@ def test_remote_gate_wrong_node_raises():
     rng = np.random.default_rng(0)
     handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
     with pytest.raises(ProtocolError):
-        apply_remote_controlled(fabric, handle, 0.1, plan.node_qubits(2)[0])
+        apply_remote_controlled(fabric, handle, [plan.node_qubits(2)[0]], [0.1])
 
 
 def test_entangle_preconditions():
@@ -207,7 +207,7 @@ def test_dropping_z_correction_breaks_equivalence():
     fabric.state.apply_gate(Gate.h(0))
     rng = ScriptedRng([0.0, 0.0, 0.0, 0.0, 0.999999999, 0.0])  # disentangle -> 1
     handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
-    apply_remote_controlled(fabric, handle, np.pi / 4, plan.node_qubits(1)[0])
+    apply_remote_controlled(fabric, handle, [plan.node_qubits(1)[0]], [np.pi / 4])
     # broken disentangle: H, measure, reset, no classical correction
     fabric.apply("h", (handle.remote_cat,))
     bit = fabric.measure(handle.remote_cat, rng)
