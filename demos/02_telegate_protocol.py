@@ -17,14 +17,15 @@ from dqft import (Fabric, Gate, StateVector, apply_remote_controlled,
 rng = np.random.default_rng(3)
 
 # Every qubit is named by its plan index.  Node 0 owns qubit 0, node 1 owns
-# qubits 1 and 2, and node b's comm slot is 3 + b.  The fabric starts with
-# the 3 logical qubits and binds each slot to a pooled comm qubit only while
-# an EPR pair lives on it.
+# qubits 1 and 2, and node b's comm slot is 3 + b.  The fabric's state holds
+# the 3 logical qubits only: a comm qubit is a frame entry that records how
+# it copies the control, so the session's remote gates run as one phase pass
+# from the control itself.
 plan = make_partition(3, 2)
 fabric = Fabric(plan)
 control, (target_a, target_b) = plan.node_qubits(0)[0], plan.node_qubits(1)
 print("plan sizes:", plan.sizes, "| node 1's qubits", list(plan.node_qubits(1)),
-      "| comm slots", plan.comm_slots, "| qubits held before any EPR:",
+      "| comm slots", plan.comm_slots, "| qubits held:",
       fabric.state.num_qubits)
 
 # Some generic product state so every protocol branch is populated.

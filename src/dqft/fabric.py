@@ -5,26 +5,23 @@ check: its operands live on one node.  Cross-node effects happen only
 through EPR pairs (prepared by the fabric) and classical messages (delivered
 on a discrete tick clock).  The fabric owns all resource counters for a run.
 
-Layout (PartitionPlan): a qubit is named by its plan index.  The n logical
-qubits come first, contiguous per node in node order, and node b's
-communication slot is n + b; plan.node_of names the node of an index.  One
-resolver turns a plan index into a state index.  The state's most significant
-end holds a pool of communication qubits, pool qubit s at state index s,
-and logical qubit q follows at q + pool, so a cat session's kernels on a
-pool qubit run over long contiguous halves.  allocate_epr binds a slot to
-the lowest free pool qubit, release_comm unbinds it, and the pool grows by
-one |0> qubit (at index pool) only when all are bound, so a telegate run
-holds n + 2 qubits, not n + k.  The fabric knows a qubit's basis bit after
-growth or reset (0) or measurement (the outcome) until a gate touches it;
-resetting it then takes one draw and no probability pass, and the Bell
-pair is written directly.  Gates, measurements and resets run on the live
-window: the prefix of the state past the leading pool qubits known |0>.
-apply_fan applies the CPs from one qubit onto a run of consecutive qubits as
-one phase pass (a fan), with the same checks as apply.  The logical qubits
-start in a ProductState, expanded with one Kronecker product.
+A qubit is named by its plan index (PartitionPlan): the n logical qubits,
+contiguous per node in node order, then node b's comm slot n + b.  The state
+holds the logical qubits only, qubit q at index q, from a ProductState
+expanded by one Kronecker product.  apply_fan makes the CPs from one qubit
+onto a run of consecutive qubits one phase pass (a fan).
 
-A fabric without communication qubits (the teleportation-free mode) holds a
-ProductState: n one-qubit factors instead of 2^n amplitudes.
+A comm qubit has no amplitudes: in a cat session it only holds a GF(2)
+relation to the logical state, a FrameEntry in the manner of a Pauli frame.
+An EPR half holds a hidden bit r, r xor x_c after the CNOT from control c;
+measuring it is a fair coin m, one draw against exactly 1/2, which leaves
+the other half the copy x_c xor m, whose X flips m.  A fan from the copy is
+the fan from c on its x_c xor m = 1 half.  H turns the copy into an X-basis
+copy, whose measurement is again a fair coin; outcome 1 kicks a Z onto c,
+pending until the Z correction cancels it or anything else touches c.  A
+comm qubit is |0> until used and after a reset, and holds its outcome after
+a measurement.  Any other step on a comm qubit, or one that would change a
+copied c, raises ValueError.
 """
 
 from __future__ import annotations
@@ -33,10 +30,11 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import SQRT2_INV, Gate, ProductState, StateVector
+from .statevector import Gate, ProductState, StateVector
 
 LATENCY = 1  # ticks from sending a classical message to its delivery
 
@@ -123,16 +121,26 @@ class FabricCounters:
     current_tick: int = 0
 
 
+class FrameEntry(NamedTuple):
+    """A comm qubit: "bit" (basis bit flip), "pair" (EPR half r, or r xor x_control, sharing
+    r with node partner's half), "copy" (x_control xor flip) or "xcopy" (H on a copy)."""
+
+    kind: str
+    flip: int = 0
+    control: int | None = None
+    partner: int | None = None
+
+
+ZERO = FrameEntry("bit")  # a comm qubit in |0>, until used and after a reset
+
+
 class Fabric:
     """k nodes over one shared state, with counters and a tick clock.
 
-    The n logical qubits start in prep, a ProductState the fabric takes
-    over (|0...0> by default).  ``state.num_qubits`` is n plus the pool, the
-    peak number of comm slots bound at once; gates run on its live window
-    (see the module docstring).  with_comm=False forbids comm slots
-    (teleportation-free modes): then allocate_epr is unavailable and the
-    state is the ProductState, which rejects two-qubit gates.  A message is
-    deliverable LATENCY = 1 tick later.
+    The n logical qubits start in prep (|0...0> by default).  with_comm=False
+    forbids comm slots (teleportation-free modes): the state is then the
+    ProductState itself, n one-qubit factors, which rejects two-qubit gates.
+    A message is deliverable LATENCY = 1 tick later.
     """
 
     def __init__(self, plan: PartitionPlan, with_comm: bool = True,
@@ -143,8 +151,9 @@ class Fabric:
         self.state = prep.to_statevector() if with_comm else prep
         self.counters = FabricCounters()
         self._comm_busy = [False] * plan.k
-        self._bound: dict[int, int] = {}  # node -> state index of its pool qubit
+        self._frame: dict[int, FrameEntry] = {}  # node -> its comm qubit; ZERO when absent
         self._known: list[int | None] = [None] * plan.n  # qubit -> basis bit; None after a gate
+        self._pending_z: set[int] = set()  # logical qubits owed a Z by a cat session
         self._queues: dict[tuple[int, int], deque[ClassicalMessage]] = {}
 
     # -- gates and measurements --------------------------------------------
@@ -154,135 +163,128 @@ class Fabric:
         qubits = tuple(qubits)
         if len(qubits) > 1:  # one operand is always local
             check_locality(self.plan, qubits)
-            for q in qubits:  # bind all first: growing the pool shifts the logical indices
-                self._index(q, bind=True)
-        qubits = tuple([self._index(q, bind=True) for q in qubits])
-        for q in qubits:
-            self._known[q] = None
-        state = self.state
-        if self.with_comm:  # a product state has no pool, and its gates pay for no window
-            state, lead = self._live(min(qubits))
-            qubits = tuple([q - lead for q in qubits])
-        state.apply_gate(Gate(kind, qubits, phi))
+        if min(qubits) < 0 or max(qubits) >= self.plan.n:
+            self._comm_step(kind, qubits)
+        elif kind == "z" and qubits[0] in self._pending_z:  # the correction meets its kick
+            self._pending_z.remove(qubits[0])
+        else:
+            self._touch(qubits, kind in ("h", "x", "cnot"))
+            self.state.apply_gate(Gate(kind, qubits, phi))
+
+    def _comm_step(self, kind: str, qubits) -> None:
+        """A cat-session step onto a comm qubit, the last operand: bookkeeping only."""
+        node = self._slot(qubits[-1])
+        entry = self._frame.get(node, ZERO)
+        if (kind == "cnot" and entry.kind == "pair" and qubits[0] < self.plan.n
+                and entry.control is None and self._frame[entry.partner].control is None):
+            self._frame[node] = FrameEntry("pair", 0, qubits[0], entry.partner)
+        elif kind in ("x", "h") and len(qubits) == 1 and entry.kind == "copy":
+            self._frame[node] = (FrameEntry("copy", entry.flip ^ 1, entry.control) if kind == "x"
+                                 else FrameEntry("xcopy", entry.flip, entry.control))
+        else:
+            raise ValueError(f"{kind} on {qubits}: a comm qubit holding {entry} takes no such step")
 
     def apply_fan(self, source: int, targets, phis) -> None:
-        """CP(phis[i]) from source onto consecutive targets[i], all on one node, as one fan.
-
-        Checked, bound and resolved as apply does, and run on the live window.
-        """
-        qubits = (source, *targets)
-        check_locality(self.plan, qubits)
-        for q in qubits:
-            self._index(q, bind=True)
-        qubits = [self._index(q) for q in qubits]
-        for q in qubits:
-            self._known[q] = None
-        state, lead = self._live(min(qubits))
-        state.apply_fan(qubits[0] - lead, [q - lead for q in qubits[1:]], phis)
+        """CP(phis[i]) from source onto consecutive targets[i], all on one node, as one fan;
+        a comm-qubit source must hold a copy of some c, and the fan runs from c."""
+        targets = list(targets)
+        check_locality(self.plan, (source, *targets))
+        on, node = 1, self._slot(source)
+        if node is not None:
+            entry = self._frame.get(node, ZERO)
+            if entry.kind != "copy":
+                raise ValueError(f"fan from {source}: a comm qubit holding {entry} is no copy")
+            source, on = entry.control, 1 ^ entry.flip
+        self.state.apply_fan(source, targets, phis, on)  # a ValueError for comm targets
+        self._touch((source, *targets))  # a pending Z commutes with the fan
 
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
         """Measure a plan index (one draw); the fabric then knows its basis bit."""
         self.counters.midcircuit_measurements += 1
-        q = self._index(qubit)
-        if q is None:
-            rng.random()  # an unbound slot is |0>: the same single draw, outcome 0
-            return 0
-        state, lead = self._live(q) if self.with_comm else (self.state, 0)
-        bit = self._known[q] = state.measure(q - lead, rng)
+        node = self._slot(qubit)
+        if node is not None:
+            return self._collapse(node, rng)
+        self._touch((qubit,))
+        bit = self._known[qubit] = self.state.measure(qubit, rng)
         return bit
 
     def reset(self, qubit: int, rng: np.random.Generator) -> None:
         """Reset a plan index to |0> (one draw); not a protocol measurement."""
-        self._reset(self._index(qubit), rng)
-
-    def _reset(self, q: int | None, rng: np.random.Generator) -> None:
-        bit = 0 if q is None else self._known[q]
-        if bit is not None:
-            rng.random()  # an unbound slot is |0>, a known bit needs no pass: the one draw
-        if bit == 0:
+        node = self._slot(qubit)
+        if node is not None:
+            self._collapse(node, rng)
+            self._frame.pop(node, None)
             return
-        state, lead = self._live(q) if self.with_comm else (self.state, 0)
+        bit = self._known[qubit]
+        self._touch((qubit,), True)
         if bit is None:
-            state.reset(q - lead, rng)
-        elif self.with_comm:  # the |0> half is empty: move the |1> half into it
-            v = state._one_axis(q - lead)
-            v[:, 0, :], v[:, 1, :] = v[:, 1, :], 0.0
-        else:  # a product factor (0, b): X makes it (b, 0)
-            state.apply_gate(Gate.x(q))
-        self._known[q] = 0
+            self.state.reset(qubit, rng)
+        else:
+            rng.random()  # a known bit needs no probability pass: the one draw
+            if bit:
+                self.state.apply_gate(Gate.x(qubit))
+        self._known[qubit] = 0
 
-    def _live(self, first: int) -> tuple[StateVector, int]:
-        """The live window amps[:2^(Q - lead)], where state index q is q - lead, and lead:
-        the count of leading pool qubits below first known |0>, so amplitudes past it are zero."""
-        lead, top = 0, min(first, self.state.num_qubits - self.plan.n)
-        while lead < top and self._known[lead] == 0:
-            lead += 1
-        if not lead:
-            return self.state, 0
-        return StateVector._of(self.state.amps[:1 << (self.state.num_qubits - lead)]), lead
+    def _collapse(self, node: int, rng: np.random.Generator) -> int:
+        """Measure node's comm qubit with one draw; it then holds the outcome."""
+        entry = self._frame.get(node, ZERO)
+        if entry.kind == "bit":
+            rng.random()  # a known bit: the same single draw, and no pass
+            return entry.flip
+        if entry.kind == "copy":
+            raise ValueError(f"measuring node {node}'s copy would collapse qubit {entry.control}")
+        bit = 0 if rng.random() < 0.5 else 1  # a fair coin, whatever the logical state
+        if entry.kind == "pair":  # r = bit xor [x_c]: the partner's r xor [x_c'] is a bit or a copy
+            c = self._frame[entry.partner].control
+            c = entry.control if c is None else c
+            self._frame[entry.partner] = FrameEntry("bit" if c is None else "copy", bit, c)
+        elif bit:  # the kept branch carries (-1)^(x_c xor flip): Z on c, up to a global phase
+            self._pending_z ^= {entry.control}
+        self._frame[node] = FrameEntry("bit", bit)
+        return bit
 
-    def _index(self, qubit: int, bind: bool = False) -> int | None:
-        """State index of a plan index; None for an unbound comm slot.
-
-        Logical qubit q sits at q + pool.  bind=True binds an unbound slot
-        to the lowest free pool qubit, or to a new |0> qubit inserted at
-        index pool ([:, 0, :] of (2^pool, 2, 2^n) keeps the old state).
-        """
-        plan = self.plan
-        if not 0 <= qubit < plan.n + plan.k:
-            raise ValueError(f"plan index {qubit} out of range 0..{plan.n + plan.k - 1}")
-        pool = self.state.num_qubits - plan.n
-        if qubit < plan.n:
-            return qubit + pool
-        if not self.with_comm:
+    def _slot(self, qubit: int) -> int | None:
+        """The node of a comm-slot plan index; None for a logical qubit; ValueError out of range."""
+        n = self.plan.n
+        if 0 <= qubit < n:
+            return None
+        if not (n <= qubit < n + self.plan.k and self.with_comm):
+            self.plan.node_of(qubit)  # a ValueError out of range
             raise CommSlotBusyError("fabric built without communication qubits")
-        node = qubit - plan.n
-        q = self._bound.get(node)
-        if q is None and bind:
-            q = next((q for q in range(pool) if q not in self._bound.values()), pool)
-            if q == pool:
-                old = self.state.amps
-                self.state.amps = np.zeros(2 * old.size, dtype=np.complex128)
-                self.state.amps.reshape(1 << pool, 2, -1)[:, 0, :] = old.reshape(1 << pool, -1)
-                self.state.num_qubits += 1
-                self._known.insert(pool, 0)
-            self._bound[node] = q
-        return q
+        return qubit - n
+
+    def _touch(self, qubits, flips: bool = False) -> None:
+        """Forget the qubits' bits and apply their pending Zs; flips: the step may flip the last."""
+        if flips and self._frame and any(e.control == qubits[-1] for e in self._frame.values()):
+            raise ValueError(f"qubit {qubits[-1]} changes under a comm qubit that copies it")
+        for q in qubits:
+            self._known[q] = None
+            if q in self._pending_z:
+                self._pending_z.remove(q)
+                self.state.apply_gate(Gate.z(q))
 
     # -- EPR source ----------------------------------------------------------
 
     def allocate_epr(self, node_a: int, node_b: int, rng: np.random.Generator):
-        """Prepare (|00>+|11>)/sqrt(2) on the two nodes' comm qubits; returns
-        their plan indices n + node_a and n + node_b and the pair's serial.
-
-        Entanglement distribution is the fabric's own privilege: it is the
-        only place a two-node operation touches the state directly.
-        """
-        if not self.with_comm:
-            raise CommSlotBusyError("fabric built without communication qubits")
+        """Reset the two nodes' comm qubits (one draw each) and make them an EPR pair;
+        returns their plan indices n + node_a and n + node_b and the pair's serial."""
         if node_a == node_b:
             raise ValueError("EPR endpoints must be distinct nodes")
         for node in (node_a, node_b):
             if self._comm_busy[self._node(node)]:
                 raise CommSlotBusyError(f"comm slot of node {node} is busy")
         n = self.plan.n
-        ga, gb = (self._index(n + node, bind=True) for node in (node_a, node_b))
-        self._reset(ga, rng)
-        self._reset(gb, rng)
-        self._known[ga] = self._known[gb] = None
-        # both are |0> now: H then CNOT would scale the |00> block by 1/sqrt2
-        # and copy it to |11>, and this writes the same bits directly
-        v = self.state._two_axes(ga, gb)
-        v[:, 0, :, 0, :] *= SQRT2_INV
-        np.positive(v[:, 0, :, 0, :], out=v[:, 1, :, 1, :])  # a ufunc; assigning would copy the block first
+        self.reset(n + node_a, rng)  # a CommSlotBusyError without comm qubits
+        self.reset(n + node_b, rng)
+        self._frame[node_a] = FrameEntry("pair", partner=node_b)
+        self._frame[node_b] = FrameEntry("pair", partner=node_a)
         self._comm_busy[node_a] = self._comm_busy[node_b] = True
         self.counters.epr_created += 1
         return n + node_a, n + node_b, self.counters.epr_created
 
     def release_comm(self, node: int) -> None:
-        """Free node's slot and unbind its pool qubit for the next allocation."""
+        """Free node's slot for the next allocation."""
         self._comm_busy[self._node(node)] = False
-        self._bound.pop(node, None)
 
     def comm_busy(self, node: int) -> bool:
         return self._comm_busy[self._node(node)]
@@ -328,17 +330,13 @@ class Fabric:
     # -- readout ---------------------------------------------------------------
 
     def logical_state(self) -> StateVector:
-        """The n logical qubits as a standalone dense state; pool qubits must be |0>.
+        """A copy of the n logical qubits, pending Zs applied, as a dense state.
 
-        Pool qubits sit at the most significant index bits, so with all of
-        them in |0> the logical amplitudes are the first 2^n, and the rest
-        must carry no weight.  A fabric without communication qubits returns
-        the Kronecker product of its ProductState's factors.
-        """
+        Every comm slot must be free and measured or reset.  A fabric without
+        comm qubits expands its ProductState's factors."""
         if not self.with_comm:
             return self.state.to_statevector()
-        logical, rest = np.split(self.state.amps, [1 << self.plan.n])
-        weight = np.vdot(rest, rest).real
-        if weight > 1e-9:
-            raise RuntimeError(f"comm qubits not disentangled: residual weight {weight:.3e}")
-        return StateVector.from_amplitudes(logical)
+        if any(self._comm_busy) or any(e.kind != "bit" for e in self._frame.values()):
+            raise RuntimeError(f"comm qubits not disentangled: {self._frame}")
+        self._touch(sorted(self._pending_z))
+        return StateVector.from_amplitudes(self.state.amps)

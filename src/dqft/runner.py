@@ -7,11 +7,11 @@ one-qubit factors with one Kronecker product, and apply controlled phases
 as fans: one phase pass per qubit of a node's block and one per cat
 session.  The telegate path executes the circuit once (teleportation
 outcomes never change the logical state) and samples shot counts from the
-final logical state, the first 2^n amplitudes of the fabric's state; the
-semiclassical path measures early, so it executes one dynamic circuit per
-shot.  No gate of a semiclassical shot entangles two qubits, so its fabric
-holds n one-qubit factors (a ProductState) and a shot costs O(n^2) scalar
-work.  Resource counters always cover one circuit execution.
+fabric's final 2^n amplitudes; the semiclassical path measures early, so it
+executes one dynamic circuit per shot.  No gate of a semiclassical shot
+entangles two qubits, so its fabric holds n one-qubit factors (a
+ProductState) and a shot costs O(n^2) scalar work.  Resource counters
+always cover one circuit execution.
 wall_time_seconds times the emulation only (prep, schedule or shots, and
 sampling); the exact distributions and the fidelity check run after the
 clock stops.  Inside a run an exact distribution is one float64
@@ -232,7 +232,7 @@ def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
     start = time.perf_counter()
     fabric = Fabric(plan, prep=fourier_product(plan.n, theta))
     slots = _execute_schedule(fabric, schedule, rng)
-    state = fabric.logical_state()  # the pool is |0>: sample the 2^n logical amplitudes
+    state = fabric.logical_state()  # every comm qubit is reset: sample the 2^n amplitudes
     counts = _counts_from_raw(state.sample_counts(range(plan.n), shots, rng))
     wall = time.perf_counter() - start
     metrics = _metrics(wall, fabric.counters, plan.n + plan.k, slots, shots,

@@ -202,12 +202,12 @@ class StateVector:
             self.apply_gate(g)
         return self
 
-    def apply_fan(self, source: int, targets, phis) -> "StateVector":
+    def apply_fan(self, source: int, targets, phis, on: int = 1) -> "StateVector":
         """CP(phis[i], source, targets[i]) for every i, in place; targets are consecutive qubits.
 
-        The source = 1 half is multiplied by the Kronecker product of
-        [1, e^(i phis[i])] over the run (_fan_table), one chunk of at most
-        FAN_CHUNK run qubits at a time.  An empty fan is the identity.
+        The source = on half (1 for CPs) is multiplied by the Kronecker
+        product of [1, e^(i phis[i])] over the run (_fan_table), one chunk of
+        at most FAN_CHUNK run qubits at a time.  An empty fan is the identity.
         """
         targets, size = list(targets), self.num_qubits
         lo = targets[0] if targets else 0
@@ -216,7 +216,7 @@ class StateVector:
                 or source in targets):
             raise ValueError(f"fan from {source} onto {targets} with {len(phis)} phases: need "
                              f"one phase per qubit of a run of consecutive qubits without {source}")
-        ones = self._one_axis(source)[:, 1, :]  # the qubits before and after source
+        ones = self._one_axis(source)[:, on, :]  # the qubits before and after source
         for c in range(0, len(targets), FAN_CHUNK):
             first, w = targets[c], len(targets[c:c + FAN_CHUNK])
             table = _fan_table(tuple(phis[c:c + FAN_CHUNK]))
@@ -340,7 +340,7 @@ class ProductState:
             f[1] = b * complex(np.exp(1j * gate.phi))
         return self
 
-    def apply_fan(self, source: int, targets, phis) -> "ProductState":
+    def apply_fan(self, source: int, targets, phis, on: int = 1) -> "ProductState":
         raise ValueError(f"a fan from {source} onto {list(targets)} would entangle a product state")
 
     def measure(self, qubit: int, rng: np.random.Generator) -> int:

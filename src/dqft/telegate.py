@@ -4,11 +4,11 @@ A control qubit on node A is extended onto node B's communication qubit
 through one EPR pair.  Controlled-phase gates onto any run of B's qubits can
 then run locally against that "cat" copy, as one fan (one phase pass), and a
 final disentangler returns the control to exactly the state it would have
-after direct gate application.
-Cost per session: 1 EPR pair, 2 classical messages, 2 mid-circuit
-measurements, independent of how many gates ran under the session.  Each
+after direct gate application.  Cost per session: 1 EPR pair, 2 classical
+messages, 2 mid-circuit measurements, however many gates ran under it.  Each
 half ends in _signal (measure a comm qubit, send the bit) and an X or Z.
-Qubits are plan indices: logical qubit q is q, node b's comm qubit n + b.
+Qubits are plan indices: logical qubit q is q, node b's comm qubit n + b.  The
+fabric keeps comm qubits as a copy frame: the fan is a session's only pass.
 """
 
 from __future__ import annotations

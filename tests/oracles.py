@@ -54,3 +54,57 @@ def best_dyadic_approx(theta: float, n: int) -> int:
 def total_variation(p: dict[int, float], q: dict[int, float]) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(v, 0.0) - q.get(v, 0.0)) for v in keys)
+
+
+# -- a cat session on n + 2 dense qubits ------------------------------------------------
+
+_H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+_X = np.array([[0, 1], [1, 0]])
+_Z = np.diag([1, -1])
+_CNOT = np.eye(4)[[0, 1, 3, 2]]
+
+
+def _apply(psi: np.ndarray, matrix, *axes: int) -> np.ndarray:
+    """The matrix on the listed qubit axes of psi, a (2,)*Q tensor (first axis most significant)."""
+    m = len(axes)
+    out = np.tensordot(np.reshape(matrix, (2,) * 2 * m), psi, axes=(range(m, 2 * m), axes))
+    return np.moveaxis(out, range(m), axes)
+
+
+def _measure(psi: np.ndarray, axis: int, draw: float):
+    """Outcome 0 iff draw < p0, as the engine draws; returns it and the renormalized state."""
+    p0 = float(np.sum(np.abs(np.take(psi, 0, axis=axis)) ** 2))
+    bit = 0 if draw < p0 else 1
+    keep = np.zeros((2,) + (1,) * (psi.ndim - axis - 1))
+    keep[bit] = 1.0
+    psi = psi * keep
+    return bit, psi / np.linalg.norm(psi)
+
+
+def dense_cat_session(logical, control: int, targets, phis, draws):
+    """Replay one cat session on n + 2 dense qubits: the n logical ones, then comm qubits A, B.
+
+    The gates are the textbook protocol (Eisert et al. 2000): H and CNOT
+    make the Bell pair on A, B; CNOT from control into A; measure A, reset
+    it, and X on B if it read 1; CP(phis[i]) from B onto each targets[i]; H
+    on B, measure it, reset it, and Z on control if it read 1.  draws are
+    the session's six draws in the fabric's order (the two EPR resets, A's
+    measurement, A's reset, B's measurement, B's reset); only the two
+    measurements use theirs.  Returns the two outcomes and the n logical
+    amplitudes after the session.
+    """
+    logical = np.asarray(logical, dtype=np.complex128)
+    n = logical.size.bit_length() - 1
+    a, b = n, n + 1
+    psi = np.kron(logical, [1, 0, 0, 0]).reshape((2,) * (n + 2))
+    psi = _apply(_apply(psi, _H, a), _CNOT, a, b)
+    psi = _apply(psi, _CNOT, control, a)
+    m_a, psi = _measure(psi, a, draws[2])
+    if m_a:
+        psi = _apply(_apply(psi, _X, a), _X, b)
+    for t, phi in zip(targets, phis):
+        psi = _apply(psi, np.diag([1, 1, 1, np.exp(1j * phi)]), b, t)
+    m_b, psi = _measure(_apply(psi, _H, b), b, draws[4])
+    if m_b:
+        psi = _apply(_apply(psi, _X, b), _Z, control)
+    return (m_a, m_b), psi.reshape(-1)[::4]  # A and B are |00>: every fourth amplitude

@@ -29,8 +29,8 @@ def cp_conjugated(monkeypatch):
             gate = dataclasses.replace(gate, phi=-gate.phi)
         return original(self, gate)
 
-    def apply_fan(self, source, targets, phis):
-        return original_fan(self, source, targets, [-phi for phi in phis])
+    def apply_fan(self, source, targets, phis, on=1):
+        return original_fan(self, source, targets, [-phi for phi in phis], on)
 
     monkeypatch.setattr(StateVector, "apply_gate", apply_gate)
     monkeypatch.setattr(StateVector, "apply_fan", apply_fan)

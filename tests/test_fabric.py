@@ -6,6 +6,7 @@ import pytest
 from dqft.fabric import (CommSlotBusyError, CrossNodeGateError, Fabric,
                          PartitionPlan, check_locality, make_partition)
 from dqft.metrics import epr_budget, naive_epr_budget
+from dqft.verify import ScriptedRng
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -83,15 +84,18 @@ def test_fabric_apply_enforces_locality():
 
 def test_allocate_epr_prepares_bell_pair():
     plan = make_partition(2, 2)
-    fabric = Fabric(plan)
-    rng = np.random.default_rng(0)
-    a, b, epr_id = fabric.allocate_epr(0, 1, rng)
-    assert (a, b) == (plan.comm_slots[0], plan.comm_slots[1])
-    assert epr_id == 1
-    assert fabric.counters.epr_created == 1
-    # comm qubits are the two most-significant index bits here (4-qubit state)
-    probs = fabric.state.probabilities([0, 1])
-    assert np.allclose(probs, [0.5, 0, 0, 0.5])
+    for draw in (0.0, 0.999999999):  # force each outcome of the first half's measurement
+        fabric = Fabric(plan)
+        rng = ScriptedRng([0.0, 0.0, draw])
+        a, b, epr_id = fabric.allocate_epr(0, 1, rng)
+        assert (a, b) == (plan.comm_slots[0], plan.comm_slots[1])
+        assert epr_id == 1
+        assert fabric.counters.epr_created == 1
+        # the halves are perfectly correlated fair coins, and the logical qubits are untouched
+        bit = fabric.measure(a, rng)
+        assert bit == (draw > 0.5)
+        assert fabric.measure(b, rng) == bit
+        assert np.array_equal(fabric.state.amps, [1, 0, 0, 0])
 
 
 def test_allocate_epr_busy_slot():
@@ -117,7 +121,6 @@ def test_node_outside_the_plan_raises_and_leaves_the_slots_alone(node):
         with pytest.raises(ValueError):
             call()
     assert [fabric.comm_busy(b) for b in range(3)] == [True, True, False]
-    assert fabric._bound == {0: 0, 1: 1}
     assert fabric.counters.epr_created == 1
     with pytest.raises(CommSlotBusyError):  # node 1's EPR half is still live
         fabric.allocate_epr(1, 2, rng)

@@ -100,7 +100,7 @@ def test_a_fan_across_nodes_raises_before_any_pool_qubit_binds():
     for source, run in ((plan.comm_slots[1], [0, 1]), (plan.comm_slots[0], [1, 2]), (1, [2, 3])):
         with pytest.raises(CrossNodeGateError):
             fabric.apply_fan(source, run, [0.1, 0.2])
-    assert fabric.state.num_qubits == 4 and not fabric._bound
+    assert fabric.state.num_qubits == 4 and not any(map(fabric.comm_busy, range(2)))
     assert np.array_equal(fabric.state.amps, before)
 
 

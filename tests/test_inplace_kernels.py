@@ -197,24 +197,9 @@ def test_gate_between_measure_and_reset_forces_the_full_pass(measure_passes):
     before = fabric.state.copy()
     measure_passes.clear()
     fabric.reset(q, rng)
-    assert measure_passes == [(q, 4)]  # no pool yet: the pass covers the whole state
+    assert measure_passes == [(q, 4)]  # the pass covers the whole state
     bit = 0 if np.random.default_rng(3).random() < 0.5 else 1  # H left p0 = p1 = 1/2
     expected = projected(before.amps, q, 4, bit)
     if bit:
         expected = embed({q: X2}, 4) @ expected
     assert np.max(np.abs(fabric.state.amps - expected)) <= 1e-12
-
-
-def test_bell_pair_write_is_bitwise_the_h_cnot_path():
-    fabric = _generic_fabric()
-    plan = fabric.plan
-    rng = np.random.default_rng(5)
-    fabric.allocate_epr(0, 1, rng)  # grows the pool to qubits 0 and 1
-    for node in (0, 1):
-        fabric.reset(plan.comm_slots[node], rng)
-        fabric.release_comm(node)
-    fabric.apply("h", (plan.node_qubits(1)[1],))  # a logical gate leaves the pool qubits known |0>
-    expected = fabric.state.copy().apply_gate(Gate.h(0)).apply_gate(Gate.cnot(0, 1))
-    fabric.allocate_epr(0, 1, rng)
-    assert np.array_equal(fabric.state.amps.view(np.int64), expected.amps.view(np.int64))
-    assert fabric.state.probabilities([0, 1]) == pytest.approx([0.5, 0, 0, 0.5])

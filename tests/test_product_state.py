@@ -118,10 +118,7 @@ def test_semiclassical_counts_replay_on_factors(point, counts):
 
 @pytest.fixture
 def measure_passes(monkeypatch):
-    """One (qubit, num_qubits) entry per StateVector.measure pass (resets included).
-
-    The fabric runs a pass on its live window, so qubit is the window's index.
-    """
+    """One (qubit, num_qubits) entry per StateVector.measure pass (resets included)."""
     passes = []
     original = StateVector.measure
 
@@ -138,31 +135,24 @@ def test_cat_session_skips_the_reset_pass_of_known_zero_qubits(measure_passes):
     plan = fabric.plan
     fabric.apply("h", (plan.node_qubits(0)[0],))
     rng = CountingRng(1)
-    for session in range(1, 3):  # grown pool qubits, then reset and reused ones
+    for session in range(1, 3):  # fresh comm qubits, then reset and reused ones
         handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
         cat_disentangle(fabric, handle, rng)
-        assert len(measure_passes) == 2 * session  # 2 measurements; both resets know their bit
+        assert measure_passes == []  # comm qubits are frame entries: no pass at all
         assert rng.draws == 6 * session  # the EPR resets still draw
-    assert fabric.state.num_qubits == 6
+    assert fabric.state.num_qubits == 4
 
 
 def test_qubit_touched_since_its_reset_gets_a_full_reset(measure_passes):
     fabric = Fabric(make_partition(4, 4))
-    plan = fabric.plan
+    q = fabric.plan.node_qubits(2)[0]
     rng = np.random.default_rng(0)
-    fabric.allocate_epr(0, 1, rng)
-    assert measure_passes == []  # both pool qubits were just grown
-    fabric.release_comm(0)  # still entangled with node 1's qubit
-    fabric.release_comm(1)
-    fabric.allocate_epr(2, 3, rng)
-    assert measure_passes == [(0, 6), (0, 5)]  # pool qubit 1 behind a reset pool qubit 0
-    assert fabric.state.probabilities([0, 1]) == pytest.approx([0.5, 0, 0, 0.5])
-    fabric.reset(plan.comm_slots[2], rng)  # known |0> again ...
-    fabric.reset(plan.comm_slots[3], rng)
-    fabric.apply("x", (plan.comm_slots[2],))  # ... until a gate touches it
-    fabric.release_comm(2)
-    fabric.release_comm(3)
-    fabric.allocate_epr(0, 1, rng)
-    assert measure_passes == [(0, 6), (0, 5), (0, 6), (0, 5), (0, 6)]
-    assert fabric.state.num_qubits == 6
-    assert fabric.state.probabilities([0, 1]) == pytest.approx([0.5, 0, 0, 0.5])
+    fabric.apply("h", (q,))
+    fabric.reset(q, rng)  # unknown: a full reset, one measure pass
+    assert measure_passes == [(q, 4)]
+    fabric.reset(q, rng)  # known |0>: only the draw
+    assert measure_passes == [(q, 4)]
+    fabric.apply("h", (q,))  # ... until a gate touches it
+    fabric.reset(q, rng)
+    assert measure_passes == [(q, 4), (q, 4)]
+    assert fabric.state.probabilities([q]) == pytest.approx([1, 0])

@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqft.circuits import (GradientBlock, LocalInverseQFT, bit_reverse, build_schedule,
-                           flatten_schedule, fourier_prep_gates, inverse_qft_gates,
-                           rev_postprocess)
-from dqft.fabric import Fabric, PartitionPlan
-from dqft.runner import (_apply_local_gates, _distribution, _execute_schedule,
-                         _monolithic_state, _reference, _semiclassical_law, run_distributed,
-                         run_monolithic_reference, semiclassical_exact_distribution)
+                           flatten_schedule, inverse_qft_gates, rev_postprocess)
+from dqft.fabric import PartitionPlan
+from dqft.runner import (_distribution, _monolithic_state, _reference, _semiclassical_law,
+                         run_distributed, run_monolithic_reference,
+                         semiclassical_exact_distribution)
 from dqft.statevector import equal_up_to_global_phase
 from oracles import bitrev, fft_value_distribution, oracle_value_distribution
 
@@ -106,43 +105,6 @@ def test_distributed_run_matches_monolithic_and_budget(sizes, theta, seed):
     assert res.metrics.epr_count == epr
     assert res.metrics.classical_msg_count == 2 * epr
     assert res.metrics.block_slots == 2 * plan.k - 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(node_sizes(9), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2**32 - 1))
-def test_telegate_schedule_leaves_the_pool_at_exact_zeros(sizes, theta, seed):
-    # sampling the first 2^n amplitudes equals marginalising the pool only
-    # because every pool amplitude is exactly 0.0 after the final resets
-    plan = _plan(sizes)
-    fabric = Fabric(plan)
-    _apply_local_gates(fabric, fourier_prep_gates(range(plan.n), theta))
-    _execute_schedule(fabric, build_schedule(plan), np.random.default_rng(seed))
-    pool = fabric.state.amps[1 << plan.n:]
-    assert pool.size == (3 << plan.n if plan.k > 1 else 0)
-    assert np.count_nonzero(pool) == 0
-
-
-def _scheduled(sizes, theta, seed):
-    plan = _plan(sizes)
-    fabric, rng = Fabric(plan), np.random.default_rng(seed)
-    _apply_local_gates(fabric, fourier_prep_gates(range(plan.n), theta))
-    _execute_schedule(fabric, build_schedule(plan), rng)
-    return fabric, rng
-
-
-@settings(max_examples=60, deadline=None)
-@given(node_sizes(9), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2**32 - 1))
-def test_live_window_runs_like_the_whole_state(sizes, theta, seed):
-    # the amplitudes the window skips are exact zeros, so running every
-    # kernel over the whole state must give the same amplitudes and draws
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Fabric, "_live", lambda fabric, first: (fabric.state, 0))
-        whole, whole_rng = _scheduled(sizes, theta, seed)
-    live, live_rng = _scheduled(sizes, theta, seed)
-    assert np.array_equal(live.state.amps, whole.state.amps)
-    assert live_rng.bit_generator.state == whole_rng.bit_generator.state
-    assert live.counters == whole.counters
-    assert live._known == whole._known
 
 
 @settings(deadline=None)

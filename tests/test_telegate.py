@@ -18,17 +18,19 @@ def _fabric_2x1():
 
 
 def test_entangle_classical_branches():
+    # the cat qubit copies a classical control: a fan of phase pi from it is a
+    # Z on node 1's |+> qubit exactly when the control is 1; the control is unchanged
     for bit, prep in ((0, None), (1, Gate.x(0))):
         fabric = _fabric_2x1()
         plan = fabric.plan
         if prep:
             fabric.state.apply_gate(prep)
+        fabric.state.apply_gate(Gate.h(1))
         handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, np.random.default_rng(0))
-        # cat qubit copies the classical control; control itself unchanged
-        cat_global = fabric._index(handle.remote_cat)
-        assert np.allclose(fabric.state.probabilities([cat_global]),
-                           [1 - bit, bit])
-        assert np.allclose(fabric.state.probabilities([fabric._index(0)]), [1 - bit, bit])
+        apply_remote_controlled(fabric, handle, [plan.node_qubits(1)[0]], [np.pi])
+        expected = np.zeros(4, dtype=complex)
+        expected[2 * bit:2 * bit + 2] = [SQ2, -SQ2 if bit else SQ2]
+        assert np.allclose(fabric.state.amps, expected, atol=1e-12)
 
 
 def test_entangle_superposed_control_gives_cat_state_on_both_branches():
@@ -36,11 +38,13 @@ def test_entangle_superposed_control_gives_cat_state_on_both_branches():
         fabric = _fabric_2x1()
         plan = fabric.plan
         fabric.state.apply_gate(Gate.h(0))
+        fabric.state.apply_gate(Gate.h(1))
         rng = ScriptedRng([0.0, 0.0, forced])
         handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
-        cat_global = fabric._index(handle.remote_cat)
-        joint = fabric.state.probabilities([fabric._index(0), cat_global])
-        assert np.allclose(joint, [0.5, 0, 0, 0.5], atol=1e-12)
+        # the cat qubit is perfectly correlated with the control: a fan of
+        # phase pi from it is CZ from the control, on either outcome
+        apply_remote_controlled(fabric, handle, [plan.node_qubits(1)[0]], [np.pi])
+        assert np.allclose(fabric.state.amps, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
 
 def test_entangle_disentangle_identity_roundtrip():
