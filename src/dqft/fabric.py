@@ -137,9 +137,10 @@ ZERO = FrameEntry("bit")  # a comm qubit in |0>, until used and after a reset
 class Fabric:
     """k nodes over one shared state, with counters and a tick clock.
 
-    The n logical qubits start in prep (|0...0> by default).  with_comm=False
-    forbids comm slots (teleportation-free modes): the state is then the
-    ProductState itself, n one-qubit factors, which rejects two-qubit gates.
+    The n logical qubits start in a copy of prep (|0...0> by default), so
+    the fabric never changes the factors it was given.  with_comm=False
+    forbids comm slots (teleportation-free modes): the state is then a
+    ProductState, n one-qubit factors, which rejects two-qubit gates.
     A message is deliverable LATENCY = 1 tick later.
     """
 
@@ -148,11 +149,10 @@ class Fabric:
         self.plan = plan
         self.with_comm = with_comm
         prep = ProductState(plan.n) if prep is None else prep
-        self.state = prep.to_statevector() if with_comm else prep
+        self.state = prep.to_statevector() if with_comm else prep.copy()
         self.counters = FabricCounters()
         self._comm_busy = [False] * plan.k
         self._frame: dict[int, FrameEntry] = {}  # node -> its comm qubit; ZERO when absent
-        self._known: list[int | None] = [None] * plan.n  # qubit -> basis bit; None after a gate
         self._pending_z: set[int] = set()  # logical qubits owed a Z by a cat session
         self._queues: dict[tuple[int, int], deque[ClassicalMessage]] = {}
 
@@ -199,14 +199,13 @@ class Fabric:
         self._touch((source, *targets))  # a pending Z commutes with the fan
 
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
-        """Measure a plan index (one draw); the fabric then knows its basis bit."""
+        """Measure a plan index (one draw)."""
         self.counters.midcircuit_measurements += 1
         node = self._slot(qubit)
         if node is not None:
             return self._collapse(node, rng)
         self._touch((qubit,))
-        bit = self._known[qubit] = self.state.measure(qubit, rng)
-        return bit
+        return self.state.measure(qubit, rng)
 
     def reset(self, qubit: int, rng: np.random.Generator) -> None:
         """Reset a plan index to |0> (one draw); not a protocol measurement."""
@@ -215,15 +214,8 @@ class Fabric:
             self._collapse(node, rng)
             self._frame.pop(node, None)
             return
-        bit = self._known[qubit]
         self._touch((qubit,), True)
-        if bit is None:
-            self.state.reset(qubit, rng)
-        else:
-            rng.random()  # a known bit needs no probability pass: the one draw
-            if bit:
-                self.state.apply_gate(Gate.x(qubit))
-        self._known[qubit] = 0
+        self.state.reset(qubit, rng)
 
     def _collapse(self, node: int, rng: np.random.Generator) -> int:
         """Measure node's comm qubit with one draw; it then holds the outcome."""
@@ -254,11 +246,10 @@ class Fabric:
         return qubit - n
 
     def _touch(self, qubits, flips: bool = False) -> None:
-        """Forget the qubits' bits and apply their pending Zs; flips: the step may flip the last."""
+        """Apply the qubits' pending Zs; flips: the step may flip the last."""
         if flips and self._frame and any(e.control == qubits[-1] for e in self._frame.values()):
             raise ValueError(f"qubit {qubits[-1]} changes under a comm qubit that copies it")
         for q in qubits:
-            self._known[q] = None
             if q in self._pending_z:
                 self._pending_z.remove(q)
                 self.state.apply_gate(Gate.z(q))

@@ -1,17 +1,17 @@
 """End-to-end benchmark runs: telegate, monolithic reference, semiclassical.
 
-Every run prepares a Fourier state with phase theta, undoes it with the
-swap-free inverse QFT, and reads out values through the classical bit
-reversal.  The telegate and monolithic paths expand the Fourier state's
-one-qubit factors with one Kronecker product, and apply controlled phases
-as fans: one phase pass per qubit of a node's block and one per cat
-session.  The telegate path executes the circuit once (teleportation
-outcomes never change the logical state) and samples shot counts from the
-fabric's final 2^n amplitudes; the semiclassical path measures early, so it
-executes one dynamic circuit per shot.  No gate of a semiclassical shot
-entangles two qubits, so its fabric holds n one-qubit factors (a
-ProductState) and a shot costs O(n^2) scalar work.  Resource counters
-always cover one circuit execution.
+Every run prepares a Fourier state with phase theta once, as
+fourier_product's n one-qubit factors, undoes it with the swap-free inverse
+QFT, and reads out values through the classical bit reversal.  The
+telegate and monolithic paths expand the factors with one Kronecker
+product, and apply controlled phases as fans: one phase pass per qubit of a
+node's block and one per cat session.  The telegate path executes the
+circuit once (teleportation outcomes never change the logical state) and
+samples shot counts from the fabric's final 2^n amplitudes; the
+semiclassical path measures early, so it executes one dynamic circuit per
+shot.  No gate of a semiclassical shot entangles two qubits, so each shot's
+fabric holds a copy of the factors (a ProductState) and a shot costs O(n^2)
+scalar work.  Resource counters always cover one circuit execution.
 wall_time_seconds times the emulation only (prep, schedule or shots, and
 sampling); the exact distributions and the fidelity check run after the
 clock stops.  Inside a run an exact distribution is one float64
@@ -31,11 +31,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, bit_reverse,
-                       build_schedule, fourier_prep_gates, fourier_product,
-                       inverse_qft_fans, inverse_qft_local, phase_turns,
-                       rev_postprocess)
-from .circuits import inverse_qft_gates  # noqa: F401 (the unfused block: traced by dqftbench)
+from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, build_schedule,
+                       fourier_product, inverse_qft_fans, inverse_qft_local,
+                       phase_turns, rev_postprocess)
+from .circuits import fourier_prep_gates, inverse_qft_gates  # noqa: F401 (traced by dqftbench)
 from .fabric import LATENCY, Fabric, FabricCounters, PartitionPlan
 from .metrics import Distribution, RunMetrics, classical_fidelity, state_bytes
 from .statevector import StateVector
@@ -157,11 +156,6 @@ def semiclassical_exact_distribution(n: int, theta: float) -> dict[int, float]:
 # -- telegate execution ----------------------------------------------------------
 
 
-def _apply_local_gates(fabric: Fabric, gates) -> None:
-    for g in gates:
-        fabric.apply(g.kind, g.qubits, g.phi)
-
-
 def _run_gradient_block(fabric: Fabric, block: GradientBlock,
                         rng: np.random.Generator) -> None:
     # one cat session per control qubit covers all its targets on this node
@@ -261,17 +255,16 @@ def run_monolithic_reference(n: int, theta: float, shots: int = 100,
 # -- semiclassical (teleportation-free) mode ---------------------------------------
 
 
-def _semiclassical_once(fabric: Fabric, prep, rng: np.random.Generator) -> int:
-    """One dynamic-circuit execution from the prep gates; returns the raw outcome.
+def _semiclassical_once(fabric: Fabric, rng: np.random.Generator) -> int:
+    """One dynamic-circuit execution on a fabric holding the Fourier state; returns the value.
 
-    The raw outcome holds qubit 0's bit in its most significant place.  At a
-    node's start every earlier bit is deliverable, and receive_all returns
+    The value holds qubit j's bit at bit j: the raw outcome bit-reversed.  At
+    a node's start every earlier bit is deliverable, and receive_all returns
     them by source node, FIFO per channel, so folding them in that order
     through _feedforward gives the running phase of the node's first qubit.
     """
     plan = fabric.plan
-    _apply_local_gates(fabric, prep)
-    raw = 0
+    value = 0
     for node in range(plan.k):
         turns = 0.0
         for msg in fabric.receive_all(node):
@@ -282,11 +275,11 @@ def _semiclassical_once(fabric: Fabric, prep, rng: np.random.Generator) -> int:
             fabric.apply("h", (j,))
             bit = fabric.measure(j, rng)
             turns = _feedforward(turns, bit)
-            raw = (raw << 1) | bit
+            value |= bit << j
             for later in range(node + 1, plan.k):
                 fabric.send_classical(node, later, "feedforward", bit)
             fabric.advance_clock(LATENCY)
-    return raw
+    return value
 
 
 def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
@@ -295,7 +288,8 @@ def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
 
     Each shot is a genuine dynamic-circuit execution; no EPR pairs and no
     communication qubits are used, so the state holds only n qubits, each
-    as its own factor of a ProductState.  Reported counters cover one
+    as its own factor of a ProductState.  Every shot's fabric starts from a
+    copy of the run's one fourier_product.  Reported counters cover one
     execution (they are identical across shots).  reference is as in
     run_distributed.
     """
@@ -303,10 +297,10 @@ def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
     rng = np.random.default_rng(seed)
     counts: dict[int, int] = {}
     start = time.perf_counter()
-    prep = fourier_prep_gates(range(plan.n), theta)
+    prep = fourier_product(plan.n, theta)
     for _ in range(shots):
-        fabric = Fabric(plan, with_comm=False)
-        value = bit_reverse(_semiclassical_once(fabric, prep, rng), plan.n)
+        fabric = Fabric(plan, with_comm=False, prep=prep)
+        value = _semiclassical_once(fabric, rng)
         counts[value] = counts.get(value, 0) + 1
     wall = time.perf_counter() - start
     # the counters are the same for every shot; report the last one's

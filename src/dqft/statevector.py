@@ -315,6 +315,11 @@ class ProductState:
         self.num_qubits = num_qubits
         self._factors = [[1 + 0j, 0j] for _ in range(num_qubits)]
 
+    def copy(self) -> "ProductState":
+        state = ProductState.__new__(ProductState)
+        state.num_qubits, state._factors = self.num_qubits, [f.copy() for f in self._factors]
+        return state
+
     @property
     def amps(self) -> np.ndarray:
         """The 2Q factor amplitudes, qubit by qubit: amp0 and amp1 of qubit 0 first."""

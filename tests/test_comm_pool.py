@@ -8,10 +8,10 @@ when every node had its own comm qubit in the state.
 import numpy as np
 import pytest
 
-from dqft.circuits import build_schedule, fourier_prep_gates
+from dqft.circuits import build_schedule, fourier_product
 from dqft.fabric import CommSlotBusyError, Fabric, make_partition
 from dqft.metrics import epr_budget
-from dqft.runner import _apply_local_gates, _execute_schedule, run_distributed
+from dqft.runner import _execute_schedule, run_distributed
 from dqft.telegate import cat_disentangle, cat_entangle
 
 
@@ -31,8 +31,7 @@ def test_schedule_holds_at_most_two_comm_qubits():
     for n in range(1, 11):
         for k in range(1, n + 1):
             plan = make_partition(n, k)
-            fabric = Fabric(plan)
-            _apply_local_gates(fabric, fourier_prep_gates(range(n), 0.3))
+            fabric = Fabric(plan, prep=fourier_product(n, 0.3))
             rng = CountingRng()
             _execute_schedule(fabric, build_schedule(plan), rng)
             assert fabric.state.num_qubits == n, (n, k)

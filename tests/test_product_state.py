@@ -1,8 +1,9 @@
-"""Product engine for measure-early shots, and known-|0> EPR resets.
+"""Product engine for measure-early shots, and the draws of fabric resets.
 
-A fabric built without communication qubits holds a ProductState: one pair
-of amplitudes per qubit.  It must replay the dense engine draw for draw,
-and the semiclassical counts it gives are pinned to the dense engine's.
+A fabric built without communication qubits holds a copy of its prep, a
+ProductState: one pair of amplitudes per qubit.  It must replay the dense
+engine draw for draw, and the semiclassical counts it gives are pinned to
+the dense engine's.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqft.circuits import fourier_prep_gates
+from dqft.circuits import fourier_product
 from dqft.fabric import Fabric, make_partition
 from dqft.runner import _semiclassical_once, run_semiclassical
 from dqft.statevector import Gate, ProductState, StateVector, equal_up_to_global_phase
@@ -89,11 +90,42 @@ def test_fabric_without_comm_holds_factors_and_rejects_two_qubit_gates():
 @pytest.mark.parametrize("n,k", [(1, 1), (6, 3), (15, 4)])
 def test_one_draw_per_qubit_per_shot(n, k):
     plan = make_partition(n, k)
-    prep = fourier_prep_gates(range(n), 0.4321)
+    prep = fourier_product(n, 0.4321)
     rng = CountingRng(2)
     for shot in range(1, 4):
-        _semiclassical_once(Fabric(plan, with_comm=False), prep, rng)
+        _semiclassical_once(Fabric(plan, with_comm=False, prep=prep), rng)
         assert rng.draws == n * shot
+
+
+def test_fabric_without_comm_leaves_its_prep_unchanged():
+    prep = fourier_product(6, 0.4321)
+    before = prep.amps
+    fabric = Fabric(make_partition(6, 3), with_comm=False, prep=prep)
+    rng = np.random.default_rng(5)
+    for q in range(6):
+        fabric.apply("h", (q,))
+        fabric.apply("p", (q,), 0.3)
+        fabric.measure(q, rng)
+    fabric.reset(0, rng)
+    assert np.array_equal(prep.amps, before)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (6, 3), (15, 4)])
+def test_a_shot_makes_at_most_2n_fabric_gates(monkeypatch, n, k):
+    # the Fourier state comes prepared: a shot applies only its H and feed-forward P gates
+    kinds = []
+    original = Fabric.apply
+
+    def counted(self, kind, qubits, phi=0.0):
+        kinds.append(kind)
+        return original(self, kind, qubits, phi)
+
+    monkeypatch.setattr(Fabric, "apply", counted)
+    for seed in range(4):
+        kinds.clear()
+        run_semiclassical(make_partition(n, k), 0.4321, shots=1, seed=seed)
+        assert len(kinds) <= 2 * n
+        assert kinds.count("h") == n
 
 
 # Counts captured with the dense engine under every shot; the product
@@ -148,11 +180,10 @@ def test_qubit_touched_since_its_reset_gets_a_full_reset(measure_passes):
     q = fabric.plan.node_qubits(2)[0]
     rng = np.random.default_rng(0)
     fabric.apply("h", (q,))
-    fabric.reset(q, rng)  # unknown: a full reset, one measure pass
+    fabric.reset(q, rng)  # a full reset, one measure pass
     assert measure_passes == [(q, 4)]
-    fabric.reset(q, rng)  # known |0>: only the draw
-    assert measure_passes == [(q, 4)]
-    fabric.apply("h", (q,))  # ... until a gate touches it
+    fabric.reset(q, rng)  # every reset makes its pass, |0> or not
+    fabric.apply("h", (q,))
     fabric.reset(q, rng)
-    assert measure_passes == [(q, 4), (q, 4)]
+    assert measure_passes == [(q, 4)] * 3
     assert fabric.state.probabilities([q]) == pytest.approx([1, 0])

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqft.circuits import (TWO_PI, GradientBlock, build_schedule, fourier_prep,
-                           fourier_prep_gates, inv_qft_angle)
+                           fourier_prep_gates, fourier_product, inv_qft_angle)
 from dqft.fabric import Fabric, PartitionPlan, make_partition
 from dqft.metrics import epr_budget
 from dqft.runner import (_distribution, _execute_schedule, _feedforward,
@@ -70,8 +70,8 @@ def test_telegate_run_ends_at_two_ticks_per_epr_plus_one_per_slot():
 def test_semiclassical_shot_ends_at_one_tick_per_qubit():
     rng = np.random.default_rng(4)
     for plan in _plans(10):
-        fabric = Fabric(plan, with_comm=False)
-        _semiclassical_once(fabric, fourier_prep_gates(range(plan.n), 0.8), rng)
+        fabric = Fabric(plan, with_comm=False, prep=fourier_product(plan.n, 0.8))
+        _semiclassical_once(fabric, rng)
         assert fabric.counters.current_tick == plan.n, plan
 
 
