@@ -10,7 +10,7 @@ memory along the way.
 
 from .circuits import (DistributedSchedule, GradientBlock, LocalInverseQFT,
                        bit_reverse, build_schedule, count_layers,
-                       flatten_schedule, fourier_prep, fourier_prep_gates,
+                       flatten_schedule, fourier_prep_gates,
                        inverse_qft_gates, inverse_qft_local, rev_postprocess)
 from .fabric import (ClassicalMessage, CommSlotBusyError, CrossNodeGateError,
                      Fabric, FabricCounters, PartitionPlan, check_locality,
@@ -33,7 +33,7 @@ __all__ = [
     "cat_disentangle", "cat_entangle", "check_locality", "classical_fidelity",
     "count_layers", "counts_to_distribution", "epr_budget",
     "equal_up_to_global_phase", "exact_value_distribution", "flatten_schedule",
-    "fourier_prep", "fourier_prep_gates", "inverse_qft_gates",
+    "fourier_prep_gates", "inverse_qft_gates",
     "inverse_qft_local", "make_partition",
     "monolithic_exact_distribution", "naive_epr_budget", "rev_postprocess",
     "run_distributed", "run_monolithic_reference", "run_semiclassical",

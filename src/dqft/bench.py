@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from .fabric import make_partition
-from .metrics import Distribution, classical_fidelity, counts_to_distribution
+from .metrics import classical_fidelity, counts_to_distribution
 # monolithic_exact_distribution is unused here; it stays in this namespace
 # because dqftbench/spans.py wraps bench.monolithic_exact_distribution
 from .runner import (MODES, _reference, monolithic_exact_distribution,  # noqa: F401
@@ -160,17 +160,14 @@ def expand_points(config: SweepConfig, log=None):
 
 
 def run_point(n: int, k: int, theta: float, mode: str, shots: int, seed: int,
-              repeat: int = 0, reference: Distribution | None = None) -> ResultRow:
+              repeat: int = 0) -> ResultRow:
     """Execute one benchmark point and fold its measurements into a row.
 
-    reference, when given, is the monolithic exact value distribution for
-    (n, theta), as a dict or a dense array indexed by value.  The modal
-    outcome is the most frequent value, the smallest one among ties.
+    The modal outcome is the most frequent value, the smallest one among ties.
     """
     theta = normalize_theta(theta)
     plan = make_partition(n, k)
-    if reference is None:
-        reference = _reference(n, theta)
+    reference = _reference(n, theta)
     res = run_distributed(plan, theta, mode=mode, shots=shots, seed=seed,
                           reference=reference)
     sampled = classical_fidelity(counts_to_distribution(res.counts), reference)

@@ -52,10 +52,6 @@ def fourier_prep_gates(qubits, theta: float) -> list[Gate]:
     return gates
 
 
-def fourier_prep(state: StateVector, qubits, theta: float) -> StateVector:
-    return state.apply_gates(fourier_prep_gates(qubits, theta))
-
-
 def fourier_product(n: int, theta: float) -> ProductState:
     """The Fourier state on qubits 0..n-1 as n factors, by the prep gates' own formulas."""
     return ProductState(n).apply_gates(fourier_prep_gates(range(n), theta))

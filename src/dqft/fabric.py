@@ -20,8 +20,10 @@ the fan from c on its x_c xor m = 1 half.  H turns the copy into an X-basis
 copy, whose measurement is again a fair coin; outcome 1 kicks a Z onto c,
 pending until the Z correction cancels it or anything else touches c.  A
 comm qubit is |0> until used and after a reset, and holds its outcome after
-a measurement.  Any other step on a comm qubit, or one that would change a
-copied c, raises ValueError.
+a measurement.  Its slot is busy exactly while it holds an EPR half or a
+copy: allocate_epr refuses it until a measurement or a reset frees it.  Any
+other step on a comm qubit, or one that would change a copied c, raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class CrossNodeGateError(Exception):
 
 
 class CommSlotBusyError(Exception):
-    """A node's communication qubit is still reserved by a live cat session."""
+    """A node's communication qubit still holds an EPR half or a copy, or the fabric
+    was built without communication qubits."""
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,6 @@ class Fabric:
         prep = ProductState(plan.n) if prep is None else prep
         self.state = prep.to_statevector() if with_comm else prep.copy()
         self.counters = FabricCounters()
-        self._comm_busy = [False] * plan.k
         self._frame: dict[int, FrameEntry] = {}  # node -> its comm qubit; ZERO when absent
         self._pending_z: set[int] = set()  # logical qubits owed a Z by a cat session
         self._queues: dict[tuple[int, int], deque[ClassicalMessage]] = {}
@@ -262,29 +264,21 @@ class Fabric:
         if node_a == node_b:
             raise ValueError("EPR endpoints must be distinct nodes")
         for node in (node_a, node_b):
-            if self._comm_busy[self._node(node)]:
+            if self.comm_busy(node):
                 raise CommSlotBusyError(f"comm slot of node {node} is busy")
         n = self.plan.n
         self.reset(n + node_a, rng)  # a CommSlotBusyError without comm qubits
         self.reset(n + node_b, rng)
         self._frame[node_a] = FrameEntry("pair", partner=node_b)
         self._frame[node_b] = FrameEntry("pair", partner=node_a)
-        self._comm_busy[node_a] = self._comm_busy[node_b] = True
         self.counters.epr_created += 1
         return n + node_a, n + node_b, self.counters.epr_created
 
-    def release_comm(self, node: int) -> None:
-        """Free node's slot for the next allocation."""
-        self._comm_busy[self._node(node)] = False
-
     def comm_busy(self, node: int) -> bool:
-        return self._comm_busy[self._node(node)]
-
-    def _node(self, node: int) -> int:
-        """node itself; ValueError outside 0..k-1, where a list index would wrap."""
+        """Whether node's comm qubit holds an EPR half or a copy; ValueError outside 0..k-1."""
         if not 0 <= node < self.plan.k:
             raise ValueError(f"node {node} out of range for k={self.plan.k}")
-        return node
+        return self._frame.get(node, ZERO).kind != "bit"
 
     # -- classical messaging and clock ---------------------------------------
 
@@ -323,11 +317,11 @@ class Fabric:
     def logical_state(self) -> StateVector:
         """A copy of the n logical qubits, pending Zs applied, as a dense state.
 
-        Every comm slot must be free and measured or reset.  A fabric without
+        Every comm slot must be free: measured or reset.  A fabric without
         comm qubits expands its ProductState's factors."""
         if not self.with_comm:
             return self.state.to_statevector()
-        if any(self._comm_busy) or any(e.kind != "bit" for e in self._frame.values()):
+        if any(map(self.comm_busy, range(self.plan.k))):
             raise RuntimeError(f"comm qubits not disentangled: {self._frame}")
         self._touch(sorted(self._pending_z))
         return StateVector.from_amplitudes(self.state.amps)

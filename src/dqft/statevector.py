@@ -141,9 +141,11 @@ class StateVector:
         n = arr.size
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"amplitude count must be a power of two >= 2, got {n}")
-        if abs(np.vdot(arr, arr).real - 1.0) > 1e-9:
+        arr = arr.copy()
+        f = arr.view(np.float64)  # einsum, not a BLAS vdot: one thread, whatever the environment
+        if abs(np.einsum("i,i->", f, f) - 1.0) > 1e-9:
             raise ValueError("amplitudes are not normalized")
-        return cls._of(arr.copy())
+        return cls._of(arr)
 
     @classmethod
     def _of(cls, amps: np.ndarray) -> "StateVector":

@@ -6,9 +6,10 @@ then run locally against that "cat" copy, as one fan (one phase pass), and a
 final disentangler returns the control to exactly the state it would have
 after direct gate application.  Cost per session: 1 EPR pair, 2 classical
 messages, 2 mid-circuit measurements, however many gates ran under it.  Each
-half ends in _signal (measure a comm qubit, send the bit) and an X or Z.
-Qubits are plan indices: logical qubit q is q, node b's comm qubit n + b.  The
-fabric keeps comm qubits as a copy frame: the fan is a session's only pass.
+half ends in _signal (measure and reset a comm qubit, which frees its slot,
+and send the bit) and an X or Z.  Qubits are plan indices: logical qubit q is
+q, node b's comm qubit n + b.  The fabric keeps comm qubits as a copy frame:
+the fan is a session's only pass.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ class CatHandle:
 
 def _signal(fabric: Fabric, comm: int, dst: int, tag: str,
             rng: np.random.Generator) -> int:
-    """Measure comm, reset and free its slot, and return the bit as dst receives it LATENCY later."""
+    """Measure comm (freeing its slot), reset it, and return the bit dst gets LATENCY later."""
     src = fabric.plan.node_of(comm)
     bit = fabric.measure(comm, rng)
     fabric.reset(comm, rng)
-    fabric.release_comm(src)
     fabric.send_classical(src, dst, tag, bit)
     fabric.advance_clock(LATENCY)
     return fabric.receive(src, dst).payload
@@ -85,7 +85,8 @@ def cat_disentangle(fabric: Fabric, handle: CatHandle, rng: np.random.Generator)
     """Close the session, restoring coherence on the control qubit.
 
     Protocol: H and measure the cat qubit, send the outcome back, and apply
-    a conditional Z on the control.  The comm slot is reset and freed.
+    a conditional Z on the control.  The comm qubit's measurement frees its
+    slot, and it is reset to |0>.
     """
     if not handle.entangled:
         raise ProtocolError("session already disentangled")

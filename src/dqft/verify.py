@@ -39,11 +39,11 @@ class ScriptedRng:
         return self._values.pop(0) if self._values else 0.0
 
 
-def check_gate_multiset(max_n: int = 12, max_k: int = 8):
-    """Flattened schedule must equal the monolithic swap-free inverse QFT."""
+def check_gate_multiset():
+    """Flattened schedule must equal the monolithic swap-free inverse QFT, n <= 12, k <= 8."""
     tried = 0
-    for n in range(2, max_n + 1):
-        for k in range(1, min(n, max_k) + 1):
+    for n in range(2, 13):
+        for k in range(1, min(n, 8) + 1):
             plan = make_partition(n, k)
             flat = Counter(flatten_schedule(build_schedule(plan)))
             mono = Counter(inverse_qft_gates(range(n)))
@@ -53,7 +53,7 @@ def check_gate_multiset(max_n: int = 12, max_k: int = 8):
     return ("gate-multiset", True, f"{tried} plans, flattened == monolithic")
 
 
-def telegate_branch_states(phis=(np.pi / 4,)):
+def telegate_branch_states(phis):
     """Run the 3-qubit telegate once per forced branch pair; returns the states.
 
     Qubit layout: node 0 holds the control, node 1 holds two targets.
@@ -83,7 +83,7 @@ def _prepare_generic(state: StateVector, plan) -> None:
         state.apply_gate(Gate.p(0.3 + 0.4 * q, q))
 
 
-def check_telegate_branches(tol: float = 1e-10):
+def check_telegate_branches():
     """All 4 forced measurement branches must match the direct-gate circuit."""
     phis = (np.pi / 4, -np.pi / 3)
     plan = make_partition(3, 2)
@@ -92,37 +92,36 @@ def check_telegate_branches(tol: float = 1e-10):
     for t_loc, phi in enumerate(phis):
         direct.apply_gate(Gate.cp(phi, 0, 1 + t_loc))
     for branch, state in telegate_branch_states(phis).items():
-        if not equal_up_to_global_phase(state, direct, tol):
+        if not equal_up_to_global_phase(state, direct, 1e-10):
             return ("telegate-branches", False, f"branch {branch} deviates from direct gates")
     return ("telegate-branches", True, "4 measurement branches match direct CP circuit")
 
 
-def equivalence_grid(qubits=EQUIV_QUBITS, nodes=EQUIV_NODES, thetas=EQUIV_THETAS):
-    for n in qubits:
-        for k in nodes:
+def equivalence_grid(thetas=EQUIV_THETAS):
+    for n in EQUIV_QUBITS:
+        for k in EQUIV_NODES:
             if k > n:
                 continue
             for theta in thetas:
                 yield n, k, theta
 
 
-def check_state_equivalence(seeds=(0,), tol: float = 1e-8):
-    """Distributed telegate state == monolithic reference, up to global phase."""
-    checked = 0
+def check_state_equivalence():
+    """Distributed telegate state == monolithic reference, up to global phase (seed 0)."""
+    checked, tol = 0, 1e-8
     for n, k, theta in equivalence_grid():
         mono = run_monolithic_reference(n, theta, shots=1, seed=0).state
-        for seed in seeds:
-            res = run_distributed(make_partition(n, k), theta, shots=1,
-                                  seed=seed, return_state=True)
-            if not equal_up_to_global_phase(res.state, mono, tol):
-                return ("distributed-equals-monolithic", False,
-                        f"state mismatch at n={n}, k={k}, theta={theta}, seed={seed}")
-            checked += 1
+        res = run_distributed(make_partition(n, k), theta, shots=1, seed=0, return_state=True)
+        if not equal_up_to_global_phase(res.state, mono, tol):
+            return ("distributed-equals-monolithic", False,
+                    f"state mismatch at n={n}, k={k}, theta={theta}, seed=0")
+        checked += 1
     return ("distributed-equals-monolithic", True, f"{checked} runs within {tol}")
 
 
-def check_closed_form_reference(tol: float = 1e-12):
+def check_closed_form_reference():
     """The Fejer-kernel reference == the engine pipeline, and the measure-early tree law == it."""
+    tol = 1e-12
     pairs = sorted({(n, theta) for n, _, theta in equivalence_grid()})
     for n, theta in pairs:
         reference = _reference(n, theta)
@@ -136,7 +135,7 @@ def check_closed_form_reference(tol: float = 1e-12):
             f"{len(pairs)} (n, theta) pairs: reference == engine == semiclassical law within {tol}")
 
 
-def check_fused_application(max_n: int = 10, nodes=EQUIV_NODES, tol: float = 1e-12):
+def check_fused_application():
     """The fused run path == the unfused gate lists, on random unit states.
 
     For every plan: each node's inverse_qft_local (a fan and an H per
@@ -144,8 +143,8 @@ def check_fused_application(max_n: int = 10, nodes=EQUIV_NODES, tol: float = 1e-
     fan == the block's Gate.cp list for its control, and the Kronecker prep
     == fourier_prep_gates applied to |0...0>.
     """
-    rng = np.random.default_rng(0)
-    plans = [make_partition(n, k) for n in range(1, max_n + 1) for k in nodes if k <= n]
+    rng, tol = np.random.default_rng(0), 1e-12
+    plans = [make_partition(n, k) for n in range(1, 11) for k in EQUIV_NODES if k <= n]
     for plan in plans:
         n, theta = plan.n, float(rng.random())
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)

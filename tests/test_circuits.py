@@ -8,7 +8,7 @@ import pytest
 
 from dqft.circuits import (GradientBlock, LocalInverseQFT, bit_reverse,
                            build_schedule, count_layers, flatten_schedule,
-                           fourier_prep, fourier_prep_gates, inverse_qft_gates,
+                           fourier_prep_gates, inverse_qft_gates,
                            inverse_qft_local, phase_turns, rev_postprocess)
 from dqft.fabric import make_partition
 from dqft.statevector import StateVector
@@ -22,18 +22,18 @@ SQ2 = 1 / np.sqrt(2)
 
 def test_prep_theta_zero_is_all_plus():
     n = 3
-    sv = fourier_prep(StateVector(n), range(n), 0.0)
+    sv = StateVector(n).apply_gates(fourier_prep_gates(range(n), 0.0))
     assert np.allclose(sv.amps, np.full(8, SQ2 ** 3))
 
 
 def test_prep_theta_half_single_qubit():
-    sv = fourier_prep(StateVector(1), [0], 0.5)
+    sv = StateVector(1).apply_gates(fourier_prep_gates([0], 0.5))
     assert np.allclose(sv.amps, [SQ2, -SQ2])
 
 
 def test_prep_equals_dft_column():
     # theta = 5/16 encodes basis state 5 through the transform
-    sv = fourier_prep(StateVector(4), range(4), 5 / 16)
+    sv = StateVector(4).apply_gates(fourier_prep_gates(range(4), 5 / 16))
     assert np.allclose(sv.amps, dft_matrix(4)[:, 5], atol=1e-12)
 
 
@@ -41,7 +41,7 @@ def test_prep_equals_dft_column_all_values():
     n = 4
     F = dft_matrix(n)
     for v in range(16):
-        sv = fourier_prep(StateVector(n), range(n), v / 16)
+        sv = StateVector(n).apply_gates(fourier_prep_gates(range(n), v / 16))
         assert np.allclose(sv.amps, F[:, v], atol=1e-12)
 
 
@@ -63,16 +63,16 @@ def test_inverse_qft_single_qubit_is_hadamard():
 
 def test_inverse_qft_on_theta_zero_gives_all_zeros():
     n = 5
-    sv = fourier_prep(StateVector(n), range(n), 0.0)
+    sv = StateVector(n).apply_gates(fourier_prep_gates(range(n), 0.0))
     inverse_qft_local(sv, range(n))
     assert abs(sv.amps[0] - 1.0) < 1e-12
 
 
 def test_exhaustive_phase_recovery_n4():
-    # fourier_prep(j/16) -> inverse QFT -> REV must yield exactly j
+    # the Fourier prep of j/16 -> inverse QFT -> REV must yield exactly j
     n = 4
     for j in range(16):
-        sv = fourier_prep(StateVector(n), range(n), j / 16)
+        sv = StateVector(n).apply_gates(fourier_prep_gates(range(n), j / 16))
         inverse_qft_local(sv, range(n))
         idx = int(np.argmax(np.abs(sv.amps)))
         assert abs(abs(sv.amps[idx]) - 1.0) < 1e-12
@@ -82,7 +82,7 @@ def test_exhaustive_phase_recovery_n4():
 def test_final_state_matches_matrix_oracle():
     n = 4
     theta = 1 / 3
-    sv = fourier_prep(StateVector(n), range(n), theta)
+    sv = StateVector(n).apply_gates(fourier_prep_gates(range(n), theta))
     inverse_qft_local(sv, range(n))
     assert np.allclose(sv.amps, expected_final_state(n, theta), atol=1e-12)
 
@@ -179,9 +179,9 @@ def test_gate_multiset_equivalence():
 def test_flattened_schedule_executes_to_monolithic_state():
     # slot order is a valid execution order, not just the right multiset
     n, k, theta = 9, 3, 2 / 3
-    mono = fourier_prep(StateVector(n), range(n), theta)
+    mono = StateVector(n).apply_gates(fourier_prep_gates(range(n), theta))
     inverse_qft_local(mono, range(n))
-    flat = fourier_prep(StateVector(n), range(n), theta)
+    flat = StateVector(n).apply_gates(fourier_prep_gates(range(n), theta))
     flat.apply_gates(flatten_schedule(build_schedule(make_partition(n, k))))
     assert np.max(np.abs(flat.amps - mono.amps)) < 1e-12
 
@@ -191,7 +191,7 @@ def test_gradient_block_gates_commute():
     plan = make_partition(6, 2)
     sched = build_schedule(plan)
     block = next(b for b in sched.blocks if isinstance(b, GradientBlock))
-    base = fourier_prep(StateVector(6), range(6), 1 / 3)
+    base = StateVector(6).apply_gates(fourier_prep_gates(range(6), 1 / 3))
     fwd = base.copy()
     rev = base.copy()
     from dqft.statevector import Gate

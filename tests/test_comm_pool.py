@@ -72,14 +72,15 @@ def test_fabric_without_comm_rejects_comm_slots():
 
 
 def test_measuring_a_known_zero_pool_qubit_keeps_it_in_its_window():
-    # resetting an EPR half collapses the pair: both halves end known |0>,
-    # and measuring them reads 0 with one draw each and leaves the state alone
+    # resetting an EPR half collapses the pair into a known bit on its partner,
+    # so both slots end |0> and free; measuring them reads 0 with one draw each
+    # and leaves the state alone
     fabric = Fabric(make_partition(4, 2))
     plan = fabric.plan
     rng = np.random.default_rng(0)
     fabric.allocate_epr(0, 1, rng)
     for node in (0, 1):
-        fabric.reset(plan.comm_slots[node], rng)  # known |0> and still bound
+        fabric.reset(plan.comm_slots[node], rng)  # |0> and free: a reset frees its slot
     before = fabric.state.amps.copy()
     assert [fabric.measure(plan.comm_slots[node], rng) for node in (1, 0)] == [0, 0]
     assert np.max(np.abs(fabric.state.amps - before)) <= 1e-12

@@ -6,6 +6,7 @@ import pytest
 from dqft.fabric import (CommSlotBusyError, CrossNodeGateError, Fabric,
                          PartitionPlan, check_locality, make_partition)
 from dqft.metrics import epr_budget, naive_epr_budget
+from dqft.statevector import StateVector
 from dqft.verify import ScriptedRng
 
 SQ2 = 1 / np.sqrt(2)
@@ -104,8 +105,46 @@ def test_allocate_epr_busy_slot():
     fabric.allocate_epr(0, 1, rng)
     with pytest.raises(CommSlotBusyError):
         fabric.allocate_epr(1, 2, rng)
-    fabric.release_comm(1)
+    fabric.reset(fabric.plan.comm_slots[1], rng)  # a reset frees the slot
     fabric.allocate_epr(1, 2, rng)
+
+
+def test_measuring_both_halves_of_a_bare_pair_frees_both_slots():
+    fabric = Fabric(make_partition(2, 2))
+    fabric.apply("h", (0,))
+    fabric.apply("p", (1,), 0.3)
+    before = fabric.state.amps.copy()
+    rng = np.random.default_rng(0)
+    a, b, _ = fabric.allocate_epr(0, 1, rng)
+    assert fabric.measure(a, rng) == fabric.measure(b, rng)
+    assert not fabric.comm_busy(0) and not fabric.comm_busy(1)
+    assert np.array_equal(fabric.logical_state().amps, before)
+
+
+def test_a_sender_slot_is_free_after_its_measurement_before_its_reset():
+    fabric = Fabric(make_partition(2, 2))
+    rng = np.random.default_rng(0)
+    a, _, _ = fabric.allocate_epr(0, 1, rng)
+    fabric.apply("cnot", (0, a))
+    fabric.measure(a, rng)
+    assert not fabric.comm_busy(0)
+    assert fabric.comm_busy(1)  # the receiver's half is now a copy of qubit 0
+    fabric.reset(a, rng)
+    assert not fabric.comm_busy(0)
+
+
+def test_allocate_epr_onto_a_live_copy_raises_before_any_draw():
+    fabric = Fabric(make_partition(3, 3))
+    rng = np.random.default_rng(0)
+    a, _, _ = fabric.allocate_epr(0, 1, rng)
+    fabric.apply("cnot", (0, a))
+    fabric.measure(a, rng)  # node 1's slot holds a copy of qubit 0
+    drawn = rng.bit_generator.state
+    for pair in ((2, 1), (1, 2)):
+        with pytest.raises(CommSlotBusyError):
+            fabric.allocate_epr(*pair, rng)
+    assert rng.bit_generator.state == drawn
+    assert fabric.counters.epr_created == 1
 
 
 @pytest.mark.parametrize("node", [-2, -1, 3, 5])
@@ -116,7 +155,6 @@ def test_node_outside_the_plan_raises_and_leaves_the_slots_alone(node):
     fabric.allocate_epr(0, 1, rng)
     for call in (lambda: fabric.allocate_epr(node, 2, rng),
                  lambda: fabric.allocate_epr(2, node, rng),
-                 lambda: fabric.release_comm(node),
                  lambda: fabric.comm_busy(node)):
         with pytest.raises(ValueError):
             call()
@@ -212,6 +250,21 @@ def test_logical_state_rejects_entangled_comm():
     fabric.allocate_epr(0, 1, np.random.default_rng(0))
     with pytest.raises(RuntimeError, match="comm"):
         fabric.logical_state()
+
+
+def test_the_norm_check_makes_no_blas_call(monkeypatch):
+    # np.vdot goes to OpenBLAS, multi-threaded unless OPENBLAS_NUM_THREADS pins it
+    def no_blas(*args):
+        raise AssertionError("np.vdot called")
+
+    monkeypatch.setattr(np, "vdot", no_blas)
+    fabric = Fabric(make_partition(2, 2))
+    fabric.apply("h", (0,))
+    assert np.allclose(fabric.logical_state().amps, [SQ2, 0, SQ2, 0])
+    strided = np.array([SQ2, 0, 1j * SQ2, 0])[::2]
+    assert np.array_equal(StateVector.from_amplitudes(strided).amps, strided)
+    with pytest.raises(ValueError, match="normalized"):
+        StateVector.from_amplitudes([1, 1])
 
 
 # -- budget formulas over plans -------------------------------------------------------

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqft.circuits import (TWO_PI, GradientBlock, build_schedule, fourier_prep,
-                           fourier_prep_gates, fourier_product, inv_qft_angle)
+from dqft.circuits import (TWO_PI, GradientBlock, build_schedule, fourier_prep_gates,
+                           fourier_product, inv_qft_angle)
 from dqft.fabric import Fabric, PartitionPlan, make_partition
 from dqft.metrics import epr_budget
 from dqft.runner import (_distribution, _execute_schedule, _feedforward,
@@ -90,7 +90,7 @@ def test_feedforward_fold_is_the_exact_dyadic_sum(bits):
 
 def _per_row_sum_state(n: int, theta: float) -> StateVector:
     """The deferred-measurement state with each row's phase summed over its bits."""
-    state = fourier_prep(StateVector(n), range(n), theta)
+    state = StateVector(n).apply_gates(fourier_prep_gates(range(n), theta))
     for j in range(n):
         rows = np.arange(1 << j)[:, None]
         turns = sum(((rows >> (j - 1 - l)) & 1) / (1 << (j - l + 1)) for l in range(j))

@@ -217,6 +217,5 @@ def test_dropping_z_correction_breaks_equivalence():
     bit = fabric.measure(handle.remote_cat, rng)
     assert bit == 1
     fabric.reset(handle.remote_cat, rng)
-    fabric.release_comm(1)
     direct = StateVector(2).apply_gate(Gate.h(0)).apply_gate(Gate.cp(np.pi / 4, 0, 1))
     assert not equal_up_to_global_phase(fabric.logical_state(), direct, 1e-8)
