@@ -28,7 +28,7 @@ ValueError.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import Gate, ProductState, StateVector
+from .statevector import ONE_QUBIT_KINDS, Gate, ProductState, StateVector
 
 LATENCY = 1  # ticks from sending a classical message to its delivery
 
@@ -107,8 +107,7 @@ def check_locality(plan: PartitionPlan, qubits) -> None:
         raise CrossNodeGateError(f"gate spans nodes {sorted(nodes)}: operands {list(qubits)}")
 
 
-@dataclass(frozen=True)
-class ClassicalMessage:
+class ClassicalMessage(NamedTuple):
     src: int
     dst: int
     tag: str
@@ -143,7 +142,10 @@ class Fabric:
     The n logical qubits start in a copy of prep (|0...0> by default), so
     the fabric never changes the factors it was given.  with_comm=False
     forbids comm slots (teleportation-free modes): the state is then a
-    ProductState, n one-qubit factors, which rejects two-qubit gates.
+    ProductState, n one-qubit factors, which rejects two-qubit gates.  Such
+    a product fabric never holds a frame entry or a pending Z, so a
+    one-qubit gate on a logical qubit is resolved once, in apply, and goes
+    straight to its factor (ProductState.apply_one) with no Gate.
     A message is deliverable LATENCY = 1 tick later.
     """
 
@@ -153,16 +155,25 @@ class Fabric:
         self.with_comm = with_comm
         prep = ProductState(plan.n) if prep is None else prep
         self.state = prep.to_statevector() if with_comm else prep.copy()
+        self._product_n = 0 if with_comm else plan.n  # qubits of the resolved product path
         self.counters = FabricCounters()
         self._frame: dict[int, FrameEntry] = {}  # node -> its comm qubit; ZERO when absent
         self._pending_z: set[int] = set()  # logical qubits owed a Z by a cat session
-        self._queues: dict[tuple[int, int], deque[ClassicalMessage]] = {}
+        self._queues: defaultdict[tuple[int, int], deque[ClassicalMessage]] = defaultdict(deque)
 
     # -- gates and measurements --------------------------------------------
 
     def apply(self, kind: str, qubits, phi: float = 0.0) -> None:
-        """Apply a gate to plan-index operands on one node; else CrossNodeGateError."""
+        """Apply a gate to plan-index operands on one node; else CrossNodeGateError.
+
+        On a product fabric a one-qubit kind on a logical qubit is resolved
+        here and goes straight to its factor (ProductState.apply_one); any
+        other call takes the checked path and raises as a Gate would.
+        """
         qubits = tuple(qubits)
+        if len(qubits) == 1 and 0 <= qubits[0] < self._product_n and kind in ONE_QUBIT_KINDS:
+            self.state.apply_one(kind, qubits[0], phi)  # no frame, no pending Z: nothing to touch
+            return
         if len(qubits) > 1:  # one operand is always local
             check_locality(self.plan, qubits)
         if min(qubits) < 0 or max(qubits) >= self.plan.n:
@@ -170,7 +181,8 @@ class Fabric:
         elif kind == "z" and qubits[0] in self._pending_z:  # the correction meets its kick
             self._pending_z.remove(qubits[0])
         else:
-            self._touch(qubits, kind in ("h", "x", "cnot"))
+            if self._frame or self._pending_z:
+                self._touch(qubits, kind in ("h", "x", "cnot"))
             self.state.apply_gate(Gate(kind, qubits, phi))
 
     def _comm_step(self, kind: str, qubits) -> None:
@@ -203,11 +215,11 @@ class Fabric:
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
         """Measure a plan index (one draw)."""
         self.counters.midcircuit_measurements += 1
-        node = self._slot(qubit)
-        if node is not None:
-            return self._collapse(node, rng)
-        self._touch((qubit,))
-        return self.state.measure(qubit, rng)
+        if 0 <= qubit < self.plan.n:
+            if self._pending_z:
+                self._touch((qubit,))
+            return self.state.measure(qubit, rng)
+        return self._collapse(self._slot(qubit), rng)
 
     def reset(self, qubit: int, rng: np.random.Generator) -> None:
         """Reset a plan index to |0> (one draw); not a protocol measurement."""
@@ -286,7 +298,7 @@ class Fabric:
         if src == dst:
             raise ValueError("classical message must cross nodes (src == dst)")
         msg = ClassicalMessage(src, dst, tag, payload, self.counters.current_tick + LATENCY)
-        self._queues.setdefault((src, dst), deque()).append(msg)
+        self._queues[src, dst].append(msg)
         self.counters.classical_messages += 1
         return msg
 

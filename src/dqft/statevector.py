@@ -2,7 +2,9 @@
 
 StateVector is the dense engine.  ProductState holds unentangled qubits as
 one pair of amplitudes each, for runs that apply only one-qubit gates and
-measurements (the measure-early semiclassical mode).
+measurements (the measure-early semiclassical mode).  Its apply_one holds
+the one-qubit factor formulas, unchecked: apply_gate calls it after the
+operand check, and a product Fabric after resolving the operand itself.
 
 StateVector's kernels work in place, with no temporary the size of the
 state: H adds and scales the qubit's halves, X and CNOT swap them through a
@@ -21,6 +23,7 @@ so whole runs replay bit-exactly from a seed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -29,6 +32,7 @@ import numpy as np
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
+SLAB_BYTES = 1 << 17  # the buffer an X or CNOT swaps its halves through
 FAN_CHUNK = 10  # run qubits per fan pass: a phase table of at most 2^10 entries (16 KiB)
 ONE_QUBIT_KINDS = ("h", "x", "z", "p")
 TWO_QUBIT_KINDS = ("cp", "cnot")
@@ -98,9 +102,19 @@ def _runs(*views):
 
 
 def _swap(a, b) -> None:
-    """Exchange two disjoint views bit for bit, through a slab of about 2^13 amplitudes (128 KiB)."""
-    axis = max(range(a.ndim), key=a.shape.__getitem__)
-    step = max(1, (1 << 13) * a.shape[axis] // a.size)
+    """Exchange two disjoint views bit for bit, through a slab of about 128 KiB.
+
+    A contiguous last axis of 2 to 4 amplitudes becomes one element per run,
+    so a copy loops over the runs, not inside each.  The slab is cut from the
+    outermost axis long enough to hold it, so it moves whole contiguous runs.
+    """
+    if 1 < a.shape[-1] <= 4 and a.strides[-1] == a.itemsize:
+        run = np.dtype((np.void, a.itemsize * a.shape[-1]))
+        a, b = a.view(run)[..., 0], b.view(run)[..., 0]
+    fits = [ax for ax in range(a.ndim) if a.nbytes <= SLAB_BYTES * a.shape[ax]]
+    axis = (max(fits, key=a.strides.__getitem__) if fits
+            else max(range(a.ndim), key=a.shape.__getitem__))
+    step = max(1, SLAB_BYTES * a.shape[axis] // a.nbytes)
     for i in range(0, a.shape[axis], step):
         x, y = (v[(slice(None),) * axis + (slice(i, i + step),)] for v in (a, b))
         slab = x.copy()
@@ -335,17 +349,22 @@ class ProductState:
         _check_operands(gate, self.num_qubits)
         if gate.kind in TWO_QUBIT_KINDS:
             raise ValueError(f"{gate.kind} on {gate.qubits} would entangle a product state")
-        f = self._factors[gate.qubits[0]]
-        a, b = f
-        if gate.kind == "h":
-            f[0], f[1] = (a + b) * SQRT2_INV, (a - b) * SQRT2_INV
-        elif gate.kind == "x":
-            f[0], f[1] = b, a
-        elif gate.kind == "z":
-            f[1] = b * -1.0
-        else:
-            f[1] = b * complex(np.exp(1j * gate.phi))
+        self.apply_one(gate.kind, gate.qubits[0], gate.phi)
         return self
+
+    def apply_one(self, kind: str, qubit: int, phi: float = 0.0) -> None:
+        """h, x, z or p(phi) on qubit's factor, unchecked: the caller has resolved a
+        one-qubit kind and an index in 0..Q-1 (apply_gate, or a product Fabric)."""
+        f = self._factors[qubit]
+        a, b = f
+        if kind == "h":
+            f[0], f[1] = (a + b) * SQRT2_INV, (a - b) * SQRT2_INV
+        elif kind == "x":
+            f[0], f[1] = b, a
+        elif kind == "z":
+            f[1] = b * -1.0
+        else:  # cmath.exp equals complex(np.exp(1j * phi)) bit for bit, at a fifth of the cost
+            f[1] = b * cmath.exp(1j * phi)
 
     def apply_fan(self, source: int, targets, phis, on: int = 1) -> "ProductState":
         raise ValueError(f"a fan from {source} onto {list(targets)} would entangle a product state")

@@ -99,6 +99,20 @@ def test_every_gate_matches_its_kronecker_matrix(state, phi, pick):
             assert np.array_equal(got.view(np.int64), permuted(amps, gate, n).view(np.int64)), gate
 
 
+@pytest.mark.parametrize("n", [6, 16])
+def test_swaps_match_the_permutation_oracle_on_every_operand(n):
+    # n = 6: every X and CNOT; n = 16: halves of 2^15 amplitudes, swapped in several slabs
+    rng = np.random.default_rng(n)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    amps /= np.linalg.norm(amps)
+    controls = range(n) if n == 6 else [11]
+    gates = [Gate.x(q) for q in range(n)]
+    gates += [Gate.cnot(c, t) for c in controls for t in range(n) if c != t]
+    for gate in gates:
+        got = StateVector.from_amplitudes(amps).apply_gate(gate).amps
+        assert np.array_equal(got.view(np.int64), permuted(amps, gate, n).view(np.int64)), gate
+
+
 def test_kernels_allocate_no_state_sized_temporary():
     # 2^18 amplitudes is 4 MiB: a half-state copy would be 2 MiB, a quarter 1 MiB
     n = 18
