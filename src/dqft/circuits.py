@@ -5,14 +5,16 @@ classical postprocessing of the measured bits (bit_reverse), so every
 circuit here is swap-free.  Phase-angle fractions are reduced mod 1 in
 exact rational arithmetic before conversion to radians; multiplying a
 float theta by a large power of two and reducing in floating point would
-otherwise cost ~2^e ulps of phase.
+otherwise cost ~2^e ulps of phase.  build_schedule is a pure function of
+its frozen plan, so it is memoized, and each GradientBlock groups its fans
+once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import groupby
 
 from .fabric import PartitionPlan
@@ -22,8 +24,13 @@ TWO_PI = 2.0 * math.pi
 
 
 def phase_turns(theta: float, exponent: int) -> float:
-    """theta * 2^exponent mod 1, computed exactly on the float's rational value."""
-    return float((Fraction(theta) * (1 << exponent)) % 1)
+    """theta * 2^exponent mod 1, computed exactly on the float's rational value.
+
+    The reduction is integer arithmetic on theta = num/den, and the one
+    rounding is int / int, correctly rounded like float(Fraction).
+    """
+    num, den = theta.as_integer_ratio()
+    return ((num << exponent) % den) / den
 
 
 def inv_qft_angle(d: int) -> float:
@@ -149,11 +156,17 @@ class GradientBlock:
     slot: int
     gates: tuple[tuple[int, int, float], ...]
 
-    def fans(self):
+    def fans(self) -> tuple[tuple[int, tuple[int, ...], tuple[float, ...]], ...]:
         """(control, targets, phis) per control qubit: its CPs as one fan onto the target node."""
+        return self._fans
+
+    @cached_property
+    def _fans(self):
+        fans = []
         for c, triples in groupby(self.gates, key=lambda g: g[0]):
             _, targets, phis = zip(*triples)
-            yield c, targets, phis
+            fans.append((c, targets, phis))
+        return tuple(fans)
 
 
 @dataclass(frozen=True)
@@ -167,6 +180,7 @@ class DistributedSchedule:
             yield s, list(group)
 
 
+@lru_cache(maxsize=64)
 def build_schedule(plan: PartitionPlan) -> DistributedSchedule:
     """Recursive k-node decomposition of the swap-free inverse QFT.
 
@@ -176,7 +190,9 @@ def build_schedule(plan: PartitionPlan) -> DistributedSchedule:
     direct gates it reproduces exactly the monolithic gate multiset.
     Blocks are emitted in slot order: the local block first, then the
     gradient blocks by increasing control node.  Gradient gates name plan
-    indices: CP(c, t) has angle -2*pi/2^(t-c+1).
+    indices: CP(c, t) has angle -2*pi/2^(t-c+1).  Memoized on the plan
+    (equal plans share one schedule), so every caller gets the same
+    immutable blocks.
     """
     blocks = []
     num_slots = 2 * plan.k - 1

@@ -102,9 +102,14 @@ def make_partition(n: int, k: int) -> PartitionPlan:
 
 def check_locality(plan: PartitionPlan, qubits) -> None:
     """Raise CrossNodeGateError unless all plan-index operands share a node."""
-    nodes = {plan.node_of(q) for q in qubits}
-    if len(nodes) > 1:
-        raise CrossNodeGateError(f"gate spans nodes {sorted(nodes)}: operands {list(qubits)}")
+    qubits, table, first = tuple(qubits), plan._nodes, None
+    for q in qubits:
+        node = table[q] if 0 <= q < len(table) else plan.node_of(q)  # a ValueError out of range
+        if first is None:
+            first = node
+        elif node != first:
+            nodes = sorted({plan.node_of(q) for q in qubits})
+            raise CrossNodeGateError(f"gate spans nodes {nodes}: operands {list(qubits)}")
 
 
 class ClassicalMessage(NamedTuple):
@@ -134,6 +139,7 @@ class FrameEntry(NamedTuple):
 
 
 ZERO = FrameEntry("bit")  # a comm qubit in |0>, until used and after a reset
+BITS = (ZERO, FrameEntry("bit", 1))  # a comm qubit holding a measured outcome, by outcome
 
 
 class Fabric:
@@ -171,12 +177,16 @@ class Fabric:
         other call takes the checked path and raises as a Gate would.
         """
         qubits = tuple(qubits)
-        if len(qubits) == 1 and 0 <= qubits[0] < self._product_n and kind in ONE_QUBIT_KINDS:
-            self.state.apply_one(kind, qubits[0], phi)  # no frame, no pending Z: nothing to touch
-            return
-        if len(qubits) > 1:  # one operand is always local
+        if len(qubits) == 1:  # one operand is always local
+            q = qubits[0]
+            if 0 <= q < self._product_n and kind in ONE_QUBIT_KINDS:
+                self.state.apply_one(kind, q, phi)  # no frame, no pending Z: nothing to touch
+                return
+            logical = 0 <= q < self.plan.n
+        else:
             check_locality(self.plan, qubits)
-        if min(qubits) < 0 or max(qubits) >= self.plan.n:
+            logical = min(qubits) >= 0 and max(qubits) < self.plan.n
+        if not logical:
             self._comm_step(kind, qubits)
         elif kind == "z" and qubits[0] in self._pending_z:  # the correction meets its kick
             self._pending_z.remove(qubits[0])
@@ -187,8 +197,8 @@ class Fabric:
 
     def _comm_step(self, kind: str, qubits) -> None:
         """A cat-session step onto a comm qubit, the last operand: bookkeeping only."""
-        node = self._slot(qubits[-1])
-        entry = self._frame.get(node, ZERO)
+        last = qubits[-1]
+        node, entry = (None, ZERO) if 0 <= last < self.plan.n else self._comm(last)
         if (kind == "cnot" and entry.kind == "pair" and qubits[0] < self.plan.n
                 and entry.control is None and self._frame[entry.partner].control is None):
             self._frame[node] = FrameEntry("pair", 0, qubits[0], entry.partner)
@@ -203,14 +213,15 @@ class Fabric:
         a comm-qubit source must hold a copy of some c, and the fan runs from c."""
         targets = list(targets)
         check_locality(self.plan, (source, *targets))
-        on, node = 1, self._slot(source)
-        if node is not None:
-            entry = self._frame.get(node, ZERO)
+        on = 1
+        if source >= self.plan.n:
+            entry = self._comm(source)[1]
             if entry.kind != "copy":
                 raise ValueError(f"fan from {source}: a comm qubit holding {entry} is no copy")
             source, on = entry.control, 1 ^ entry.flip
         self.state.apply_fan(source, targets, phis, on)  # a ValueError for comm targets
-        self._touch((source, *targets))  # a pending Z commutes with the fan
+        if self._pending_z:
+            self._touch((source, *targets))  # a pending Z commutes with the fan
 
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
         """Measure a plan index (one draw)."""
@@ -219,45 +230,47 @@ class Fabric:
             if self._pending_z:
                 self._touch((qubit,))
             return self.state.measure(qubit, rng)
-        return self._collapse(self._slot(qubit), rng)
+        node, entry = self._comm(qubit)
+        return self._collapse(node, entry, rng)
 
     def reset(self, qubit: int, rng: np.random.Generator) -> None:
         """Reset a plan index to |0> (one draw); not a protocol measurement."""
-        node = self._slot(qubit)
-        if node is not None:
-            self._collapse(node, rng)
-            self._frame.pop(node, None)
+        if 0 <= qubit < self.plan.n:
+            self._touch((qubit,), True)
+            self.state.reset(qubit, rng)
             return
-        self._touch((qubit,), True)
-        self.state.reset(qubit, rng)
+        node, entry = self._comm(qubit)
+        self._collapse(node, entry, rng)
+        self._frame.pop(node, None)
 
-    def _collapse(self, node: int, rng: np.random.Generator) -> int:
-        """Measure node's comm qubit with one draw; it then holds the outcome."""
-        entry = self._frame.get(node, ZERO)
+    def _collapse(self, node: int, entry: FrameEntry, rng: np.random.Generator) -> int:
+        """Measure node's comm qubit, holding entry, with one draw; it then holds the outcome."""
         if entry.kind == "bit":
             rng.random()  # a known bit: the same single draw, and no pass
             return entry.flip
         if entry.kind == "copy":
             raise ValueError(f"measuring node {node}'s copy would collapse qubit {entry.control}")
         bit = 0 if rng.random() < 0.5 else 1  # a fair coin, whatever the logical state
+        frame = self._frame
         if entry.kind == "pair":  # r = bit xor [x_c]: the partner's r xor [x_c'] is a bit or a copy
-            c = self._frame[entry.partner].control
+            c = frame[entry.partner].control
             c = entry.control if c is None else c
-            self._frame[entry.partner] = FrameEntry("bit" if c is None else "copy", bit, c)
+            frame[entry.partner] = BITS[bit] if c is None else FrameEntry("copy", bit, c)
         elif bit:  # the kept branch carries (-1)^(x_c xor flip): Z on c, up to a global phase
             self._pending_z ^= {entry.control}
-        self._frame[node] = FrameEntry("bit", bit)
+        frame[node] = BITS[bit]
         return bit
 
-    def _slot(self, qubit: int) -> int | None:
-        """The node of a comm-slot plan index; None for a logical qubit; ValueError out of range."""
-        n = self.plan.n
-        if 0 <= qubit < n:
-            return None
-        if not (n <= qubit < n + self.plan.k and self.with_comm):
+    def _comm(self, qubit: int) -> tuple[int, FrameEntry]:
+        """The node and frame entry of a plan index past the logical qubits: a comm slot.
+
+        A ValueError out of range; a CommSlotBusyError on a fabric without comm qubits.
+        """
+        node = qubit - self.plan.n
+        if not (0 <= node < self.plan.k and self.with_comm):
             self.plan.node_of(qubit)  # a ValueError out of range
             raise CommSlotBusyError("fabric built without communication qubits")
-        return qubit - n
+        return node, self._frame.get(node, ZERO)
 
     def _touch(self, qubits, flips: bool = False) -> None:
         """Apply the qubits' pending Zs; flips: the step may flip the last."""
@@ -278,11 +291,13 @@ class Fabric:
         for node in (node_a, node_b):
             if self.comm_busy(node):
                 raise CommSlotBusyError(f"comm slot of node {node} is busy")
+        if not self.with_comm:
+            raise CommSlotBusyError("fabric built without communication qubits")
+        rng.random()  # each free slot holds a known bit: its reset is one draw and no pass
+        rng.random()
         n = self.plan.n
-        self.reset(n + node_a, rng)  # a CommSlotBusyError without comm qubits
-        self.reset(n + node_b, rng)
-        self._frame[node_a] = FrameEntry("pair", partner=node_b)
-        self._frame[node_b] = FrameEntry("pair", partner=node_a)
+        self._frame[node_a] = FrameEntry("pair", 0, None, node_b)
+        self._frame[node_b] = FrameEntry("pair", 0, None, node_a)
         self.counters.epr_created += 1
         return n + node_a, n + node_b, self.counters.epr_created
 
@@ -297,6 +312,8 @@ class Fabric:
     def send_classical(self, src: int, dst: int, tag: str, payload: int) -> ClassicalMessage:
         if src == dst:
             raise ValueError("classical message must cross nodes (src == dst)")
+        if not (0 <= src < self.plan.k and 0 <= dst < self.plan.k):
+            raise ValueError(f"message {src}->{dst}: nodes lie in 0..{self.plan.k - 1}")
         msg = ClassicalMessage(src, dst, tag, payload, self.counters.current_tick + LATENCY)
         self._queues[src, dst].append(msg)
         self.counters.classical_messages += 1
@@ -316,11 +333,10 @@ class Fabric:
 
     def receive_all(self, dst: int) -> list[ClassicalMessage]:
         """Pop every message deliverable to dst: by increasing source node, FIFO per channel."""
-        out = []
-        for (src, d), q in sorted(self._queues.items()):
-            if d != dst:
-                continue
-            while q and q[0].tick <= self.counters.current_tick:
+        out, now, queues = [], self.counters.current_tick, self._queues
+        for src in range(self.plan.k):
+            q = queues.get((src, dst))
+            while q and q[0].tick <= now:
                 out.append(q.popleft())
         return out
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,10 +177,11 @@ class StateVector:
 
     # -- views -------------------------------------------------------------
 
-    def _one_axis(self, q: int, dtype=np.complex128):
+    def _one_axis(self, q: int, dtype=None):
         # axis 0: qubits before q, axis 1: qubit q, axis 2: qubits after q
-        # (the float64 view has two words per amplitude on axis 2)
-        return self.amps.view(dtype).reshape(1 << q, 2, -1)
+        # (a float64 view has two words per amplitude on axis 2)
+        amps = self.amps if dtype is None else self.amps.view(dtype)
+        return amps.reshape(1 << q, 2, -1)
 
     def _two_axes(self, qa: int, qb: int):
         # axis 1: qa, axis 3: qb, axes 0, 2 and 4: the qubits before, between and after them
@@ -226,23 +227,23 @@ class StateVector:
         at most FAN_CHUNK run qubits at a time.  An empty fan is the identity.
         """
         targets, size = list(targets), self.num_qubits
-        lo = targets[0] if targets else 0
-        if (len(phis) != len(targets) or targets != list(range(lo, lo + len(targets)))
-                or not 0 <= source < size or lo < 0 or lo + len(targets) > size
-                or source in targets):
+        lo, m = (targets[0] if targets else 0), len(targets)
+        if (len(phis) != m or not 0 <= lo <= lo + m <= size or lo <= source < lo + m
+                or not 0 <= source < size or targets != list(range(lo, lo + m))):
             raise ValueError(f"fan from {source} onto {targets} with {len(phis)} phases: need "
                              f"one phase per qubit of a run of consecutive qubits without {source}")
-        ones = self._one_axis(source)[:, on, :]  # the qubits before and after source
-        for c in range(0, len(targets), FAN_CHUNK):
-            first, w = targets[c], len(targets[c:c + FAN_CHUNK])
+        amps = self.amps
+        for c in range(0, m, FAN_CHUNK):
+            first, w = lo + c, min(FAN_CHUNK, m - c)
             table = _fan_table(tuple(phis[c:c + FAN_CHUNK]))
-            # [1:] on the run axis: the amplitudes with every run qubit 0 keep phase 1
-            if source < first:  # the run sits in the qubits after source
-                view = ones.reshape(1 << source, 1 << (first - source - 1), 1 << w, -1)[:, :, 1:]
-                table = table.reshape(1, 1, -1, 1)
-            else:  # the run sits in the qubits before source
-                view = ones.reshape(1 << first, 1 << w, -1, ones.shape[1])[:, 1:]
-                table = table.reshape(1, -1, 1, 1)
+            # the source = on half, and [1:] on the run axis: the amplitudes with every
+            # run qubit 0 keep phase 1; the table's trailing 1s broadcast over the rest
+            if source < first:  # source, the qubits between, the run, the qubits after
+                view = amps.reshape(1 << source, 2, 1 << (first - source - 1), 1 << w, -1)
+                view, table = view[:, on, :, 1:], table.reshape(-1, 1)
+            else:  # the qubits before the run, the run, the qubits between, source, after
+                view = amps.reshape(1 << first, 1 << w, 1 << (source - first - w), 2, -1)
+                view, table = view[:, 1:, :, on], table.reshape(-1, 1, 1)
             view, table, order = _runs(view, table)
             np.multiply(view, table, out=view, order=order)
         return self
@@ -342,8 +343,16 @@ class ProductState:
         return np.array(self._factors, dtype=np.complex128).reshape(-1)
 
     def to_statevector(self) -> StateVector:
-        """The dense state: the Kronecker product of the factors, qubit 0 most significant."""
-        return StateVector._of(reduce(np.kron, self.amps.reshape(-1, 2)))
+        """The dense state: the Kronecker product of the factors, qubit 0 most significant.
+
+        One outer product per factor, each entry acc[i] * factor[b]: the
+        products of np.kron, in the same order, without its reshaping.
+        """
+        factors = self.amps.reshape(-1, 2)
+        acc = factors[0]
+        for f in factors[1:]:
+            acc = np.multiply.outer(acc, f).ravel()
+        return StateVector._of(acc)
 
     def apply_gate(self, gate: Gate) -> "ProductState":
         _check_operands(gate, self.num_qubits)

@@ -37,7 +37,7 @@ class CatHandle:
 def _signal(fabric: Fabric, comm: int, dst: int, tag: str,
             rng: np.random.Generator) -> int:
     """Measure comm (freeing its slot), reset it, and return the bit dst gets LATENCY later."""
-    src = fabric.plan.node_of(comm)
+    src = fabric.plan._nodes[comm]  # comm is a slot the session's fabric gave or checked
     bit = fabric.measure(comm, rng)
     fabric.reset(comm, rng)
     fabric.send_classical(src, dst, tag, bit)
@@ -74,9 +74,10 @@ def apply_remote_controlled(fabric: Fabric, handle: CatHandle, targets, phis) ->
     if not handle.entangled:
         raise ProtocolError("session already disentangled")
     plan = fabric.plan
-    node = plan.node_of(handle.remote_cat)
+    nodes, node = plan._nodes, plan.node_of(handle.remote_cat)
     for target in targets:
-        if plan.node_of(target) != node or target >= plan.n:
+        if not (0 <= target < plan.n and nodes[target] == node):
+            plan.node_of(target)  # a ValueError out of range
             raise ProtocolError(f"target {target} is not a logical qubit on node {node}")
     fabric.apply_fan(handle.remote_cat, targets, phis)
 
