@@ -23,14 +23,11 @@ import sys
 from dataclasses import dataclass, fields
 
 from .fabric import make_partition
-from .metrics import classical_fidelity, counts_to_distribution
-# monolithic_exact_distribution is unused here; it stays in this namespace
-# because dqftbench/spans.py wraps bench.monolithic_exact_distribution
-from .runner import (MODES, _reference, monolithic_exact_distribution,  # noqa: F401
-                     run_distributed)
+# classical_fidelity and monolithic_exact_distribution are unused here; they stay
+# in this namespace because dqftbench/spans.py wraps bench.<name> for both
+from .metrics import classical_fidelity  # noqa: F401
+from .runner import MODES, monolithic_exact_distribution, run_distributed  # noqa: F401
 
-CONFIG_KEYS = ("num_qubits", "nodes", "theta", "shots", "modes", "seed",
-               "repeats", "output_path")
 FIDELITY_TOLERANCE = 1e-9
 DEFAULT_TIMEOUT_SECONDS = 600.0
 
@@ -45,6 +42,9 @@ class SweepConfig:
     seed: int
     repeats: int
     output_path: str
+
+
+CONFIG_KEYS = tuple(f.name for f in fields(SweepConfig))
 
 
 @dataclass
@@ -135,6 +135,10 @@ def parse_config(text: str) -> SweepConfig:
     for theta in cfg.theta:
         if not 0.0 <= theta < 1.0:
             raise ValueError(f"theta must lie in [0, 1), got {theta}")
+    for key in ("num_qubits", "nodes", "theta", "modes"):  # as the resume key spells them
+        cells = [format_value(v) for v in getattr(cfg, key)]
+        if len(set(cells)) != len(cells):
+            raise ValueError(f"{key} repeats a value: [{', '.join(cells)}]")
     return cfg
 
 
@@ -161,16 +165,12 @@ def expand_points(config: SweepConfig, log=None):
 
 def run_point(n: int, k: int, theta: float, mode: str, shots: int, seed: int,
               repeat: int = 0) -> ResultRow:
-    """Execute one benchmark point and fold its measurements into a row.
+    """Execute one benchmark point and fold its metrics and modal outcome into a row.
 
     The modal outcome is the most frequent value, the smallest one among ties.
     """
     theta = normalize_theta(theta)
-    plan = make_partition(n, k)
-    reference = _reference(n, theta)
-    res = run_distributed(plan, theta, mode=mode, shots=shots, seed=seed,
-                          reference=reference)
-    sampled = classical_fidelity(counts_to_distribution(res.counts), reference)
+    res = run_distributed(make_partition(n, k), theta, mode=mode, shots=shots, seed=seed)
     top = max(res.counts.values())
     modal = min(v for v, c in res.counts.items() if c == top)
     m = res.metrics
@@ -182,7 +182,7 @@ def run_point(n: int, k: int, theta: float, mode: str, shots: int, seed: int,
         classical_msg_count=m.classical_msg_count,
         block_slots=m.block_slots,
         fidelity_exact=m.fidelity_vs_reference,
-        fidelity_sampled=sampled,
+        fidelity_sampled=m.fidelity_sampled,
         modal_outcome=modal,
     )
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import ONE_QUBIT_KINDS, Gate, ProductState, StateVector
+from .statevector import ONE_QUBIT_KINDS, Gate, ProductState, StateVector, _check_operands
 
 LATENCY = 1  # ticks from sending a classical message to its delivery
 
@@ -174,7 +174,8 @@ class Fabric:
 
         On a product fabric a one-qubit kind on a logical qubit is resolved
         here and goes straight to its factor (ProductState.apply_one); any
-        other call takes the checked path and raises as a Gate would.
+        other call takes the checked path and raises as a Gate would, before
+        any bookkeeping changes.
         """
         qubits = tuple(qubits)
         if len(qubits) == 1:  # one operand is always local
@@ -182,18 +183,22 @@ class Fabric:
             if 0 <= q < self._product_n and kind in ONE_QUBIT_KINDS:
                 self.state.apply_one(kind, q, phi)  # no frame, no pending Z: nothing to touch
                 return
+            if kind == "z" and q in self._pending_z:  # the correction meets its kick
+                self._pending_z.remove(q)
+                return
             logical = 0 <= q < self.plan.n
-        else:
+        else:  # two operands, or none: logical here, so the gate check rejects it
             check_locality(self.plan, qubits)
-            logical = min(qubits) >= 0 and max(qubits) < self.plan.n
+            logical = min(qubits, default=0) >= 0 and max(qubits, default=0) < self.plan.n
         if not logical:
             self._comm_step(kind, qubits)
-        elif kind == "z" and qubits[0] in self._pending_z:  # the correction meets its kick
-            self._pending_z.remove(qubits[0])
-        else:
-            if self._frame or self._pending_z:
-                self._touch(qubits, kind in ("h", "x", "cnot"))
-            self.state.apply_gate(Gate(kind, qubits, phi))
+            return
+        gate = Gate(kind, qubits, phi)
+        if self._frame or self._pending_z:
+            if self._pending_z:  # check first: a rejected gate spends no pending Z
+                _check_operands(gate, self.plan.n)
+            self._touch(qubits, kind in ("h", "x", "cnot"))
+        self.state.apply_gate(gate)
 
     def _comm_step(self, kind: str, qubits) -> None:
         """A cat-session step onto a comm qubit, the last operand: bookkeeping only."""
@@ -224,14 +229,15 @@ class Fabric:
             self._touch((source, *targets))  # a pending Z commutes with the fan
 
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
-        """Measure a plan index (one draw)."""
-        self.counters.midcircuit_measurements += 1
+        """Measure a plan index (one draw); only a measurement made is counted."""
         if 0 <= qubit < self.plan.n:
             if self._pending_z:
                 self._touch((qubit,))
-            return self.state.measure(qubit, rng)
-        node, entry = self._comm(qubit)
-        return self._collapse(node, entry, rng)
+            bit = self.state.measure(qubit, rng)
+        else:
+            bit = self._collapse(*self._comm(qubit), rng)
+        self.counters.midcircuit_measurements += 1
+        return bit
 
     def reset(self, qubit: int, rng: np.random.Generator) -> None:
         """Reset a plan index to |0> (one draw); not a protocol measurement."""

@@ -33,7 +33,8 @@ class RunMetrics:
     midcircuit_measurements: int
     block_slots: int
     shots: int
-    fidelity_vs_reference: float
+    fidelity_vs_reference: float  # the exact law's, against the monolithic reference
+    fidelity_sampled: float  # the counts', against the same reference
 
 
 def state_bytes(num_qubits: int) -> int:
@@ -48,7 +49,8 @@ def _checked(d: Distribution) -> tuple[np.ndarray | None, np.ndarray]:
     else:
         values, probs = None, np.asarray(d, np.float64)
     total = probs.sum()
-    if not (math.isfinite(total) and (probs >= 0.0).all()
+    # min, not a comparison: a reduction makes no temporary the size of a dense law
+    if not (math.isfinite(total) and probs.min(initial=0.0) >= 0.0
             and (values is None or values.min(initial=0) >= 0)):
         bad = ~(probs >= 0.0) | ~np.isfinite(probs) | (False if values is None else values < 0)
         if bad.any():
@@ -74,9 +76,9 @@ def classical_fidelity(p: Distribution, q: Distribution) -> float:
         return float(np.sqrt(pp[i] * qp[j]).sum())
     if qv is not None:  # put the dict first
         (pv, pp), qp = (qv, qp), pp
-    if pv is not None:  # spread over the dense one's values; the rest meet only 0s
+    if pv is not None:  # read the dense one at the dict's values; the rest meet only 0s
         inside = pv < qp.size
-        pp = np.bincount(pv[inside], pp[inside], qp.size)
+        pp, qp = pp[inside], qp[pv[inside]]
     size = min(pp.size, qp.size)
     prod = pp[:size] * qp[:size]
     return float(np.sqrt(prod, out=prod).sum())

@@ -13,13 +13,14 @@ shot.  No gate of a semiclassical shot entangles two qubits, so each shot's
 fabric holds a copy of the factors (a ProductState) and a shot costs O(n^2)
 scalar work.  Resource counters always cover one circuit execution.
 wall_time_seconds times the emulation only (prep, schedule or shots, and
-sampling); the exact distributions and the fidelity check run after the
-clock stops.  Inside a run an exact distribution is one float64
-array indexed by value.  The reference (the Fejer kernel) and the
+sampling); the check of the run, _metrics, starts after the clock stops.
+It builds the reference (the Fejer kernel) once and takes two fidelities
+against it: the run's exact law's and its counts'.  Inside a run an exact
+distribution is one float64 array indexed by value.  The reference and the
 measure-early law (a branch tree) are closed forms that share no code with
 the engine; only a telegate or monolithic run's own distribution is read
-from its state, as |amps|^2 with its qubit axes reversed (REV).  The public
-*_exact_distribution helpers return the same numbers as dicts.
+from its state, as its qubits' marginal listed in reverse (REV).  The
+public *_exact_distribution helpers return the same numbers as dicts.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, build_schedule,
                        phase_turns, rev_postprocess)
 from .circuits import fourier_prep_gates, inverse_qft_gates  # noqa: F401 (traced by dqftbench)
 from .fabric import LATENCY, Fabric, FabricCounters, PartitionPlan
-from .metrics import Distribution, RunMetrics, classical_fidelity, state_bytes
+from .metrics import RunMetrics, classical_fidelity, counts_to_distribution, state_bytes
 from .statevector import StateVector
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
 
@@ -62,9 +63,7 @@ def _validate(theta: float, shots: int) -> None:
 
 def _distribution(state: StateVector) -> np.ndarray:
     """Exact post-REV value distribution of a pre-measurement logical state: p[value]."""
-    probs = np.abs(state.amps)
-    probs **= 2
-    return probs.reshape((2,) * state.num_qubits).T.ravel()  # REV: reverse the qubit axes
+    return state.probabilities(range(state.num_qubits - 1, -1, -1))  # REV: qubits in reverse
 
 
 def exact_value_distribution(state: StateVector) -> dict[int, float]:
@@ -188,36 +187,31 @@ def _counts_from_raw(raw_counts: dict[str, int]) -> dict[int, int]:
 
 
 def _metrics(wall: float, counters: FabricCounters, num_qubits: int, slots: int,
-             shots: int, exact: np.ndarray, reference: Distribution | None,
-             n: int, theta: float) -> RunMetrics:
-    """Check a finished run's dense exact distribution against the reference; build its metrics.
+             counts: dict[int, int], exact: np.ndarray, n: int, theta: float) -> RunMetrics:
+    """Check a finished run against the monolithic reference of (n, theta); build its metrics.
 
-    A None reference is the monolithic distribution of (n, theta).  Draws no
-    random numbers, so verification never changes what a seed replays.
+    The one reference meets the run's dense exact distribution and its
+    sampled counts.  Draws no random numbers, so verification never changes
+    what a seed replays.
     """
-    if reference is None:
-        reference = _reference(n, theta)
+    reference = _reference(n, theta)
+    sampled = counts_to_distribution(counts)
     return RunMetrics(wall_time_seconds=wall,
                       peak_state_bytes=state_bytes(num_qubits),
                       epr_count=counters.epr_created,
                       classical_msg_count=counters.classical_messages,
                       midcircuit_measurements=counters.midcircuit_measurements,
                       block_slots=slots,
-                      shots=shots,
-                      fidelity_vs_reference=classical_fidelity(exact, reference))
+                      shots=sum(counts.values()),
+                      fidelity_vs_reference=classical_fidelity(exact, reference),
+                      fidelity_sampled=classical_fidelity(sampled, reference))
 
 
 def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
-                    shots: int = 100, seed: int = 0, return_state: bool = False,
-                    reference: Distribution | None = None) -> RunResult:
-    """Distributed inverse-QFT run over the plan's k nodes.
-
-    reference, when given, is the monolithic exact value distribution for
-    (n, theta), as a dict or a dense array indexed by value; otherwise it is
-    recomputed here for the fidelity metric.
-    """
+                    shots: int = 100, seed: int = 0, return_state: bool = False) -> RunResult:
+    """Distributed inverse-QFT run over the plan's k nodes."""
     if mode == "semiclassical":
-        return run_semiclassical(plan, theta, shots=shots, seed=seed, reference=reference)
+        return run_semiclassical(plan, theta, shots=shots, seed=seed)
     if mode != "telegate":
         raise ValueError(f"unknown mode {mode!r}")
     _validate(theta, shots)
@@ -229,8 +223,8 @@ def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
     state = fabric.logical_state()  # every comm qubit is reset: sample the 2^n amplitudes
     counts = _counts_from_raw(state.sample_counts(range(plan.n), shots, rng))
     wall = time.perf_counter() - start
-    metrics = _metrics(wall, fabric.counters, plan.n + plan.k, slots, shots,
-                       _distribution(state), reference, plan.n, theta)
+    metrics = _metrics(wall, fabric.counters, plan.n + plan.k, slots, counts,
+                       _distribution(state), plan.n, theta)
     return RunResult(counts, metrics, state if return_state else None)
 
 
@@ -247,8 +241,7 @@ def run_monolithic_reference(n: int, theta: float, shots: int = 100,
     state = _monolithic_state(n, theta)
     counts = _counts_from_raw(state.sample_counts(range(n), shots, rng))
     wall = time.perf_counter() - start
-    metrics = _metrics(wall, FabricCounters(), n, 1, shots, _distribution(state), None,
-                       n, theta)
+    metrics = _metrics(wall, FabricCounters(), n, 1, counts, _distribution(state), n, theta)
     return RunResult(counts, metrics, state)
 
 
@@ -283,15 +276,14 @@ def _semiclassical_once(fabric: Fabric, rng: np.random.Generator) -> int:
 
 
 def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
-                      seed: int = 0, reference: Distribution | None = None) -> RunResult:
+                      seed: int = 0) -> RunResult:
     """Teleportation-free run: early measurement plus classical feed-forward.
 
     Each shot is a genuine dynamic-circuit execution; no EPR pairs and no
     communication qubits are used, so the state holds only n qubits, each
     as its own factor of a ProductState.  Every shot's fabric starts from a
     copy of the run's one fourier_product.  Reported counters cover one
-    execution (they are identical across shots).  reference is as in
-    run_distributed.
+    execution (they are identical across shots).
     """
     _validate(theta, shots)
     rng = np.random.default_rng(seed)
@@ -304,6 +296,6 @@ def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
         counts[value] = counts.get(value, 0) + 1
     wall = time.perf_counter() - start
     # the counters are the same for every shot; report the last one's
-    metrics = _metrics(wall, fabric.counters, plan.n, 0, shots,
-                       _semiclassical_law(plan.n, theta), reference, plan.n, theta)
+    metrics = _metrics(wall, fabric.counters, plan.n, 0, counts,
+                       _semiclassical_law(plan.n, theta), plan.n, theta)
     return RunResult(counts, metrics)

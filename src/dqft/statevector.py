@@ -280,37 +280,33 @@ class StateVector:
         """Marginal |amplitude|^2 distribution over the listed qubits.
 
         Entry b of the result is the probability of the bitstring whose
-        bit at position p is the outcome of qubits[p].
+        bit at position p is the outcome of qubits[p].  One einsum over the
+        qubit axes of |amps|^2 sums out the unlisted qubits and orders the
+        rest; the whole register in order is |amps|^2 itself.
         """
-        qubits = list(qubits)
+        qubits, size = list(qubits), self.num_qubits
         if not qubits:
             raise ValueError("empty qubit list")
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"duplicate qubits in {qubits}")
-        probs = (np.abs(self.amps) ** 2).reshape((2,) * self.num_qubits)
-        drop = tuple(q for q in range(self.num_qubits) if q not in qubits)
-        if drop:
-            probs = probs.sum(axis=drop)
-        # summing leaves surviving axes in global order; permute to listed order
-        rank = np.argsort(np.argsort(qubits))
-        if list(rank) != list(range(len(qubits))):
-            probs = np.transpose(probs, axes=rank)
-        return probs.reshape(-1)
+        for q in qubits:
+            if not 0 <= q < size:
+                raise ValueError(f"qubit {q} out of range for {size}-qubit state")
+        probs = np.abs(self.amps)
+        probs *= probs
+        return np.einsum(probs.reshape((2,) * size), range(size), qubits).reshape(-1)
 
     def sample_counts(self, qubits, shots: int, rng: np.random.Generator) -> dict[str, int]:
         """Histogram of measured bitstrings over the listed qubits.
 
         Sampling from the marginal distribution; the state is not collapsed.
         """
-        qubits = list(qubits)
-        if not qubits:
-            raise ValueError("empty qubit list")
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
         probs = self.probabilities(qubits)
         probs = probs / probs.sum()
         drawn = rng.choice(probs.size, size=shots, p=probs)
-        width = len(qubits)
+        width = probs.size.bit_length() - 1
         counts: dict[str, int] = {}
         for idx, c in zip(*np.unique(drawn, return_counts=True)):
             counts[format(int(idx), f"0{width}b")] = int(c)

@@ -1,5 +1,6 @@
 """Harness: config grammar, sweep expansion, CSV output, resume, CLI."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import dqft
-from dqft.bench import (CSV_COLUMNS, SweepConfig, expand_points, format_row,
+from dqft.bench import (CONFIG_KEYS, CSV_COLUMNS, SweepConfig, expand_points, format_row,
                         load_config, normalize_theta, parse_config, run_point,
                         summarize, sweep)
 from dqft.cli import main
@@ -69,6 +70,22 @@ def test_parse_config_errors():
 def test_parse_config_rejects_negative_seed_and_sizes_below_one(old, new, key):
     with pytest.raises(ValueError, match=f"^{key} must be >= "):
         parse_config(CONFIG_TEXT.format(out="x").replace(old, new))
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("[4, 6]", "[4, 6, 4]", "num_qubits"),
+    ("[1, 2, 4]", "[2, 2]", "nodes"),
+    ("[0.0, 0.333333]", "[0.333333, 0.3333333]", "theta"),  # both snap to 1/3
+    ("[0.0, 0.333333]", "[0.1, 0.1000000001]", "theta"),  # one resume key, 0.1
+    ("[telegate, semiclassical]", "[telegate, telegate]", "modes"),
+], ids=["num_qubits", "nodes", "theta-thirds", "theta-one-resume-key", "modes"])
+def test_parse_config_rejects_a_repeated_list_value(old, new, key):
+    with pytest.raises(ValueError, match=f"^{key} repeats a value"):
+        parse_config(CONFIG_TEXT.format(out="x").replace(old, new))
+
+
+def test_config_keys_are_the_sweep_config_fields():
+    assert CONFIG_KEYS == tuple(f.name for f in dataclasses.fields(SweepConfig))
 
 
 def test_normalize_theta():
@@ -296,7 +313,8 @@ def test_cli_sweep_into_closed_pipe_exits_without_traceback(tmp_path):
     proc = subprocess.Popen([sys.executable, "-m", "dqft", "sweep", str(cfg_path)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     proc.wait(timeout=120)
     assert "Traceback" not in err and "BrokenPipeError" not in err
     rows = out.read_text().splitlines()

@@ -1,5 +1,7 @@
 """Fabric: partitioning, locality enforcement, EPR source, messaging, clock."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,76 @@ def test_fabric_apply_enforces_locality():
     fabric.apply("h", (plan.node_qubits(0)[0],))
     with pytest.raises(CrossNodeGateError):
         fabric.apply("cnot", (plan.node_qubits(0)[0], plan.node_qubits(1)[0]))
+
+
+def _kick_z(fabric, control, node):
+    """The protocol's steps up to a Z owed to control: copy it to node, then an X-basis outcome 1."""
+    rng = ScriptedRng([0.0, 0.0, 0.0, 0.99])
+    a, b, _ = fabric.allocate_epr(fabric.plan.node_of(control), node, rng)
+    fabric.apply("cnot", (control, a))
+    fabric.measure(a, rng)
+    fabric.apply("h", (b,))
+    assert fabric.measure(b, rng) == 1
+
+
+def test_a_two_operand_z_is_rejected_and_the_pending_z_survives():
+    fabric = Fabric(make_partition(4, 2))
+    fabric.apply("h", (0,))
+    _kick_z(fabric, 0, 1)
+    before = fabric.state.amps.copy()
+    with pytest.raises(ValueError, match=r"z takes 1 operand\(s\), got \(0, 1\)"):
+        fabric.apply("z", (0, 1))
+    assert np.array_equal(fabric.state.amps, before)
+    fabric.apply("z", (0,))  # the correction still meets its kick: no pass on the state
+    assert np.array_equal(fabric.state.amps, before)
+    assert np.array_equal(fabric.logical_state().amps, before)
+
+
+@pytest.mark.parametrize("with_comm", [True, False])
+@pytest.mark.parametrize("kind, want", [("h", 1), ("z", 1), ("cp", 2), ("cnot", 2)])
+def test_a_gate_without_operands_is_rejected_by_its_operand_count(with_comm, kind, want):
+    fabric = Fabric(make_partition(4, 2), with_comm=with_comm)
+    if with_comm:
+        _kick_z(fabric, 0, 1)  # a live frame and a pending Z: the check comes first
+    before = fabric.state.amps.copy()
+    with pytest.raises(ValueError, match=rf"{kind} takes {want} operand\(s\), got \(\)"):
+        fabric.apply(kind, ())
+    assert np.array_equal(fabric.state.amps, before)
+
+
+def _copy_on_node_1(fabric, rng):
+    a, b, _ = fabric.allocate_epr(0, 1, rng)
+    fabric.apply("cnot", (0, a))
+    fabric.measure(a, rng)
+    return b
+
+
+def _corrupt(fabric, rng):
+    fabric.state.amps[:] = 0.0
+    return 0
+
+
+REJECTED_MEASUREMENTS = {  # (with_comm, what the measurement is of, the error)
+    "index-above-range": (True, lambda f, rng: f.plan.n + f.plan.k, ValueError),
+    "negative-index": (True, lambda f, rng: -1, ValueError),
+    "comm-slot-on-product-fabric": (False, lambda f, rng: f.plan.n, CommSlotBusyError),
+    "copy": (True, _copy_on_node_1, ValueError),
+    "corrupt-state": (True, _corrupt, ValueError),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED_MEASUREMENTS))
+def test_a_rejected_measurement_counts_nothing_and_draws_nothing(case):
+    with_comm, target, error = REJECTED_MEASUREMENTS[case]
+    fabric = Fabric(make_partition(2, 2), with_comm=with_comm)
+    rng = np.random.default_rng(0)
+    qubit = target(fabric, rng)
+    counted, drawn = dataclasses.replace(fabric.counters), rng.bit_generator.state
+    for _ in range(2):
+        with pytest.raises(error):
+            fabric.measure(qubit, rng)
+    assert fabric.counters == counted
+    assert rng.bit_generator.state == drawn
 
 
 # -- EPR source -------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqft.statevector import Gate, StateVector, equal_up_to_global_phase
 
@@ -149,6 +151,44 @@ def test_probabilities_respects_listed_order():
     sv = StateVector(2).apply_gate(Gate.x(0))  # |10>
     assert np.allclose(sv.probabilities([0, 1]), [0, 0, 1, 0])
     assert np.allclose(sv.probabilities([1, 0]), [0, 1, 0, 0])
+
+
+@st.composite
+def marginals(draw):
+    """A random normalized state of n <= 8 qubits and a random ordered subset of them."""
+    n = draw(st.integers(1, 8))
+    qubits = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    seed = draw(st.integers(0, 2**32 - 1))
+    re, im = np.random.default_rng(seed).normal(size=(2, 1 << n))
+    amps = re + 1j * im
+    return StateVector.from_amplitudes(amps / np.linalg.norm(amps)), qubits
+
+
+@settings(deadline=None)
+@given(marginals())
+def test_probabilities_equal_a_loop_over_basis_indices(case):
+    sv, qubits = case
+    n, m = sv.num_qubits, len(qubits)
+    want = [0.0] * (1 << m)
+    for i, amp in enumerate(sv.amps.tolist()):
+        bits = [(i >> (n - 1 - q)) & 1 for q in qubits]  # qubit 0 most significant
+        want[sum(bit << (m - 1 - p) for p, bit in enumerate(bits))] += abs(amp) ** 2
+    np.testing.assert_allclose(sv.probabilities(qubits), want, rtol=0, atol=1e-14)
+
+
+def test_the_whole_register_in_order_is_the_squared_amplitudes():
+    sv = StateVector(3).apply_gate(Gate.h(0)).apply_gate(Gate.p(0.3, 0)).apply_gate(Gate.h(2))
+    assert np.array_equal(sv.probabilities(range(3)), np.abs(sv.amps) ** 2)
+
+
+@pytest.mark.parametrize("qubits", [[5], [0, 3], [-1], [2, -3]])
+def test_probabilities_and_sampling_reject_a_qubit_out_of_range(qubits):
+    sv = StateVector(3)
+    bad = next(q for q in qubits if not 0 <= q < 3)
+    with pytest.raises(ValueError, match=f"qubit {bad} out of range for 3-qubit state"):
+        sv.probabilities(qubits)
+    with pytest.raises(ValueError, match="out of range"):
+        sv.sample_counts(qubits, 10, np.random.default_rng(0))
 
 
 # -- global-phase equality -----------------------------------------------------------
