@@ -59,7 +59,8 @@ class PartitionPlan:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = self.sizes
+        sizes = tuple(self.sizes)
+        object.__setattr__(self, "sizes", sizes)  # hashable: build_schedule is memoized on the plan
         if self.k < 1 or len(sizes) != self.k or min(sizes) < 1 or sum(sizes) != self.n:
             raise ValueError(f"sizes {sizes}: need k={self.k} >= 1 nonempty nodes summing to n={self.n}")
 
@@ -349,13 +350,16 @@ class Fabric:
     # -- readout ---------------------------------------------------------------
 
     def logical_state(self) -> StateVector:
-        """A copy of the n logical qubits, pending Zs applied, as a dense state.
+        """A checked copy of the n logical qubits, pending Zs applied, as a dense state.
 
-        Every comm slot must be free: measured or reset.  A fabric without
-        comm qubits expands its ProductState's factors."""
+        Every comm slot must be free (_settled); a product fabric expands its factors."""
         if not self.with_comm:
             return self.state.to_statevector()
+        return StateVector.from_amplitudes(self._settled().amps)
+
+    def _settled(self) -> StateVector:
+        """The fabric's own state, pending Zs applied: no copy; RuntimeError while a slot is busy."""
         if any(map(self.comm_busy, range(self.plan.k))):
             raise RuntimeError(f"comm qubits not disentangled: {self._frame}")
         self._touch(sorted(self._pending_z))
-        return StateVector.from_amplitudes(self.state.amps)
+        return self.state

@@ -6,12 +6,12 @@ QFT, and reads out values through the classical bit reversal.  The
 telegate and monolithic paths expand the factors with one Kronecker
 product, and apply controlled phases as fans: one phase pass per qubit of a
 node's block and one per cat session.  The telegate path executes the
-circuit once (teleportation outcomes never change the logical state) and
-samples shot counts from the fabric's final 2^n amplitudes; the
-semiclassical path measures early, so it executes one dynamic circuit per
-shot.  No gate of a semiclassical shot entangles two qubits, so each shot's
-fabric holds a copy of the factors (a ProductState) and a shot costs O(n^2)
-scalar work.  Resource counters always cover one circuit execution.
+circuit once (teleportation outcomes never change the logical state); both
+square their own final 2^n state once, uncopied, for the shots and the exact
+law (_readout).  The semiclassical path measures early: one dynamic circuit
+per shot.  No gate of a semiclassical shot entangles two qubits, so each
+shot's fabric holds a copy of the factors (a ProductState) and a shot costs
+O(n^2) scalar work.  Resource counters always cover one circuit execution.
 wall_time_seconds times the emulation only (prep, schedule or shots, and
 sampling); the check of the run, _metrics, starts after the clock stops.
 It builds the reference (the Fejer kernel) once and takes two fidelities
@@ -19,7 +19,7 @@ against it: the run's exact law's and its counts'.  Inside a run an exact
 distribution is one float64 array indexed by value.  The reference and the
 measure-early law (a branch tree) are closed forms that share no code with
 the engine; only a telegate or monolithic run's own distribution is read
-from its state, as its qubits' marginal listed in reverse (REV).  The
+from its state, as |amps|^2 with its qubit axes reversed (REV).  The
 public *_exact_distribution helpers return the same numbers as dicts.
 """
 
@@ -32,13 +32,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, build_schedule,
-                       fourier_product, inverse_qft_fans, inverse_qft_local,
-                       phase_turns, rev_postprocess)
+from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, bit_reverse, build_schedule,
+                       fourier_product, inverse_qft_fans, inverse_qft_local, phase_turns)
 from .circuits import fourier_prep_gates, inverse_qft_gates  # noqa: F401 (traced by dqftbench)
 from .fabric import LATENCY, Fabric, FabricCounters, PartitionPlan
 from .metrics import RunMetrics, classical_fidelity, counts_to_distribution, state_bytes
-from .statevector import StateVector
+from .statevector import StateVector, _sample
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
 
 MODES = ("telegate", "semiclassical")
@@ -61,9 +60,20 @@ def _validate(theta: float, shots: int) -> None:
 # -- exact output distributions ------------------------------------------------
 
 
+def _rev(p: np.ndarray) -> np.ndarray:
+    """REV of a law in qubit order, |amps|^2: its 2 x ... x 2 axes reversed, p[value]."""
+    return p.reshape((2,) * (p.size.bit_length() - 1)).transpose().reshape(-1)
+
+
 def _distribution(state: StateVector) -> np.ndarray:
     """Exact post-REV value distribution of a pre-measurement logical state: p[value]."""
-    return state.probabilities(range(state.num_qubits - 1, -1, -1))  # REV: qubits in reverse
+    return _rev(state.probabilities(range(state.num_qubits)))
+
+
+def _readout(state: StateVector, shots: int, rng: np.random.Generator):
+    """Counts by value drawn from a run's own final state, and its law in qubit order (for _rev)."""
+    n, p = state.num_qubits, state.probabilities(range(state.num_qubits))
+    return {bit_reverse(int(i), n): int(c) for i, c in _sample(p, shots, rng)}, p
 
 
 def exact_value_distribution(state: StateVector) -> dict[int, float]:
@@ -181,11 +191,6 @@ def _execute_schedule(fabric: Fabric, schedule, rng: np.random.Generator) -> int
     return slots
 
 
-def _counts_from_raw(raw_counts: dict[str, int]) -> dict[int, int]:
-    # bit reversal is a bijection on raw strings, so no keys collide
-    return {rev_postprocess(raw): c for raw, c in raw_counts.items()}
-
-
 def _metrics(wall: float, counters: FabricCounters, num_qubits: int, slots: int,
              counts: dict[int, int], exact: np.ndarray, n: int, theta: float) -> RunMetrics:
     """Check a finished run against the monolithic reference of (n, theta); build its metrics.
@@ -220,11 +225,11 @@ def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
     start = time.perf_counter()
     fabric = Fabric(plan, prep=fourier_product(plan.n, theta))
     slots = _execute_schedule(fabric, schedule, rng)
-    state = fabric.logical_state()  # every comm qubit is reset: sample the 2^n amplitudes
-    counts = _counts_from_raw(state.sample_counts(range(plan.n), shots, rng))
+    state = fabric._settled()  # every comm qubit is reset: sample the 2^n amplitudes
+    counts, p = _readout(state, shots, rng)
     wall = time.perf_counter() - start
     metrics = _metrics(wall, fabric.counters, plan.n + plan.k, slots, counts,
-                       _distribution(state), plan.n, theta)
+                       _rev(p), plan.n, theta)
     return RunResult(counts, metrics, state if return_state else None)
 
 
@@ -239,9 +244,9 @@ def run_monolithic_reference(n: int, theta: float, shots: int = 100,
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     state = _monolithic_state(n, theta)
-    counts = _counts_from_raw(state.sample_counts(range(n), shots, rng))
+    counts, p = _readout(state, shots, rng)
     wall = time.perf_counter() - start
-    metrics = _metrics(wall, FabricCounters(), n, 1, counts, _distribution(state), n, theta)
+    metrics = _metrics(wall, FabricCounters(), n, 1, counts, _rev(p), n, theta)
     return RunResult(counts, metrics, state)
 
 

@@ -94,6 +94,12 @@ def _draw(p0: float, p1: float, qubit: int, rng: np.random.Generator) -> int:
     return 0 if rng.random() < p0 else 1
 
 
+def _sample(probs: np.ndarray, shots: int, rng: np.random.Generator):
+    """Draw shots indices by the law probs / probs.sum(): (index, count) pairs, by index."""
+    drawn = rng.choice(probs.size, size=shots, p=probs / probs.sum())
+    return zip(*np.unique(drawn, return_counts=True))
+
+
 def _runs(*views):
     """The views, and a ufunc order that iterates a last axis of at most 4 elements outermost."""
     if views[0].shape[-1] > 4:
@@ -157,7 +163,7 @@ class StateVector:
             raise ValueError(f"amplitude count must be a power of two >= 2, got {n}")
         arr = arr.copy()
         f = arr.view(np.float64)  # einsum, not a BLAS vdot: one thread, whatever the environment
-        if abs(np.einsum("i,i->", f, f) - 1.0) > 1e-9:
+        if not abs(np.einsum("i,i->", f, f) - 1.0) <= 1e-9:  # NaN-safe
             raise ValueError("amplitudes are not normalized")
         return cls._of(arr)
 
@@ -304,13 +310,8 @@ class StateVector:
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
         probs = self.probabilities(qubits)
-        probs = probs / probs.sum()
-        drawn = rng.choice(probs.size, size=shots, p=probs)
         width = probs.size.bit_length() - 1
-        counts: dict[str, int] = {}
-        for idx, c in zip(*np.unique(drawn, return_counts=True)):
-            counts[format(int(idx), f"0{width}b")] = int(c)
-        return counts
+        return {format(int(i), f"0{width}b"): int(c) for i, c in _sample(probs, shots, rng)}
 
 
 class ProductState:

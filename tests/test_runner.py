@@ -1,9 +1,12 @@
 """End-to-end runs: telegate and semiclassical vs the monolithic reference."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dqft.fabric import make_partition
+from dqft.circuits import build_schedule
+from dqft.fabric import PartitionPlan, make_partition
 from dqft.metrics import epr_budget
 from dqft.runner import (exact_value_distribution, monolithic_exact_distribution,
                          run_distributed, run_monolithic_reference,
@@ -17,6 +20,15 @@ def test_theta_zero_counts_are_all_zero_value():
     for n, k in ((4, 2), (6, 3), (5, 1)):
         res = run_distributed(make_partition(n, k), 0.0, shots=40, seed=0)
         assert res.counts == {0: 40}
+
+
+def test_a_plan_with_list_sizes_runs_like_its_tuple_plan():
+    listed, plan = PartitionPlan(n=4, k=2, sizes=[2, 2]), PartitionPlan(n=4, k=2, sizes=(2, 2))
+    assert listed == plan and build_schedule(listed) is build_schedule(plan)
+    got = run_distributed(listed, 1 / 3, shots=50, seed=2)
+    want = run_distributed(plan, 1 / 3, shots=50, seed=2)
+    assert list(got.counts.items()) == list(want.counts.items())
+    assert replace(got.metrics, wall_time_seconds=0) == replace(want.metrics, wall_time_seconds=0)
 
 
 def test_exactly_representable_theta_deterministic():

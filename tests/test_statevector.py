@@ -104,6 +104,12 @@ def test_measure_corrupt_state_raises():
         sv.measure(0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("amps", [[np.nan, 0], [1, np.nan], [np.nan, 0, 0, 0], [0.5, 0.5, 0.5, np.nan]])
+def test_from_amplitudes_rejects_nan(amps):
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector.from_amplitudes(amps)
+
+
 def test_reset_examples():
     rng = np.random.default_rng(0)
     sv = StateVector(1).apply_gate(Gate.x(0)).reset(0, rng)
