@@ -228,8 +228,8 @@ def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
     state = fabric._settled()  # every comm qubit is reset: sample the 2^n amplitudes
     counts, p = _readout(state, shots, rng)
     wall = time.perf_counter() - start
-    metrics = _metrics(wall, fabric.counters, plan.n + plan.k, slots, counts,
-                       _rev(p), plan.n, theta)
+    p = _rev(p)  # rebound, so the qubit-order law is freed before verification
+    metrics = _metrics(wall, fabric.counters, plan.n + plan.k, slots, counts, p, plan.n, theta)
     return RunResult(counts, metrics, state if return_state else None)
 
 
@@ -246,8 +246,8 @@ def run_monolithic_reference(n: int, theta: float, shots: int = 100,
     state = _monolithic_state(n, theta)
     counts, p = _readout(state, shots, rng)
     wall = time.perf_counter() - start
-    metrics = _metrics(wall, FabricCounters(), n, 1, counts, _rev(p), n, theta)
-    return RunResult(counts, metrics, state)
+    p = _rev(p)  # rebound, so the qubit-order law is freed before verification
+    return RunResult(counts, _metrics(wall, FabricCounters(), n, 1, counts, p, n, theta), state)
 
 
 # -- semiclassical (teleportation-free) mode ---------------------------------------

@@ -203,7 +203,7 @@ VERIFY_SLEEP_S = 0.2
 def slow_dense_verification(monkeypatch):
     """Make every dense exact distribution a run verifies with sleep first; count the calls."""
     calls = []
-    for name in ("_distribution", "_reference", "_semiclassical_law"):
+    for name in ("_distribution", "_rev", "_reference", "_semiclassical_law"):
         original = getattr(runner, name)
 
         def slow(*args, _original=original, _name=name):
