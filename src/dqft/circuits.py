@@ -7,7 +7,8 @@ exact rational arithmetic before conversion to radians; multiplying a
 float theta by a large power of two and reducing in floating point would
 otherwise cost ~2^e ulps of phase.  build_schedule is a pure function of
 its frozen plan, so it is memoized, and each GradientBlock groups its fans
-once.
+once.  inverse_qft_local runs a block past qubit 0 of a large state tile by
+tile, in a buffer where the block's qubits lead.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import groupby
 
+import numpy as np
+
 from .fabric import PartitionPlan
 from .statevector import Gate, ProductState, StateVector
 
 TWO_PI = 2.0 * math.pi
+TILE_AMPS = 1 << 16  # a local block's tile: 2^16 amplitudes, 1 MiB, within a core's L2 cache
 
 
 def phase_turns(theta: float, exponent: int) -> float:
@@ -95,12 +99,46 @@ def inverse_qft_fans(qubits):
 
 
 def inverse_qft_local(state: StateVector, qubits) -> StateVector:
-    """The swap-free inverse QFT over consecutive qubits: one fan and one H per qubit."""
-    for q, earlier, phis in inverse_qft_fans(qubits):
+    """The swap-free inverse QFT over consecutive qubits: one fan and one H per qubit.
+
+    A block of ascending qubits lo..lo+m-1 with lo > 0, on a state larger
+    than TILE_AMPS, runs tile by tile: each tile copies a slab of the state,
+    cut along the qubits before and after the block, into one buffer of at
+    most TILE_AMPS amplitudes with the block's qubits leading, takes the
+    block there and is copied back.  A kernel's cost follows the length of
+    its qubit's contiguous runs, not its arithmetic: in place the block's
+    last qubit has runs as long as the qubits after the block allow (one
+    amplitude for the last node), in the tile every block qubit's runs hold
+    at least TILE_AMPS / 2^m.  Every amplitude sees the same products in the
+    same order, so the state is the in-place result bit for bit.
+    """
+    qubits = list(qubits)
+    lo, m, size = (qubits[0] if qubits else 0), len(qubits), state.amps.size
+    if not (0 < lo and lo + m <= state.num_qubits and 1 << m <= TILE_AMPS < size
+            and qubits == list(range(lo, lo + m))):
+        _block(state, inverse_qft_fans(qubits))
+        return state
+    view = state.amps.reshape(1 << lo, 1 << m, -1)  # before the block, the block, after it
+    after = view.shape[2]
+    width = min(after, TILE_AMPS >> m)  # trailing amplitudes per tile
+    rows = TILE_AMPS // ((1 << m) * width)  # leading prefixes per tile
+    buffer = np.empty((1 << m, rows, width), dtype=np.complex128)
+    tile, steps = StateVector._of(buffer.reshape(-1)), list(inverse_qft_fans(range(m)))
+    for a in range(0, 1 << lo, rows):
+        for c in range(0, after, width):
+            slab = view[a:a + rows, :, c:c + width].transpose(1, 0, 2)
+            np.copyto(buffer, slab)
+            _block(tile, steps)
+            np.copyto(slab, buffer)
+    return state
+
+
+def _block(state: StateVector, steps) -> None:
+    """A block's inverse_qft_fans steps in order: the fan onto the earlier qubits, then H."""
+    for q, earlier, phis in steps:
         if earlier:
             state.apply_fan(q, earlier, phis)
         state.apply_gate(Gate.h(q))
-    return state
 
 
 def count_layers(gates) -> int:

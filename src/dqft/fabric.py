@@ -279,6 +279,26 @@ class Fabric:
             raise CommSlotBusyError("fabric built without communication qubits")
         return node, self._frame.get(node, ZERO)
 
+    def _local(self, qubits) -> StateVector:
+        """The fabric's own state, for a local block on logical qubits of one node: no copy.
+
+        Makes once the checks each gate of the block would, before anything
+        changes: the qubits share a node (CrossNodeGateError) and are logical,
+        and no comm qubit relates to one (ValueError).  Their pending Zs are
+        then applied: the block runs on the state alone, with no fabric step
+        between its gates (inverse_qft_local, tile by tile).
+        """
+        qubits = tuple(qubits)
+        check_locality(self.plan, qubits)
+        if max(qubits, default=0) >= self.plan.n:
+            raise ValueError(f"block on {list(qubits)}: a comm qubit takes no local block")
+        watched = {e.control for e in self._frame.values()}.intersection(qubits)
+        if watched:
+            raise ValueError(f"block on {list(qubits)}: qubits {sorted(watched)} would change "
+                             "under a comm qubit that copies them")
+        self._touch(qubits)
+        return self.state
+
     def _touch(self, qubits, flips: bool = False) -> None:
         """Apply the qubits' pending Zs; flips: the step may flip the last."""
         if flips and self._frame and any(e.control == qubits[-1] for e in self._frame.values()):

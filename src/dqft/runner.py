@@ -5,7 +5,8 @@ fourier_product's n one-qubit factors, undoes it with the swap-free inverse
 QFT, and reads out values through the classical bit reversal.  The
 telegate and monolithic paths expand the factors with one Kronecker
 product, and apply controlled phases as fans: one phase pass per qubit of a
-node's block and one per cat session.  The telegate path executes the
+node's block and one per cat session.  Both emulate under a ufunc buffer of
+UFUNC_BUFSIZE elements, scoped to the run.  The telegate path executes the
 circuit once (teleportation outcomes never change the logical state); both
 square their own final 2^n state once, uncopied, for the shots and the exact
 law (_readout).  The semiclassical path measures early: one dynamic circuit
@@ -33,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, bit_reverse, build_schedule,
-                       fourier_product, inverse_qft_fans, inverse_qft_local, phase_turns)
+                       fourier_product, inverse_qft_local, phase_turns)
 from .circuits import fourier_prep_gates, inverse_qft_gates  # noqa: F401 (traced by dqftbench)
 from .fabric import LATENCY, Fabric, FabricCounters, PartitionPlan
 from .metrics import RunMetrics, classical_fidelity, counts_to_distribution, state_bytes
@@ -41,6 +42,11 @@ from .statevector import StateVector, _sample
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
 
 MODES = ("telegate", "semiclassical")
+# numpy's ufunc buffer size while a dense run emulates.  The buffered iterator
+# copies every strided operand whose contiguous runs are shorter than its
+# buffer (8192 elements by default) through buffers that size, so an in-place
+# kernel on a qubit past the first few pays a copy pass; 256 bounds the copy.
+UFUNC_BUFSIZE = 256
 
 
 @dataclass
@@ -83,7 +89,9 @@ def exact_value_distribution(state: StateVector) -> dict[int, float]:
 
 def _monolithic_state(n: int, theta: float) -> StateVector:
     """The single-register pipeline: the Fourier state's factors expanded, then the inverse QFT."""
-    return inverse_qft_local(fourier_product(n, theta).to_statevector(), range(n))
+    with np.errstate():  # restores the caller's ufunc buffer size on exit (UFUNC_BUFSIZE)
+        np.setbufsize(UFUNC_BUFSIZE)
+        return inverse_qft_local(fourier_product(n, theta).to_statevector(), range(n))
 
 
 def _reference(n: int, theta: float) -> np.ndarray:
@@ -179,11 +187,9 @@ def _execute_schedule(fabric: Fabric, schedule, rng: np.random.Generator) -> int
     slots = 0
     for _, group in schedule.blocks_by_slot():
         for block in group:
-            if isinstance(block, LocalInverseQFT):  # inverse_qft_local on the fabric
-                for q, earlier, phis in inverse_qft_fans(fabric.plan.node_qubits(block.node)):
-                    if earlier:
-                        fabric.apply_fan(q, earlier, phis)
-                    fabric.apply("h", (q,))
+            if isinstance(block, LocalInverseQFT):
+                qubits = fabric.plan.node_qubits(block.node)
+                inverse_qft_local(fabric._local(qubits), qubits)
             else:
                 _run_gradient_block(fabric, block, rng)
         fabric.advance_clock(1)
@@ -223,8 +229,10 @@ def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
     rng = np.random.default_rng(seed)
     schedule = build_schedule(plan)
     start = time.perf_counter()
-    fabric = Fabric(plan, prep=fourier_product(plan.n, theta))
-    slots = _execute_schedule(fabric, schedule, rng)
+    with np.errstate():  # restores the caller's ufunc buffer size on exit (UFUNC_BUFSIZE)
+        np.setbufsize(UFUNC_BUFSIZE)
+        fabric = Fabric(plan, prep=fourier_product(plan.n, theta))
+        slots = _execute_schedule(fabric, schedule, rng)
     state = fabric._settled()  # every comm qubit is reset: sample the 2^n amplitudes
     counts, p = _readout(state, shots, rng)
     wall = time.perf_counter() - start

@@ -342,13 +342,18 @@ class ProductState:
     def to_statevector(self) -> StateVector:
         """The dense state: the Kronecker product of the factors, qubit 0 most significant.
 
-        One outer product per factor, each entry acc[i] * factor[b]: the
-        products of np.kron, in the same order, without its reshaping.
+        One doubling per factor, entry (i, b) = acc[i] * factor[b]: the
+        products of np.kron, in the same order, without its reshaping.  A
+        doubling is one multiply into an (acc.size, 2) array, iterated in C
+        order over its transpose: two strided passes over all of acc, where
+        an outer product with a 2-entry factor loops two elements at a time.
         """
         factors = self.amps.reshape(-1, 2)
         acc = factors[0]
         for f in factors[1:]:
-            acc = np.multiply.outer(acc, f).ravel()
+            out = np.empty((acc.size, 2), dtype=np.complex128)
+            np.multiply(acc, f[:, None], out=out.T, order="C")
+            acc = out.reshape(-1)
         return StateVector._of(acc)
 
     def apply_gate(self, gate: Gate) -> "ProductState":

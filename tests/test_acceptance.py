@@ -5,7 +5,6 @@ criteria execute.  Criterion 8 (wall-time trend) is soft: it warns instead
 of failing, since absolute timings are machine-specific.
 """
 
-import statistics
 import time
 import warnings
 
@@ -209,15 +208,15 @@ def test_criterion_7_resource_linearity_in_k():
 
 def test_criterion_8_exponential_time_trend_soft():
     sizes = (8, 10, 12, 14)
-    medians = []
+    fastest = []
     for n in sizes:
         times = []
-        for repeat in range(3):
+        for repeat in range(5):
             res = run_distributed(make_partition(n, 2), 1 / 3, shots=1, seed=repeat)
             times.append(res.metrics.wall_time_seconds)
-        medians.append(statistics.median(times))
-    increasing = all(b > a for a, b in zip(medians, medians[1:]))
-    detail = ", ".join(f"n={n}: {t * 1e3:.2f}ms" for n, t in zip(sizes, medians))
+        fastest.append(min(times))  # the least disturbed run: noise only adds time
+    increasing = all(b > a for a, b in zip(fastest, fastest[1:]))
+    detail = ", ".join(f"n={n}: {t * 1e3:.2f}ms" for n, t in zip(sizes, fastest))
     if not increasing:
         warnings.warn(f"wall-time trend not strictly increasing ({detail}); "
                       "soft criterion, machine-dependent")
