@@ -16,6 +16,9 @@ import numpy as np
 from .fabric import PartitionPlan
 
 BYTES_PER_AMPLITUDE = 16  # one double-precision complex number
+# products per pass of a dense fidelity: a 512 KiB buffer; at least numpy's
+# 128-element pairwise block, below which its sum does not split as _overlap does
+OVERLAP_CHUNK = 1 << 16
 
 Distribution = dict[int, float] | np.ndarray
 """Probabilities of values: a dict, where a missing value has probability 0, or
@@ -80,8 +83,21 @@ def classical_fidelity(p: Distribution, q: Distribution) -> float:
         inside = pv < qp.size
         pp, qp = pp[inside], qp[pv[inside]]
     size = min(pp.size, qp.size)
-    prod = pp[:size] * qp[:size]
-    return float(np.sqrt(prod, out=prod).sum())
+    return _overlap(pp[:size], qp[:size], np.empty(min(size, OVERLAP_CHUNK)))
+
+
+def _overlap(p: np.ndarray, q: np.ndarray, buf: np.ndarray) -> float:
+    """sum(sqrt(p * q)) for equal sizes, a chunk of at most buf.size products at a time.
+
+    Splits as numpy's pairwise sum splits a reduction longer than a chunk
+    (halves, the first rounded down to a multiple of 8), so the result is
+    np.sqrt(p * q).sum() bit for bit with no temporary the size of the laws.
+    """
+    if p.size <= buf.size:
+        prod = np.multiply(p, q, out=buf[:p.size])
+        return float(np.sqrt(prod, out=prod).sum())
+    half = p.size // 2 - p.size // 2 % 8
+    return _overlap(p[:half], q[:half], buf) + _overlap(p[half:], q[half:], buf)
 
 
 def epr_budget(plan: PartitionPlan) -> int:

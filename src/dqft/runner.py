@@ -8,13 +8,19 @@ product, and apply controlled phases as fans: one phase pass per qubit of a
 node's block and one per cat session.  Both emulate under a ufunc buffer of
 UFUNC_BUFSIZE elements, scoped to the run.  The telegate path executes the
 circuit once (teleportation outcomes never change the logical state); both
-square their own final 2^n state once, uncopied, for the shots and the exact
-law (_readout).  The semiclassical path measures early: one dynamic circuit
-per shot.  No gate of a semiclassical shot entangles two qubits, so each
-shot's fabric holds a copy of the factors (a ProductState) and a shot costs
-O(n^2) scalar work.  Resource counters always cover one circuit execution.
-wall_time_seconds times the emulation only (prep, schedule or shots, and
-sampling); the check of the run, _metrics, starts after the clock stops.
+square their own final 2^n state once, uncopied, into its law in qubit
+order: the shots are drawn from it (_readout, in one more array the size of
+the law) and the exact law is read from it.  A telegate run then drops its
+fabric and state unless return_state is set, so sampling and verification
+hold float64 laws only.  A run's working set peaks at 1.5 states (16 bytes
+an amplitude), in the prep and while the law is squared; a run that keeps
+its state, as the monolithic one does, peaks at 2.  The semiclassical path
+measures early: one dynamic circuit per shot.  No gate of a semiclassical
+shot entangles two qubits, so each shot's fabric holds a copy of the factors
+(a ProductState) and a shot costs O(n^2) scalar work.  Resource counters
+always cover one circuit execution.  wall_time_seconds times the emulation
+only (prep, schedule or shots, and sampling); the check of the run,
+_metrics, starts after the clock stops.
 It builds the reference (the Fejer kernel) once and takes two fidelities
 against it: the run's exact law's and its counts'.  Inside a run an exact
 distribution is one float64 array indexed by value.  The reference and the
@@ -76,10 +82,10 @@ def _distribution(state: StateVector) -> np.ndarray:
     return _rev(state.probabilities(range(state.num_qubits)))
 
 
-def _readout(state: StateVector, shots: int, rng: np.random.Generator):
-    """Counts by value drawn from a run's own final state, and its law in qubit order (for _rev)."""
-    n, p = state.num_qubits, state.probabilities(range(state.num_qubits))
-    return {bit_reverse(int(i), n): int(c) for i, c in _sample(p, shots, rng)}, p
+def _readout(p: np.ndarray, shots: int, rng: np.random.Generator) -> dict[int, int]:
+    """Counts by value drawn from a dense run's law in qubit order, |amps|^2 of its final state."""
+    n = p.size.bit_length() - 1
+    return {bit_reverse(int(i), n): int(c) for i, c in _sample(p, shots, rng)}
 
 
 def exact_value_distribution(state: StateVector) -> dict[int, float]:
@@ -112,9 +118,11 @@ def _reference(n: int, theta: float) -> np.ndarray:
     near = round(scaled)
     f = float(scaled - near)
     peak = near % size
-    # w_v descends from 2^(n-1) - 1 as v grows; roll it so that w_peak = 0
-    p = np.roll(np.arange(size // 2 - 1, -size // 2 - 1, -1, dtype=np.float64),
-                peak + 1 - size // 2)
+    # w_v descends by 1 as v grows and is 0 at the peak; the values v < wrap
+    # have passed 2^(n-1) - 1 and wrap down by 2^n
+    wrap = (peak + 1 - size // 2) % size
+    p = np.arange(size // 2 - 1 + wrap, wrap - size // 2 - 1, -1, dtype=np.float64)
+    p[:wrap] -= size
     p += f
     p *= math.pi / size
     np.sin(p, out=p)
@@ -233,12 +241,15 @@ def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
         np.setbufsize(UFUNC_BUFSIZE)
         fabric = Fabric(plan, prep=fourier_product(plan.n, theta))
         slots = _execute_schedule(fabric, schedule, rng)
-    state = fabric._settled()  # every comm qubit is reset: sample the 2^n amplitudes
-    counts, p = _readout(state, shots, rng)
+    state = fabric._settled()  # every comm qubit is reset: the law is the 2^n amplitudes'
+    p, counters = state.probabilities(range(plan.n)), fabric.counters
+    if not return_state:
+        state = fabric = None  # from here on a run reads laws only: free the 2^n amplitudes
+    counts = _readout(p, shots, rng)
     wall = time.perf_counter() - start
     p = _rev(p)  # rebound, so the qubit-order law is freed before verification
-    metrics = _metrics(wall, fabric.counters, plan.n + plan.k, slots, counts, p, plan.n, theta)
-    return RunResult(counts, metrics, state if return_state else None)
+    metrics = _metrics(wall, counters, plan.n + plan.k, slots, counts, p, plan.n, theta)
+    return RunResult(counts, metrics, state)
 
 
 def run_monolithic_reference(n: int, theta: float, shots: int = 100,
@@ -252,7 +263,8 @@ def run_monolithic_reference(n: int, theta: float, shots: int = 100,
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     state = _monolithic_state(n, theta)
-    counts, p = _readout(state, shots, rng)
+    p = state.probabilities(range(n))
+    counts = _readout(p, shots, rng)
     wall = time.perf_counter() - start
     p = _rev(p)  # rebound, so the qubit-order law is freed before verification
     return RunResult(counts, _metrics(wall, FabricCounters(), n, 1, counts, p, n, theta), state)

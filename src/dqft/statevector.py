@@ -95,8 +95,21 @@ def _draw(p0: float, p1: float, qubit: int, rng: np.random.Generator) -> int:
 
 
 def _sample(probs: np.ndarray, shots: int, rng: np.random.Generator):
-    """Draw shots indices by the law probs / probs.sum(): (index, count) pairs, by index."""
-    drawn = rng.choice(probs.size, size=shots, p=probs / probs.sum())
+    """Draw shots indices by the law probs / probs.sum(), probs >= 0: (index, count) pairs.
+
+    Generator.choice(probs.size, size=shots, p=probs / probs.sum()), step for
+    step (the same indices, the same generator state after), in one array the
+    size of the law where choice makes two and a mask: the normalized law
+    becomes its own CDF, and one rng.random(shots) is searched in it.  The
+    pairs come by increasing index.
+    """
+    total = probs.sum()
+    if not (math.isfinite(total) and total > 0.0):
+        raise ValueError(f"cannot sample a law that sums to {total}")
+    cdf = probs / total
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    drawn = cdf.searchsorted(rng.random(shots), side="right")
     return zip(*np.unique(drawn, return_counts=True))
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dqft.bench as bench
+import dqft.metrics as metrics
 import dqft.runner as runner
 from dqft.bench import SweepConfig, run_point, sweep
 from dqft.fabric import make_partition
@@ -126,6 +127,34 @@ def test_a_dict_against_a_dense_law_reads_only_the_dicts_values():
         tracemalloc.stop()
     assert fidelity == math.sqrt(law[peak])
     assert allocated < law.nbytes / 8, allocated
+
+
+@pytest.mark.parametrize("chunk", [128, 1000, metrics.OVERLAP_CHUNK])
+def test_two_dense_laws_meet_in_chunks_with_numpys_own_sum(monkeypatch, chunk):
+    monkeypatch.setattr(metrics, "OVERLAP_CHUNK", chunk)
+    g = np.random.default_rng(chunk)
+    for size in (1, 9, chunk - 1, chunk, chunk + 1, 3 * chunk + 5, 8 * chunk, 2**17 + 3):
+        p, q = g.random(size) ** 4, g.random(size)
+        p, q = p / p.sum(), q / q.sum()
+        assert classical_fidelity(p, q) == np.sqrt(p * q).sum(), size
+    tracemalloc.start()
+    try:
+        classical_fidelity(p, q)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert allocated <= 8 * chunk + 4096, allocated
+
+
+def test_the_reference_is_built_in_its_one_array():
+    n = 20
+    tracemalloc.start()
+    try:
+        law = runner._reference(n, 0.123)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert allocated <= law.nbytes + 4096, allocated
 
 
 # -- the public dicts and the dense arrays ---------------------------------------
