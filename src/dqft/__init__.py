@@ -9,9 +9,8 @@ memory along the way.
 """
 
 from .circuits import (DistributedSchedule, GradientBlock, LocalInverseQFT,
-                       bit_reverse, build_schedule, count_layers,
-                       flatten_schedule, fourier_prep_gates,
-                       inverse_qft_gates, inverse_qft_local, rev_postprocess)
+                       bit_reverse, build_schedule, flatten_schedule,
+                       fourier_prep_gates, inverse_qft_gates, inverse_qft_local)
 from .fabric import (ClassicalMessage, CommSlotBusyError, CrossNodeGateError,
                      Fabric, FabricCounters, PartitionPlan, check_locality,
                      make_partition)
@@ -31,11 +30,11 @@ __all__ = [
     "LocalInverseQFT", "PartitionPlan", "ProtocolError", "RunMetrics", "RunResult", "StateVector",
     "apply_remote_controlled", "bit_reverse", "build_schedule",
     "cat_disentangle", "cat_entangle", "check_locality", "classical_fidelity",
-    "count_layers", "counts_to_distribution", "epr_budget",
+    "counts_to_distribution", "epr_budget",
     "equal_up_to_global_phase", "exact_value_distribution", "flatten_schedule",
     "fourier_prep_gates", "inverse_qft_gates",
     "inverse_qft_local", "make_partition",
-    "monolithic_exact_distribution", "naive_epr_budget", "rev_postprocess",
+    "monolithic_exact_distribution", "naive_epr_budget",
     "run_distributed", "run_monolithic_reference", "run_semiclassical",
     "semiclassical_exact_distribution", "state_bytes",
 ]

@@ -197,7 +197,7 @@ def _prepare_resume(path: str, shots: int) -> set[tuple]:
     A torn last line is cut off, and a new or empty file gets the header.
     shots is not a CSV column, so it lives in the sidecar <path>.shots,
     written with the header; resuming with another shots count raises
-    ResumeError, as does a foreign header.
+    ResumeError, as do a foreign header and a sidecar that holds no count.
     """
     header = ",".join(CSV_COLUMNS)
     sidecar = path + ".shots"
@@ -208,7 +208,12 @@ def _prepare_resume(path: str, shots: int) -> set[tuple]:
             raise ResumeError(f"existing CSV {path} has an unexpected header")
         if lines and os.path.exists(sidecar):
             with open(sidecar, "r", encoding="utf-8") as side:
-                recorded = int(side.read())
+                text = side.read()
+            try:
+                recorded = int(text)
+            except ValueError:
+                raise ResumeError(f"shots sidecar {sidecar} holds {text!r}, "
+                                  "not a shots count") from None
             if recorded != shots:
                 raise ResumeError(f"existing CSV {path} was written with shots={recorded}, "
                                   f"not {shots}")

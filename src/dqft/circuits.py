@@ -141,26 +141,7 @@ def _block(state: StateVector, steps) -> None:
         state.apply_gate(Gate.h(q))
 
 
-def count_layers(gates) -> int:
-    """Greedy (ASAP) layer count of a gate list: gates sharing a qubit serialize."""
-    last: dict[int, int] = {}
-    depth = 0
-    for g in gates:
-        layer = 1 + max((last.get(q, -1) for q in g.qubits), default=-1)
-        for q in g.qubits:
-            last[q] = layer
-        depth = max(depth, layer + 1)
-    return depth
-
-
 # -- classical postprocessing --------------------------------------------------
-
-
-def rev_postprocess(raw_bits: str) -> int:
-    """Value encoded by a measured bitstring: reverse the bits, read as binary."""
-    if not raw_bits or raw_bits.strip("01"):
-        raise ValueError(f"not a nonempty string of 0s and 1s: {raw_bits!r}")
-    return bit_reverse(int(raw_bits, 2), len(raw_bits))
 
 
 def bit_reverse(i, n: int):

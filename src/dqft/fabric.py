@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import ONE_QUBIT_KINDS, Gate, ProductState, StateVector, _check_operands
+from .statevector import Gate, ProductState, StateVector, _check_operands
 
 LATENCY = 1  # ticks from sending a classical message to its delivery
 
@@ -149,10 +149,10 @@ class Fabric:
     The n logical qubits start in a copy of prep (|0...0> by default), so
     the fabric never changes the factors it was given.  with_comm=False
     forbids comm slots (teleportation-free modes): the state is then a
-    ProductState, n one-qubit factors, which rejects two-qubit gates.  Such
-    a product fabric never holds a frame entry or a pending Z, so a
-    one-qubit gate on a logical qubit is resolved once, in apply, and goes
-    straight to its factor (ProductState.apply_one) with no Gate.
+    ProductState, n one-qubit factors, which applies H and P only.  Such a
+    product fabric never holds a frame entry or a pending Z, so an H or a P
+    on a logical qubit is resolved once, in apply, and goes straight to its
+    factor (ProductState.apply_one) with no Gate.
     A message is deliverable LATENCY = 1 tick later.
     """
 
@@ -173,15 +173,16 @@ class Fabric:
     def apply(self, kind: str, qubits, phi: float = 0.0) -> None:
         """Apply a gate to plan-index operands on one node; else CrossNodeGateError.
 
-        On a product fabric a one-qubit kind on a logical qubit is resolved
-        here and goes straight to its factor (ProductState.apply_one); any
-        other call takes the checked path and raises as a Gate would, before
-        any bookkeeping changes.
+        On a product fabric an h or p on a logical qubit is resolved here
+        and goes straight to its factor (ProductState.apply_one); any other
+        call takes the checked path and raises as a Gate would, before any
+        bookkeeping changes: a gate on logical qubits is of a kind the state
+        applies, or a ValueError spends no pending Z.
         """
         qubits = tuple(qubits)
         if len(qubits) == 1:  # one operand is always local
             q = qubits[0]
-            if 0 <= q < self._product_n and kind in ONE_QUBIT_KINDS:
+            if 0 <= q < self._product_n and kind in ProductState.KINDS:
                 self.state.apply_one(kind, q, phi)  # no frame, no pending Z: nothing to touch
                 return
             if kind == "z" and q in self._pending_z:  # the correction meets its kick
@@ -196,9 +197,8 @@ class Fabric:
             return
         gate = Gate(kind, qubits, phi)
         if self._frame or self._pending_z:
-            if self._pending_z:  # check first: a rejected gate spends no pending Z
-                _check_operands(gate, self.plan.n)
-            self._touch(qubits, kind in ("h", "x", "cnot"))
+            _check_operands(gate, self.plan.n, StateVector.KINDS)  # first: nothing changes
+            self._touch(qubits, kind == "h")
         self.state.apply_gate(gate)
 
     def _comm_step(self, kind: str, qubits) -> None:
@@ -241,11 +241,10 @@ class Fabric:
         return bit
 
     def reset(self, qubit: int, rng: np.random.Generator) -> None:
-        """Reset a plan index to |0> (one draw); not a protocol measurement."""
+        """Reset a comm slot to |0> (one draw); not a protocol measurement.
+        A logical qubit takes no reset: a ValueError before any draw."""
         if 0 <= qubit < self.plan.n:
-            self._touch((qubit,), True)
-            self.state.reset(qubit, rng)
-            return
+            raise ValueError(f"reset of logical qubit {qubit}: only a comm slot resets")
         node, entry = self._comm(qubit)
         self._collapse(node, entry, rng)
         self._frame.pop(node, None)
@@ -300,7 +299,7 @@ class Fabric:
         return self.state
 
     def _touch(self, qubits, flips: bool = False) -> None:
-        """Apply the qubits' pending Zs; flips: the step may flip the last."""
+        """Apply the qubits' pending Zs; flips: the step (an H) may flip the last."""
         if flips and self._frame and any(e.control == qubits[-1] for e in self._frame.values()):
             raise ValueError(f"qubit {qubits[-1]} changes under a comm qubit that copies it")
         for q in qubits:

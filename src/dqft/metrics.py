@@ -45,7 +45,8 @@ def state_bytes(num_qubits: int) -> int:
 
 
 def _checked(d: Distribution) -> tuple[np.ndarray | None, np.ndarray]:
-    """d as (values, probabilities), values None when d is dense; see validate_distribution."""
+    """d as (values, probabilities), values None when d is dense; ValueError for a negative
+    value, a negative or non-finite probability, or a sum off 1 by more than 1e-9."""
     if isinstance(d, dict):
         values = np.fromiter(d, np.int64, len(d))
         probs = np.fromiter(d.values(), np.float64, len(d))
@@ -63,12 +64,6 @@ def _checked(d: Distribution) -> tuple[np.ndarray | None, np.ndarray]:
     if abs(total - 1.0) > 1e-9:  # also a sum of finite probabilities that overflowed
         raise ValueError(f"invalid distribution: probabilities sum to {total}")
     return values, probs
-
-
-def validate_distribution(d: Distribution) -> None:
-    """Raise ValueError for a negative value, a negative or non-finite
-    probability, or probabilities whose sum is off 1 by more than 1e-9."""
-    _checked(d)
 
 
 def classical_fidelity(p: Distribution, q: Distribution) -> float:

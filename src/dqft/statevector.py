@@ -6,9 +6,14 @@ measurements (the measure-early semiclassical mode).  Its apply_one holds
 the one-qubit factor formulas, unchecked: apply_gate calls it after the
 operand check, and a product Fabric after resolving the operand itself.
 
+Each engine applies only the kinds a run or a check makes of it (KINDS):
+the dense one H, Z, P and CP, and fans; the product one H and P.  A Gate
+of another kind (the protocol's X and CNOT act on comm-qubit frame entries
+in the fabric, never on amplitudes) raises ValueError.
+
 StateVector's kernels work in place, with no temporary the size of the
-state: H adds and scales the qubit's halves, X and CNOT swap them through a
-small slab, measure reads the state once and rescales only the kept half,
+state: H adds and scales the qubit's halves, measure reads the state once
+and rescales only the kept half, reset moves a kept 1 half onto the 0 half,
 and a fan (the CPs from one qubit onto a run of consecutive qubits) makes
 one broadcast multiply per FAN_CHUNK qubits of its run.
 
@@ -32,9 +37,8 @@ import numpy as np
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
-SLAB_BYTES = 1 << 17  # the buffer an X or CNOT swaps its halves through
 FAN_CHUNK = 10  # run qubits per fan pass: a phase table of at most 2^10 entries (16 KiB)
-ONE_QUBIT_KINDS = ("h", "x", "z", "p")
+ONE_QUBIT_KINDS = ("h", "x", "z", "p")  # a Gate's kinds, by operand count
 TWO_QUBIT_KINDS = ("cp", "cnot")
 
 
@@ -74,7 +78,8 @@ class Gate:
         return Gate("cnot", (control, target))
 
 
-def _check_operands(gate: Gate, num_qubits: int) -> None:
+def _check_operands(gate: Gate, num_qubits: int, kinds) -> None:
+    """ValueError unless gate is well formed on num_qubits qubits and of one of kinds."""
     expected = 1 if gate.kind in ONE_QUBIT_KINDS else 2
     if gate.kind not in ONE_QUBIT_KINDS and gate.kind not in TWO_QUBIT_KINDS:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
@@ -85,6 +90,8 @@ def _check_operands(gate: Gate, num_qubits: int) -> None:
             raise ValueError(f"qubit {q} out of range for {num_qubits}-qubit state")
     if expected == 2 and gate.qubits[0] == gate.qubits[1]:
         raise ValueError(f"duplicate operands on two-qubit gate: {gate.qubits}")
+    if gate.kind not in kinds:
+        raise ValueError(f"{gate.kind} on {gate.qubits}: this engine applies only {kinds}")
 
 
 def _draw(p0: float, p1: float, qubit: int, rng: np.random.Generator) -> int:
@@ -120,27 +127,6 @@ def _runs(*views):
     return (*(v.transpose(v.ndim - 1, *range(v.ndim - 1)) for v in views), "C")
 
 
-def _swap(a, b) -> None:
-    """Exchange two disjoint views bit for bit, through a slab of about 128 KiB.
-
-    A contiguous last axis of 2 to 4 amplitudes becomes one element per run,
-    so a copy loops over the runs, not inside each.  The slab is cut from the
-    outermost axis long enough to hold it, so it moves whole contiguous runs.
-    """
-    if 1 < a.shape[-1] <= 4 and a.strides[-1] == a.itemsize:
-        run = np.dtype((np.void, a.itemsize * a.shape[-1]))
-        a, b = a.view(run)[..., 0], b.view(run)[..., 0]
-    fits = [ax for ax in range(a.ndim) if a.nbytes <= SLAB_BYTES * a.shape[ax]]
-    axis = (max(fits, key=a.strides.__getitem__) if fits
-            else max(range(a.ndim), key=a.shape.__getitem__))
-    step = max(1, SLAB_BYTES * a.shape[axis] // a.nbytes)
-    for i in range(0, a.shape[axis], step):
-        x, y = (v[(slice(None),) * axis + (slice(i, i + step),)] for v in (a, b))
-        slab = x.copy()
-        x[...] = y
-        y[...] = slab
-
-
 @lru_cache(maxsize=1024)
 def _fan_table(phis: tuple[float, ...]) -> np.ndarray:
     """The read-only phase table of a fan's run, past entry 0 (all run qubits 0, phase 1).
@@ -159,6 +145,8 @@ def _fan_table(phis: tuple[float, ...]) -> np.ndarray:
 
 class StateVector:
     """2^Q double-precision complex amplitudes, gates applied in place."""
+
+    KINDS = ("h", "z", "p", "cp")
 
     def __init__(self, num_qubits: int):
         if num_qubits < 1:
@@ -191,9 +179,6 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector._of(self.amps.copy())
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     # -- views -------------------------------------------------------------
 
     def _one_axis(self, q: int, dtype=None):
@@ -202,16 +187,10 @@ class StateVector:
         amps = self.amps if dtype is None else self.amps.view(dtype)
         return amps.reshape(1 << q, 2, -1)
 
-    def _two_axes(self, qa: int, qb: int):
-        # axis 1: qa, axis 3: qb, axes 0, 2 and 4: the qubits before, between and after them
-        a, b = sorted((qa, qb))
-        v = self.amps.reshape(1 << a, 2, 1 << (b - a - 1), 2, -1)
-        return v if qa < qb else v.transpose(0, 3, 2, 1, 4)
-
     # -- gates -------------------------------------------------------------
 
     def apply_gate(self, gate: Gate) -> "StateVector":
-        _check_operands(gate, self.num_qubits)
+        _check_operands(gate, self.num_qubits, self.KINDS)
         kind, qubits = gate.kind, gate.qubits
         if kind == "h":
             v = self._one_axis(qubits[0])
@@ -220,15 +199,12 @@ class StateVector:
             np.multiply(a, SQRT2_INV, out=a, order=order)  # (a + b)/sqrt2
             np.multiply(b, -2 * SQRT2_INV, out=b, order=order)
             np.add(b, a, out=b, order=order)  # (a + b)/sqrt2 - sqrt2*b = (a - b)/sqrt2
-        elif kind == "x":
-            v = self._one_axis(qubits[0])
-            _swap(v[:, 0, :], v[:, 1, :])
-        elif kind == "cnot":
-            v = self._two_axes(*qubits)
-            _swap(v[:, 1, :, 0, :], v[:, 1, :, 1, :])
         else:  # z, p, cp: scale the amplitudes whose operand bits are all 1
-            ones = (self._two_axes(*qubits)[:, 1, :, 1, :] if kind == "cp"
-                    else self._one_axis(qubits[0])[:, 1, :])
+            if kind == "cp":  # axes 1 and 3: the lower and the higher operand
+                a, b = sorted(qubits)
+                ones = self.amps.reshape(1 << a, 2, 1 << (b - a - 1), 2, -1)[:, 1, :, 1, :]
+            else:
+                ones = self._one_axis(qubits[0])[:, 1, :]
             ones, order = _runs(ones)
             np.multiply(ones, -1.0 if kind == "z" else np.exp(1j * gate.phi), out=ones, order=order)
         return self
@@ -288,9 +264,13 @@ class StateVector:
         return bit
 
     def reset(self, qubit: int, rng: np.random.Generator) -> "StateVector":
-        """Measure then flip to leave the qubit deterministically in |0>."""
+        """Measure, and leave the qubit in |0>: after outcome 1 the kept half is copied
+        onto the zeroed 0 half, then zeroed, as an X after the measurement would."""
         if self.measure(qubit, rng) == 1:
-            self.apply_gate(Gate.x(qubit))
+            v = self._one_axis(qubit)
+            zero, one, order = _runs(v[:, 0, :], v[:, 1, :])
+            np.positive(one, out=zero, order=order)  # a ufunc copy: no half-state temporary
+            v[:, 1, :] = 0.0
         return self
 
     # -- readout -----------------------------------------------------------
@@ -333,8 +313,10 @@ class ProductState:
     A one-qubit gate or a measurement touches one pair, so it costs O(1)
     where the dense engine makes a pass over 2^Q amplitudes.  Gates and
     measure follow StateVector's formulas and draw order.  A two-qubit gate
-    would entangle two qubits, so it raises ValueError.
+    or a fan would entangle two qubits, so it raises ValueError.
     """
+
+    KINDS = ("h", "p")
 
     def __init__(self, num_qubits: int):
         if num_qubits < 1:
@@ -370,23 +352,17 @@ class ProductState:
         return StateVector._of(acc)
 
     def apply_gate(self, gate: Gate) -> "ProductState":
-        _check_operands(gate, self.num_qubits)
-        if gate.kind in TWO_QUBIT_KINDS:
-            raise ValueError(f"{gate.kind} on {gate.qubits} would entangle a product state")
+        _check_operands(gate, self.num_qubits, self.KINDS)
         self.apply_one(gate.kind, gate.qubits[0], gate.phi)
         return self
 
     def apply_one(self, kind: str, qubit: int, phi: float = 0.0) -> None:
-        """h, x, z or p(phi) on qubit's factor, unchecked: the caller has resolved a
-        one-qubit kind and an index in 0..Q-1 (apply_gate, or a product Fabric)."""
+        """h or p(phi) on qubit's factor, unchecked: the caller has resolved a kind
+        of KINDS and an index in 0..Q-1 (apply_gate, or a product Fabric)."""
         f = self._factors[qubit]
         a, b = f
         if kind == "h":
             f[0], f[1] = (a + b) * SQRT2_INV, (a - b) * SQRT2_INV
-        elif kind == "x":
-            f[0], f[1] = b, a
-        elif kind == "z":
-            f[1] = b * -1.0
         else:  # cmath.exp equals complex(np.exp(1j * phi)) bit for bit, at a fifth of the cost
             f[1] = b * cmath.exp(1j * phi)
 
@@ -404,7 +380,6 @@ class ProductState:
         return bit
 
     apply_gates = StateVector.apply_gates
-    reset = StateVector.reset
 
 
 def equal_up_to_global_phase(a, b, tol: float = 1e-10) -> bool:

@@ -1,4 +1,4 @@
-"""Independent oracles: dense DFT matrix, Fourier states, output distributions.
+"""Independent oracles: dense DFT matrix, Fourier states, output distributions, REV.
 
 Everything here is matrix arithmetic, deliberately sharing no code with the
 gate-level engine it checks.
@@ -54,6 +54,25 @@ def best_dyadic_approx(theta: float, n: int) -> int:
 def total_variation(p: dict[int, float], q: dict[int, float]) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(v, 0.0) - q.get(v, 0.0)) for v in keys)
+
+
+def rev_postprocess(raw_bits: str) -> int:
+    """Value encoded by a measured bitstring: its bits reversed, read as binary."""
+    if not raw_bits or raw_bits.strip("01"):  # int() alone would take "0b1", "1_0" or " 01"
+        raise ValueError(f"not a nonempty string of 0s and 1s: {raw_bits!r}")
+    return int(raw_bits[::-1], 2)
+
+
+def count_layers(gates) -> int:
+    """Greedy (ASAP) layer count of a gate list: gates sharing a qubit serialize."""
+    last: dict[int, int] = {}
+    depth = 0
+    for g in gates:
+        layer = 1 + max((last.get(q, -1) for q in g.qubits), default=-1)
+        for q in g.qubits:
+            last[q] = layer
+        depth = max(depth, layer + 1)
+    return depth
 
 
 # -- a cat session on n + 2 dense qubits ------------------------------------------------

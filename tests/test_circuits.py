@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from dqft.circuits import (GradientBlock, LocalInverseQFT, bit_reverse,
-                           build_schedule, count_layers, flatten_schedule,
-                           fourier_prep_gates, inverse_qft_gates,
-                           inverse_qft_local, phase_turns, rev_postprocess)
+                           build_schedule, flatten_schedule, fourier_prep_gates,
+                           inverse_qft_gates, inverse_qft_local, phase_turns)
 from dqft.fabric import make_partition
 from dqft.statevector import StateVector
-from oracles import dft_matrix, expected_final_state
+from oracles import count_layers, dft_matrix, expected_final_state, rev_postprocess
 
 SQ2 = 1 / np.sqrt(2)
 

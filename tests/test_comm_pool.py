@@ -49,7 +49,7 @@ def test_one_draw_per_measure_and_reset():
     assert fabric.measure(plan.comm_slots[0], rng) == 0
     assert (rng.draws, fabric.counters.midcircuit_measurements) == (2, 1)
     fabric.measure(plan.node_qubits(0)[1], rng)
-    fabric.reset(plan.node_qubits(1)[0], rng)
+    fabric.reset(plan.comm_slots[0], rng)
     assert rng.draws == 4
     handle = cat_entangle(fabric, plan.node_qubits(0)[0], 1, rng)
     assert rng.draws == 4 + 4  # 2 EPR resets, 1 measurement, 1 reset

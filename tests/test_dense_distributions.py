@@ -19,7 +19,7 @@ import dqft.metrics as metrics
 import dqft.runner as runner
 from dqft.bench import SweepConfig, run_point, sweep
 from dqft.fabric import make_partition
-from dqft.metrics import classical_fidelity, counts_to_distribution, validate_distribution
+from dqft.metrics import classical_fidelity, counts_to_distribution
 from dqft.runner import (exact_value_distribution, monolithic_exact_distribution,
                          run_distributed, run_monolithic_reference, run_semiclassical,
                          semiclassical_exact_distribution)
@@ -78,7 +78,7 @@ def test_invalid_entries_rejected_in_both_forms(bad, form):
     d = d if form == "dict" else dense(d, 3)
     good = {0: 1.0}
     with pytest.raises(ValueError, match=r"p\(1\)"):
-        validate_distribution(d)
+        classical_fidelity(d, d)
     with pytest.raises(ValueError):
         classical_fidelity(d, good)
     with pytest.raises(ValueError):
@@ -91,7 +91,7 @@ def test_sum_off_by_2e_9_rejected_in_both_forms(form, off):
     d = {0: 0.25, 1: 0.75 + off}
     d = d if form == "dict" else dense(d, 2)
     with pytest.raises(ValueError, match="sum"):
-        validate_distribution(d)
+        classical_fidelity(d, d)
     with pytest.raises(ValueError):
         classical_fidelity(d, np.array([0.5, 0.5]))
 
@@ -100,7 +100,7 @@ def test_negative_value_rejected():
     # a plain a[keys] = values would wrap -1 onto the last entry
     for d in ({-1: 1.0}, {0: 0.5, -1: 0.5}):
         with pytest.raises(ValueError, match=r"p\(-1\)"):
-            validate_distribution(d)
+            classical_fidelity(d, d)
         with pytest.raises(ValueError):
             classical_fidelity(d, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
@@ -113,7 +113,6 @@ def test_sparse_dict_does_not_allocate_by_its_largest_value():
     assert classical_fidelity({big: 1.0}, np.array([1.0])) == 0.0
     assert classical_fidelity({0: 0.5, big: 0.5}, np.array([1.0])) == pytest.approx(
         math.sqrt(0.5), abs=1e-15)
-    validate_distribution({big: 1.0})
 
 
 def test_a_dict_against_a_dense_law_reads_only_the_dicts_values():

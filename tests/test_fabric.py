@@ -10,6 +10,7 @@ from dqft.fabric import (CommSlotBusyError, CrossNodeGateError, Fabric,
 from dqft.metrics import epr_budget, naive_epr_budget
 from dqft.statevector import StateVector
 from dqft.verify import ScriptedRng
+from test_product_state import CountingRng
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -115,6 +116,58 @@ def test_a_gate_without_operands_is_rejected_by_its_operand_count(with_comm, kin
     with pytest.raises(ValueError, match=rf"{kind} takes {want} operand\(s\), got \(\)"):
         fabric.apply(kind, ())
     assert np.array_equal(fabric.state.amps, before)
+
+
+def _live_frame_and_pending_z(rng):
+    """4 qubits on 2 nodes: qubit 0 owed a Z, and node 1's comm qubit a copy of qubit 1."""
+    fabric = Fabric(make_partition(4, 2))
+    for q in range(4):
+        fabric.apply("h", (q,))
+    _kick_z(fabric, 0, 1)
+    a, _, _ = fabric.allocate_epr(0, 1, rng)
+    fabric.apply("cnot", (1, a))
+    fabric.measure(a, rng)
+    assert fabric._pending_z == {0} and fabric._frame[1].control == 1
+    return fabric
+
+
+def _snapshot(fabric, rng):
+    """Everything a rejected call must leave as it was."""
+    return (dict(fabric._frame), set(fabric._pending_z), fabric.state.amps.copy(),
+            dataclasses.replace(fabric.counters), rng.draws)
+
+
+def _assert_unchanged(fabric, rng, before):
+    frame, pending, amps, counters, draws = before
+    assert (fabric._frame, fabric._pending_z, fabric.counters, rng.draws) == (
+        frame, pending, counters, draws)
+    assert np.array_equal(fabric.state.amps.view(np.int64), amps.view(np.int64))
+
+
+@pytest.mark.parametrize("kind, qubits", [("x", (0,)), ("x", (1,)), ("cnot", (0, 1)),
+                                          ("cnot", (1, 0))])
+def test_a_dense_x_or_cnot_on_logical_qubits_is_rejected_before_anything_changes(kind, qubits):
+    # the dense engine applies no X or CNOT: the protocol's act on comm-qubit frame entries
+    rng = CountingRng(5)
+    fabric = _live_frame_and_pending_z(rng)
+    before = _snapshot(fabric, rng)
+    with pytest.raises(ValueError, match=rf"{kind} on \({qubits[0]}, ?"):
+        fabric.apply(kind, qubits)
+    _assert_unchanged(fabric, rng, before)
+    fabric.apply("z", (0,))  # the correction still meets its kick
+    assert fabric._pending_z == set()
+
+
+@pytest.mark.parametrize("with_comm", [True, False])
+@pytest.mark.parametrize("q", [0, 1, 3])
+def test_a_reset_of_a_logical_qubit_is_rejected_before_any_draw(with_comm, q):
+    rng = CountingRng(5)
+    fabric = _live_frame_and_pending_z(rng) if with_comm else Fabric(make_partition(4, 2),
+                                                                      with_comm=False)
+    before = _snapshot(fabric, rng)
+    with pytest.raises(ValueError, match=f"reset of logical qubit {q}: only a comm slot resets"):
+        fabric.reset(q, rng)
+    _assert_unchanged(fabric, rng, before)
 
 
 def _copy_on_node_1(fabric, rng):
@@ -311,7 +364,8 @@ def test_logical_state_strips_comm_qubits():
     fabric = Fabric(make_partition(2, 2))
     plan = fabric.plan
     fabric.apply("h", (plan.node_qubits(0)[0],))
-    fabric.apply("x", (plan.node_qubits(1)[0],))
+    for kind in ("h", "z", "h"):  # an X on qubit 1
+        fabric.apply(kind, (plan.node_qubits(1)[0],))
     logical = fabric.logical_state()
     assert logical.num_qubits == 2
     assert np.allclose(logical.amps, [0, SQ2, 0, SQ2])

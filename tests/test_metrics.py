@@ -5,8 +5,7 @@ import pytest
 
 from dqft.fabric import make_partition
 from dqft.metrics import (classical_fidelity, counts_to_distribution,
-                          epr_budget, naive_epr_budget,
-                          state_bytes, validate_distribution)
+                          epr_budget, naive_epr_budget, state_bytes)
 from dqft.runner import run_distributed, run_monolithic_reference
 
 
@@ -38,10 +37,9 @@ def test_fidelity_symmetric_and_bounded():
 
 
 def test_invalid_distributions_rejected():
-    with pytest.raises(ValueError):
-        validate_distribution({0: -0.1, 1: 1.1})
-    with pytest.raises(ValueError):
-        validate_distribution({0: 0.4})
+    for bad in ({0: -0.1, 1: 1.1}, {0: 0.4}):
+        with pytest.raises(ValueError):
+            classical_fidelity(bad, bad)
     with pytest.raises(ValueError):
         classical_fidelity({0: 0.5}, {0: 1.0})
 

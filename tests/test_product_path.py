@@ -1,6 +1,6 @@
 """The resolved product path of a fabric built without communication qubits.
 
-Fabric.apply sends a one-qubit h/x/z/p on a logical qubit of a product
+Fabric.apply sends an h or p on a logical qubit of a product
 fabric straight to ProductState.apply_one, with no Gate and no operand
 check.  It must give the checked path's factors bit for bit and draw for
 draw, and every call it does not serve must still raise what the checked
@@ -8,6 +8,7 @@ path raises.  The P phase is pinned to the numpy formula it replaced.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from dqft.circuits import fourier_product
 from dqft.fabric import CommSlotBusyError, Fabric, make_partition
 from dqft.statevector import Gate, ProductState
+from test_product_state import CountingRng
 
 
 @st.composite
@@ -27,7 +29,7 @@ def product_program(draw):
     k = draw(st.integers(1, n))
     qubit = st.integers(0, n - 1)
     op = st.one_of(
-        st.tuples(st.sampled_from(["h", "x", "z", "measure"]), qubit),
+        st.tuples(st.sampled_from(["h", "measure"]), qubit),
         st.tuples(st.just("p"), qubit, st.floats(-7.0, 7.0)))
     return n, k, draw(st.floats(0.0, 1.0, exclude_max=True)), draw(st.lists(op, max_size=40))
 
@@ -69,13 +71,31 @@ def test_unresolved_calls_raise_as_the_checked_path(kind, qubits, phi, error):
     assert np.array_equal(fabric.state.amps, before)
 
 
+@pytest.mark.parametrize("kind", ["x", "z"])
+def test_a_product_x_or_z_is_rejected_before_anything_changes(kind):
+    # the product engine applies H and P only: the kinds a measure-early shot makes
+    rng = CountingRng(3)
+    fabric = Fabric(make_partition(4, 2), with_comm=False, prep=fourier_product(4, 0.3))
+    fabric.measure(1, rng)
+    before = (fabric.state.amps, dataclasses.replace(fabric.counters), rng.draws)
+    for q in range(4):
+        with pytest.raises(ValueError, match=rf"{kind} on \({q},\): this engine applies only"):
+            fabric.apply(kind, (q,))
+        with pytest.raises(ValueError, match=rf"{kind} on \({q},\): this engine applies only"):
+            fabric.state.apply_gate(Gate(kind, (q,)))
+    after = (fabric.state.amps, dataclasses.replace(fabric.counters), rng.draws)
+    assert np.array_equal(after[0].view(np.int64), before[0].view(np.int64))
+    assert after[1:] == before[1:]
+    assert (fabric._frame, fabric._pending_z) == ({}, set())
+
+
 def test_operands_may_be_any_iterable():
     fabric = Fabric(make_partition(4, 2), with_comm=False)
     bare = ProductState(4)
     fabric.apply("h", range(2, 3))
     fabric.apply("p", (q for q in [2]), 0.3)
-    fabric.apply("x", [0])
-    bare.apply_gates([Gate.h(2), Gate.p(0.3, 2), Gate.x(0)])
+    fabric.apply("h", [0])
+    bare.apply_gates([Gate.h(2), Gate.p(0.3, 2), Gate.h(0)])
     assert np.array_equal(fabric.state.amps, bare.amps)
 
 
@@ -94,7 +114,8 @@ def test_p_phase_is_the_numpy_formula_bit_for_bit():
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     factors = []  # a P gate on the factor (0, 1) leaves (0, its phase)
     for phi in phis:
-        state = ProductState(1).apply_gates([Gate.x(0), Gate.p(phi, 0)])
-        factors.append(state.amps[1])
+        state = ProductState(1)
+        state._factors[0] = [0j, 1 + 0j]
+        factors.append(state.apply_gate(Gate.p(phi, 0)).amps[1])
     want = np.array([(1 + 0j) * complex(np.exp(1j * phi)) for phi in phis])
     assert np.array_equal(np.array(factors).view(np.int64), want.view(np.int64))

@@ -1,4 +1,4 @@
-"""Product engine for measure-early shots, and the draws of fabric resets.
+"""Product engine for measure-early shots, and the draws of comm-qubit resets.
 
 A fabric built without communication qubits holds a copy of its prep, a
 ProductState: one pair of amplitudes per qubit.  It must replay the dense
@@ -32,11 +32,11 @@ class CountingRng:
 
 @st.composite
 def one_qubit_program(draw):
-    """A register size and a sequence of one-qubit gates, measurements and resets."""
+    """A register size and a sequence of one-qubit gates and measurements."""
     n = draw(st.integers(1, 5))
     qubit = st.integers(0, n - 1)
     op = st.one_of(
-        st.tuples(st.sampled_from(["h", "x", "z", "measure", "reset"]), qubit),
+        st.tuples(st.sampled_from(["h", "measure"]), qubit),
         st.tuples(st.just("p"), qubit, st.floats(-7.0, 7.0)))
     return n, draw(st.lists(op, max_size=40))
 
@@ -50,9 +50,6 @@ def test_product_state_replays_the_dense_engine(program, seed):
     for kind, q, *phi in ops:
         if kind == "measure":
             assert product.measure(q, rng_p) == dense.measure(q, rng_d)
-        elif kind == "reset":
-            product.reset(q, rng_p)
-            dense.reset(q, rng_d)
         else:
             gate = Gate(kind, (q,), *phi)
             product.apply_gate(gate)
@@ -106,7 +103,6 @@ def test_fabric_without_comm_leaves_its_prep_unchanged():
         fabric.apply("h", (q,))
         fabric.apply("p", (q,), 0.3)
         fabric.measure(q, rng)
-    fabric.reset(0, rng)
     assert np.array_equal(prep.amps, before)
 
 
@@ -173,17 +169,3 @@ def test_cat_session_skips_the_reset_pass_of_known_zero_qubits(measure_passes):
         assert measure_passes == []  # comm qubits are frame entries: no pass at all
         assert rng.draws == 6 * session  # the EPR resets still draw
     assert fabric.state.num_qubits == 4
-
-
-def test_qubit_touched_since_its_reset_gets_a_full_reset(measure_passes):
-    fabric = Fabric(make_partition(4, 4))
-    q = fabric.plan.node_qubits(2)[0]
-    rng = np.random.default_rng(0)
-    fabric.apply("h", (q,))
-    fabric.reset(q, rng)  # a full reset, one measure pass
-    assert measure_passes == [(q, 4)]
-    fabric.reset(q, rng)  # every reset makes its pass, |0> or not
-    fabric.apply("h", (q,))
-    fabric.reset(q, rng)
-    assert measure_passes == [(q, 4)] * 3
-    assert fabric.state.probabilities([q]) == pytest.approx([1, 0])

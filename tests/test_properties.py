@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqft.circuits import (GradientBlock, LocalInverseQFT, bit_reverse, build_schedule,
-                           flatten_schedule, inverse_qft_gates, rev_postprocess)
+                           flatten_schedule, inverse_qft_gates)
 from dqft.fabric import PartitionPlan
 from dqft.runner import (_distribution, _monolithic_state, _reference, _semiclassical_law,
                          run_distributed, run_monolithic_reference,
                          semiclassical_exact_distribution)
 from dqft.statevector import equal_up_to_global_phase
-from oracles import bitrev, fft_value_distribution, oracle_value_distribution
+from oracles import bitrev, fft_value_distribution, oracle_value_distribution, rev_postprocess
 
 
 def _plan(sizes) -> PartitionPlan:

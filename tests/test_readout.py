@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqft import runner
-from dqft.circuits import fourier_product, rev_postprocess
+from dqft.circuits import fourier_product
 from dqft.fabric import Fabric, PartitionPlan, make_partition
 from dqft.metrics import epr_budget
 from dqft.runner import _distribution, run_distributed, run_monolithic_reference
 from dqft.statevector import _sample
 from dqft.telegate import apply_remote_controlled, cat_disentangle, cat_entangle
+from oracles import rev_postprocess
 
 
 # -- the sampler is numpy's own Generator.choice ----------------------------------

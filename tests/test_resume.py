@@ -3,6 +3,7 @@
 import pytest
 
 from dqft.bench import CSV_COLUMNS, SweepConfig, format_row, sweep
+from dqft.cli import main
 
 
 def _config(path, seed=7, shots=20):
@@ -92,3 +93,21 @@ def test_csv_without_sidecar_is_accepted_and_gets_one(tmp_path):
     assert sidecar.read_text() == "30\n"
     with pytest.raises(ValueError):
         sweep(_config(path, shots=31), log=_quiet)
+
+
+@pytest.mark.parametrize("held", ["", "abc"], ids=["empty", "garbled"])
+def test_unreadable_sidecar_is_a_cli_error_not_a_traceback(tmp_path, capsys, held):
+    # an empty sidecar is what a kill between its open and its write leaves
+    path = tmp_path / "rows.csv"
+    sweep(_config(path, shots=20), log=_quiet)
+    before = path.read_text()
+    (tmp_path / "rows.csv.shots").write_text(held)
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"num_qubits: [3]\nnodes: [1, 2]\ntheta: [0.0]\nshots: 20\n"
+                      f"modes: [telegate]\nseed: 7\nrepeats: 1\noutput_path: {path}\n")
+    assert main(["sweep", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shots sidecar ") and str(path) in err
+    assert repr(held) in err and "Traceback" not in err
+    assert path.read_text() == before
+    assert (tmp_path / "rows.csv.shots").read_text() == held

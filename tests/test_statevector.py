@@ -10,6 +10,17 @@ from dqft.statevector import Gate, StateVector, equal_up_to_global_phase
 SQ2 = 1 / np.sqrt(2)
 
 
+def basis(n: int, index: int) -> StateVector:
+    """The basis state |index> of n qubits."""
+    return StateVector.from_amplitudes(np.eye(1 << n)[index])
+
+
+def bell() -> StateVector:
+    """(|00> + |11>)/sqrt2: H on qubit 0, then a CNOT(0, 1) as H(1) CP(pi) H(1)."""
+    sv = StateVector(2).apply_gate(Gate.h(0)).apply_gate(Gate.h(1))
+    return sv.apply_gate(Gate.cp(np.pi, 0, 1)).apply_gate(Gate.h(1))
+
+
 def test_hadamard_on_zero():
     sv = StateVector(1).apply_gate(Gate.h(0))
     assert np.allclose(sv.amps, [SQ2, SQ2])
@@ -17,7 +28,7 @@ def test_hadamard_on_zero():
 
 def test_phase_gate_action():
     phi = 0.7
-    sv = StateVector(1).apply_gate(Gate.x(0)).apply_gate(Gate.p(phi, 0))
+    sv = basis(1, 1).apply_gate(Gate.p(phi, 0))
     assert np.allclose(sv.amps, [0, np.exp(1j * phi)])
     sv0 = StateVector(1).apply_gate(Gate.p(phi, 0))
     assert np.allclose(sv0.amps, [1, 0])
@@ -35,21 +46,14 @@ def test_controlled_phase_on_basis_states():
 
 
 def test_x_and_z():
-    sv = StateVector(2).apply_gate(Gate.x(0))
+    sv = basis(2, 2)
     assert sv.amps[2] == 1.0  # |10>, qubit 0 is the most significant bit
     sv.apply_gate(Gate.z(0))
     assert sv.amps[2] == -1.0
 
 
-def test_cnot_both_orientations():
-    sv = StateVector(2).apply_gate(Gate.x(0)).apply_gate(Gate.cnot(0, 1))
-    assert sv.amps[3] == 1.0  # |11>
-    sv = StateVector(2).apply_gate(Gate.x(1)).apply_gate(Gate.cnot(1, 0))
-    assert sv.amps[3] == 1.0
-
-
 def test_bell_state_construction():
-    sv = StateVector(2).apply_gate(Gate.h(0)).apply_gate(Gate.cnot(0, 1))
+    sv = bell()
     assert np.allclose(sv.amps, [SQ2, 0, 0, SQ2])
 
 
@@ -77,7 +81,7 @@ def test_measure_symmetric_superposition_hits_both_branches():
 
 
 def test_measure_basis_state_deterministic():
-    sv = StateVector(2).apply_gate(Gate.x(0))  # |10>
+    sv = basis(2, 2)  # |10>
     for seed in range(5):
         bit = sv.copy().measure(0, np.random.default_rng(seed))
         assert bit == 1
@@ -88,7 +92,7 @@ def test_measure_basis_state_deterministic():
 def test_bell_measurement_correlation():
     seen = {0: 0, 1: 0}
     for seed in range(200):
-        sv = StateVector(2).apply_gate(Gate.h(0)).apply_gate(Gate.cnot(0, 1))
+        sv = bell()
         rng = np.random.default_rng(seed)
         first = sv.measure(0, rng)
         second = sv.measure(1, rng)
@@ -112,11 +116,11 @@ def test_from_amplitudes_rejects_nan(amps):
 
 def test_reset_examples():
     rng = np.random.default_rng(0)
-    sv = StateVector(1).apply_gate(Gate.x(0)).reset(0, rng)
+    sv = basis(1, 1).reset(0, rng)
     assert np.allclose(sv.amps, [1, 0])
     sv = StateVector(1).apply_gate(Gate.h(0)).reset(0, rng)
     assert np.allclose(np.abs(sv.amps), [1, 0])
-    assert sv.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(sv.amps) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -154,7 +158,7 @@ def test_sample_counts_reproducible():
 
 
 def test_probabilities_respects_listed_order():
-    sv = StateVector(2).apply_gate(Gate.x(0))  # |10>
+    sv = basis(2, 2)  # |10>
     assert np.allclose(sv.probabilities([0, 1]), [0, 0, 1, 0])
     assert np.allclose(sv.probabilities([1, 0]), [0, 1, 0, 0])
 
@@ -201,15 +205,15 @@ def test_probabilities_and_sampling_reject_a_qubit_out_of_range(qubits):
 
 
 def test_equal_up_to_global_phase_true():
-    a = StateVector(2).apply_gate(Gate.x(1))  # |01>
+    a = basis(2, 1)  # |01>
     b = a.copy()
     b.amps *= np.exp(1j * np.pi / 7)
     assert equal_up_to_global_phase(a, b, 1e-10)
 
 
 def test_equal_up_to_global_phase_false():
-    a = StateVector(2).apply_gate(Gate.x(1))  # |01>
-    b = StateVector(2).apply_gate(Gate.x(0))  # |10>
+    a = basis(2, 1)  # |01>
+    b = basis(2, 2)  # |10>
     assert not equal_up_to_global_phase(a, b, 1e-10)
 
 
@@ -222,17 +226,15 @@ def test_equal_up_to_global_phase_dimension_mismatch():
 
 
 def _random_gate(rng, n):
-    kind = rng.choice(["h", "x", "z", "p", "cp", "cnot"])
+    kind = rng.choice(["h", "z", "p", "cp"])
     q = int(rng.integers(n))
-    if kind in ("h", "x", "z"):
+    if kind in ("h", "z"):
         return Gate(kind, (q,))
     if kind == "p":
         return Gate.p(float(rng.uniform(-np.pi, np.pi)), q)
     r = int(rng.integers(n - 1))
     r = r + 1 if r >= q else r
-    if kind == "cp":
-        return Gate.cp(float(rng.uniform(-np.pi, np.pi)), q, r)
-    return Gate.cnot(q, r)
+    return Gate.cp(float(rng.uniform(-np.pi, np.pi)), q, r)
 
 
 def test_norm_preserved_under_random_gates():
@@ -240,7 +242,7 @@ def test_norm_preserved_under_random_gates():
     sv = StateVector(5)
     for _ in range(300):
         sv.apply_gate(_random_gate(rng, 5))
-        assert abs(sv.norm() - 1.0) < 1e-10
+        assert abs(np.linalg.norm(sv.amps) - 1.0) < 1e-10
 
 
 def test_self_inverse_gates_roundtrip():
@@ -252,9 +254,7 @@ def test_self_inverse_gates_roundtrip():
     phi = 1.234
     pairs = [
         (Gate.h(1), Gate.h(1)),
-        (Gate.x(2), Gate.x(2)),
         (Gate.z(0), Gate.z(0)),
-        (Gate.cnot(0, 2), Gate.cnot(0, 2)),
         (Gate.cp(phi, 1, 2), Gate.cp(-phi, 1, 2)),
     ]
     for g, g_inv in pairs:
