@@ -176,8 +176,8 @@ class Fabric:
         On a product fabric an h or p on a logical qubit is resolved here
         and goes straight to its factor (ProductState.apply_one); any other
         call takes the checked path and raises as a Gate would, before any
-        bookkeeping changes: a gate on logical qubits is of a kind the state
-        applies, or a ValueError spends no pending Z.
+        bookkeeping changes: a kind the state does not apply spends no
+        pending Z.
         """
         qubits = tuple(qubits)
         if len(qubits) == 1:  # one operand is always local
