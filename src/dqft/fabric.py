@@ -24,11 +24,16 @@ a measurement.  Its slot is busy exactly while it holds an EPR half or a
 copy: allocate_epr refuses it until a measurement or a reset frees it.  Any
 other step on a comm qubit, or one that would change a copied c, raises
 ValueError.
+
+A classical message waits in its destination's inbox, one FIFO channel per
+source that has sent there, the sources in increasing order: receive pops
+from one channel, receive_all walks only the channels into its node.  Every
+call checks its nodes against the plan (ValueError) before a queue changes.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -73,6 +78,13 @@ class PartitionPlan:
         # plan index -> node: logical qubits node by node, then one comm slot per node
         return (tuple(node for node, m in enumerate(self.sizes) for _ in range(m))
                 + tuple(range(self.k)))
+
+    @cached_property
+    def _feedforward_runs(self) -> tuple:
+        # per node, for a semiclassical shot: the node, (j, (j,)) for each of its
+        # logical qubits j, and the later nodes its bits go to
+        return tuple((node, tuple((j, (j,)) for j in self.node_qubits(node)),
+                      tuple(range(node + 1, self.k))) for node in range(self.k))
 
     @property
     def comm_slots(self) -> tuple[int, ...]:
@@ -152,7 +164,8 @@ class Fabric:
     ProductState, n one-qubit factors, which applies H and P only.  Such a
     product fabric never holds a frame entry or a pending Z, so an H or a P
     on a logical qubit is resolved once, in apply, and goes straight to its
-    factor (ProductState.apply_one) with no Gate.
+    factor (ProductState.apply_one) with no Gate, and a measurement of a
+    logical qubit goes straight to ProductState.measure.
     A message is deliverable LATENCY = 1 tick later.
     """
 
@@ -166,7 +179,8 @@ class Fabric:
         self.counters = FabricCounters()
         self._frame: dict[int, FrameEntry] = {}  # node -> its comm qubit; ZERO when absent
         self._pending_z: set[int] = set()  # logical qubits owed a Z by a cat session
-        self._queues: defaultdict[tuple[int, int], deque[ClassicalMessage]] = defaultdict(deque)
+        # dst -> its inbox, src -> the channel's messages, FIFO; sources in increasing order
+        self._inbox: dict[int, dict[int, deque[ClassicalMessage]]] = {}
 
     # -- gates and measurements --------------------------------------------
 
@@ -230,8 +244,14 @@ class Fabric:
             self._touch((source, *targets))  # a pending Z commutes with the fan
 
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
-        """Measure a plan index (one draw); only a measurement made is counted."""
-        if 0 <= qubit < self.plan.n:
+        """Measure a plan index (one draw); only a measurement made is counted.
+
+        On a product fabric a logical qubit is resolved first, as in apply:
+        no frame or pending Z can touch it, so its factor is measured at once.
+        """
+        if 0 <= qubit < self._product_n:
+            bit = self.state.measure(qubit, rng)
+        elif 0 <= qubit < self.plan.n:
             if self._pending_z:
                 self._touch((qubit,))
             bit = self.state.measure(qubit, rng)
@@ -329,21 +349,49 @@ class Fabric:
 
     def comm_busy(self, node: int) -> bool:
         """Whether node's comm qubit holds an EPR half or a copy; ValueError outside 0..k-1."""
+        self._check_node(node)
+        return self._frame.get(node, ZERO).kind != "bit"
+
+    def _check_node(self, node: int) -> None:
         if not 0 <= node < self.plan.k:
             raise ValueError(f"node {node} out of range for k={self.plan.k}")
-        return self._frame.get(node, ZERO).kind != "bit"
 
     # -- classical messaging and clock ---------------------------------------
 
     def send_classical(self, src: int, dst: int, tag: str, payload: int) -> ClassicalMessage:
+        """Queue a message on the (src, dst) channel, deliverable LATENCY ticks from now.
+
+        ValueError unless src and dst are two distinct nodes of the plan; an
+        existing channel has passed that check, so only its first message makes it.
+        """
+        inbox = self._inbox.get(dst)
+        channel = None if inbox is None else inbox.get(src)
+        if channel is None:
+            channel = self._open(src, dst)
+        counters = self.counters
+        # the tuple the NamedTuple's generated __new__ makes, without its argument parsing
+        tick = counters.current_tick + LATENCY
+        msg = tuple.__new__(ClassicalMessage, (src, dst, tag, payload, tick))
+        channel.append(msg)
+        counters.classical_messages += 1
+        return msg
+
+    def _open(self, src: int, dst: int) -> deque[ClassicalMessage]:
+        """The new, empty (src, dst) channel, in dst's inbox by increasing source; checked first."""
+        k = self.plan.k
         if src == dst:
             raise ValueError("classical message must cross nodes (src == dst)")
-        if not (0 <= src < self.plan.k and 0 <= dst < self.plan.k):
-            raise ValueError(f"message {src}->{dst}: nodes lie in 0..{self.plan.k - 1}")
-        msg = ClassicalMessage(src, dst, tag, payload, self.counters.current_tick + LATENCY)
-        self._queues[src, dst].append(msg)
-        self.counters.classical_messages += 1
-        return msg
+        if not (0 <= src < k and 0 <= dst < k):
+            raise ValueError(f"message {src}->{dst}: nodes lie in 0..{k - 1}")
+        channel, inbox = deque(), self._inbox.get(dst)
+        if inbox is None:
+            self._inbox[dst] = {src: channel}
+        else:
+            later = next(reversed(inbox)) > src  # the last source is the greatest
+            inbox[src] = channel
+            if later:
+                self._inbox[dst] = dict(sorted(inbox.items()))
+        return channel
 
     def advance_clock(self, ticks: int) -> None:
         if ticks < 0:
@@ -351,19 +399,32 @@ class Fabric:
         self.counters.current_tick += ticks
 
     def receive(self, src: int, dst: int) -> ClassicalMessage:
-        """Pop the oldest deliverable message on the (src, dst) channel."""
-        q = self._queues.get((src, dst))
-        if not q or q[0].tick > self.counters.current_tick:
+        """Pop the oldest deliverable message on the (src, dst) channel.
+
+        ValueError for a node outside 0..k-1, RuntimeError if the channel holds
+        no deliverable message; either way before any queue changes.
+        """
+        inbox = self._inbox.get(dst)
+        channel = None if inbox is None else inbox.get(src)
+        if not channel or channel[0][4] > self.counters.current_tick:  # [4]: its tick
+            self._check_node(src)
+            self._check_node(dst)
             raise RuntimeError(f"no deliverable message on channel {src}->{dst}")
-        return q.popleft()
+        return channel.popleft()
 
     def receive_all(self, dst: int) -> list[ClassicalMessage]:
-        """Pop every message deliverable to dst: by increasing source node, FIFO per channel."""
-        out, now, queues = [], self.counters.current_tick, self._queues
-        for src in range(self.plan.k):
-            q = queues.get((src, dst))
-            while q and q[0].tick <= now:
-                out.append(q.popleft())
+        """Pop every message deliverable to dst: by increasing source node, FIFO per channel.
+
+        Walks only the channels into dst; ValueError for a dst outside 0..k-1.
+        """
+        inbox = self._inbox.get(dst)
+        if inbox is None:  # no message was ever sent to dst
+            self._check_node(dst)
+            return []
+        out, now = [], self.counters.current_tick
+        for channel in inbox.values():
+            while channel and channel[0][4] <= now:  # [4]: its tick
+                out.append(channel.popleft())
         return out
 
     # -- readout ---------------------------------------------------------------

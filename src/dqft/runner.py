@@ -17,10 +17,11 @@ an amplitude), in the prep and while the law is squared; a run that keeps
 its state, as the monolithic one does, peaks at 2.  The semiclassical path
 measures early: one dynamic circuit per shot.  No gate of a semiclassical
 shot entangles two qubits, so each shot's fabric holds a copy of the factors
-(a ProductState) and a shot costs O(n^2) scalar work.  Resource counters
-always cover one circuit execution.  wall_time_seconds times the emulation
-only (prep, schedule or shots, and sampling); the check of the run,
-_metrics, starts after the clock stops.
+(a ProductState) and a shot costs O(n^2) scalar work: each gate,
+measurement and message is one fabric call that touches one factor or one
+channel.  Resource counters always cover one circuit execution.
+wall_time_seconds times the emulation only (prep, schedule or shots, and
+sampling); the check of the run, _metrics, starts after the clock stops.
 It builds the reference (the Fejer kernel) once and takes two fidelities
 against it: the run's exact law's and its counts'.  Inside a run an exact
 distribution is one float64 array indexed by value.  The reference and the
@@ -280,23 +281,27 @@ def _semiclassical_once(fabric: Fabric, rng: np.random.Generator) -> int:
     a node's start every earlier bit is deliverable, and receive_all returns
     them by source node, FIFO per channel, so folding them in that order
     through _feedforward gives the running phase of the node's first qubit.
+    Each node's qubits and later nodes come from the plan's cached table
+    (PartitionPlan._feedforward_runs); the fabric's methods are bound once
+    per shot, so a method patched on the class is the one each call makes.
     """
-    plan = fabric.plan
+    apply, measure, advance_clock = fabric.apply, fabric.measure, fabric.advance_clock
+    send, receive_all = fabric.send_classical, fabric.receive_all
     value = 0
-    for node in range(plan.k):
+    for node, qubits, later in fabric.plan._feedforward_runs:
         turns = 0.0
-        for msg in fabric.receive_all(node):
-            turns = _feedforward(turns, msg.payload)
-        for j in plan.node_qubits(node):
+        for msg in receive_all(node):
+            turns = turns / 2 + msg.payload / 4  # _feedforward, inline
+        for j, operand in qubits:
             if turns:
-                fabric.apply("p", (j,), -TWO_PI * turns)
-            fabric.apply("h", (j,))
-            bit = fabric.measure(j, rng)
-            turns = _feedforward(turns, bit)
+                apply("p", operand, -TWO_PI * turns)
+            apply("h", operand)
+            bit = measure(j, rng)
+            turns = turns / 2 + bit / 4
             value |= bit << j
-            for later in range(node + 1, plan.k):
-                fabric.send_classical(node, later, "feedforward", bit)
-            fabric.advance_clock(LATENCY)
+            for dst in later:
+                send(node, dst, "feedforward", bit)
+            advance_clock(LATENCY)
     return value
 
 

@@ -326,7 +326,7 @@ class ProductState:
 
     def copy(self) -> "ProductState":
         state = ProductState.__new__(ProductState)
-        state.num_qubits, state._factors = self.num_qubits, [f.copy() for f in self._factors]
+        state.num_qubits, state._factors = self.num_qubits, list(map(list.copy, self._factors))
         return state
 
     @property
@@ -370,14 +370,22 @@ class ProductState:
         raise ValueError(f"a fan from {source} onto {list(targets)} would entangle a product state")
 
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
-        """Projectively measure one qubit; collapses and renormalizes its factor."""
+        """Projectively measure one qubit; collapses and renormalizes its factor.
+
+        _draw inline: the same check, the one rng.random() against p0, the same quotients.
+        """
         if not 0 <= qubit < self.num_qubits:
             raise ValueError(f"qubit {qubit} out of range")
         f = self._factors[qubit]
-        p = (abs(f[0]) ** 2, abs(f[1]) ** 2)
-        bit = _draw(*p, qubit, rng)
-        f[bit], f[1 - bit] = f[bit] / math.sqrt(p[bit]), 0j
-        return bit
+        a, b = f
+        p0, p1 = abs(a) ** 2, abs(b) ** 2
+        if p0 < 1e-12 and p1 < 1e-12:
+            raise ValueError(f"corrupt state: both outcome probabilities vanish on qubit {qubit}")
+        if rng.random() < p0:
+            f[0], f[1] = a / math.sqrt(p0), 0j
+            return 0
+        f[0], f[1] = 0j, b / math.sqrt(p1)
+        return 1
 
     apply_gates = StateVector.apply_gates
 

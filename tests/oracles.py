@@ -1,8 +1,11 @@
-"""Independent oracles: dense DFT matrix, Fourier states, output distributions, REV.
+"""Independent oracles: dense DFT matrix, Fourier states, output distributions, REV,
+and a model of the fabric's classical channels.
 
-Everything here is matrix arithmetic, deliberately sharing no code with the
-gate-level engine it checks.
+Everything here is matrix arithmetic or plain Python containers,
+deliberately sharing no code with the engine it checks.
 """
+
+from collections import defaultdict, deque
 
 import numpy as np
 
@@ -127,3 +130,57 @@ def dense_cat_session(logical, control: int, targets, phis, draws):
     if m_b:
         psi = _apply(_apply(psi, _X, b), _Z, control)
     return (m_a, m_b), psi.reshape(-1)[::4]  # A and B are |00>: every fourth amplitude
+
+
+# -- classical messaging as one queue per channel ------------------------------------------
+
+
+class ChannelScan:
+    """The fabric's classical messaging on k nodes, kept as a per-channel model.
+
+    One FIFO queue per (src, dst) channel; receive_all scans every source
+    0..k-1 in turn.  A message is a plain (src, dst, tag, payload, tick)
+    tuple, deliverable one tick after it is sent.  Every call checks
+    its nodes before it changes anything.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self.tick = self.sent = 0
+        self._queues = defaultdict(deque)
+
+    def _check_node(self, node: int) -> None:
+        if not 0 <= node < self.k:
+            raise ValueError(f"node {node} out of range for k={self.k}")
+
+    def send_classical(self, src: int, dst: int, tag: str, payload: int) -> tuple:
+        if src == dst:
+            raise ValueError("classical message must cross nodes (src == dst)")
+        if not (0 <= src < self.k and 0 <= dst < self.k):
+            raise ValueError(f"message {src}->{dst}: nodes lie in 0..{self.k - 1}")
+        msg = (src, dst, tag, payload, self.tick + 1)
+        self._queues[src, dst].append(msg)
+        self.sent += 1
+        return msg
+
+    def advance_clock(self, ticks: int) -> None:
+        if ticks < 0:
+            raise ValueError("clock only advances")
+        self.tick += ticks
+
+    def receive(self, src: int, dst: int) -> tuple:
+        self._check_node(src)
+        self._check_node(dst)
+        q = self._queues.get((src, dst))
+        if not q or q[0][4] > self.tick:
+            raise RuntimeError(f"no deliverable message on channel {src}->{dst}")
+        return q.popleft()
+
+    def receive_all(self, dst: int) -> list:
+        self._check_node(dst)
+        out = []
+        for src in range(self.k):
+            q = self._queues.get((src, dst))
+            while q and q[0][4] <= self.tick:
+                out.append(q.popleft())
+        return out
