@@ -9,6 +9,7 @@ import sys
 from . import bench, verify
 from .bench import (CSV_COLUMNS, DEFAULT_TIMEOUT_SECONDS, FIDELITY_TOLERANCE,
                     format_row, load_config, normalize_theta)
+from .metrics import state_bytes
 from .runner import MODES
 
 
@@ -36,6 +37,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _physical_memory() -> int | None:
+    """The machine's physical memory in bytes, or None where sysconf does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _cmd_run(args) -> int:
     theta = normalize_theta(args.theta)
     if not 0.0 <= theta < 1.0:
@@ -47,7 +56,17 @@ def _cmd_run(args) -> int:
     if args.k > args.n:
         print(f"error: k exceeds n ({args.k} > {args.n})", file=sys.stderr)
         return 2
-    row = bench.run_point(args.n, args.k, theta, args.mode, args.shots, args.seed)
+    memory = _physical_memory()
+    if memory is not None and state_bytes(args.n) > memory:
+        print(f"error: n={args.n} needs {state_bytes(args.n)} bytes for its state, more than "
+              f"this machine's {memory} bytes of memory", file=sys.stderr)
+        return 2
+    try:
+        row = bench.run_point(args.n, args.k, theta, args.mode, args.shots, args.seed)
+    except MemoryError:
+        print(f"error: n={args.n} needs {state_bytes(args.n)} bytes for its state: "
+              "out of memory", file=sys.stderr)
+        return 2
     width = max(len(c) for c in CSV_COLUMNS)
     for column in CSV_COLUMNS:
         print(f"{column:<{width}}  {bench.format_value(getattr(row, column))}")

@@ -166,21 +166,37 @@ class Fabric:
     on a logical qubit is resolved once, in apply, and goes straight to its
     factor (ProductState.apply_one) with no Gate, and a measurement of a
     logical qubit goes straight to ProductState.measure.
-    A message is deliverable LATENCY = 1 tick later.
+    A message is deliverable LATENCY = 1 tick later.  _restart starts a new
+    execution on the same fabric, so a semiclassical run builds one: every
+    shot's fabric starts from a copy of the prep, with zeroed counters and
+    the channels its earlier shots opened, all drained.
     """
 
     def __init__(self, plan: PartitionPlan, with_comm: bool = True,
                  prep: ProductState | None = None):
         self.plan = plan
         self.with_comm = with_comm
-        prep = ProductState(plan.n) if prep is None else prep
-        self.state = prep.to_statevector() if with_comm else prep.copy()
         self._product_n = 0 if with_comm else plan.n  # qubits of the resolved product path
+        # dst -> its inbox, src -> the channel's messages, FIFO; sources in increasing order
+        self._inbox: dict[int, dict[int, deque[ClassicalMessage]]] = {}
+        self._channels: list[deque[ClassicalMessage]] = []  # every channel, as opened
+        self._restart(ProductState(plan.n) if prep is None else prep)
+
+    def _restart(self, prep: ProductState) -> None:
+        """Start a new execution from a copy of prep, with zeroed counters and clock.
+
+        The plan, the mode and the opened channels stay, so an execution that
+        drains every channel it fills (a semiclassical shot) can be run again
+        on the same fabric.  A message still queued would cross into the next
+        execution: RuntimeError, before anything changes.
+        """
+        if any(self._channels):
+            queued = [msg for channel in self._channels for msg in channel]
+            raise RuntimeError(f"restart with undelivered messages: {queued}")
+        self.state = prep.to_statevector() if self.with_comm else prep.copy()
         self.counters = FabricCounters()
         self._frame: dict[int, FrameEntry] = {}  # node -> its comm qubit; ZERO when absent
         self._pending_z: set[int] = set()  # logical qubits owed a Z by a cat session
-        # dst -> its inbox, src -> the channel's messages, FIFO; sources in increasing order
-        self._inbox: dict[int, dict[int, deque[ClassicalMessage]]] = {}
 
     # -- gates and measurements --------------------------------------------
 
@@ -384,6 +400,7 @@ class Fabric:
         if not (0 <= src < k and 0 <= dst < k):
             raise ValueError(f"message {src}->{dst}: nodes lie in 0..{k - 1}")
         channel, inbox = deque(), self._inbox.get(dst)
+        self._channels.append(channel)
         if inbox is None:
             self._inbox[dst] = {src: channel}
         else:

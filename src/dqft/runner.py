@@ -16,10 +16,12 @@ hold float64 laws only.  A run's working set peaks at 1.5 states (16 bytes
 an amplitude), in the prep and while the law is squared; a run that keeps
 its state, as the monolithic one does, peaks at 2.  The semiclassical path
 measures early: one dynamic circuit per shot.  No gate of a semiclassical
-shot entangles two qubits, so each shot's fabric holds a copy of the factors
-(a ProductState) and a shot costs O(n^2) scalar work: each gate,
-measurement and message is one fabric call that touches one factor or one
-channel.  Resource counters always cover one circuit execution.
+shot entangles two qubits, so the run's one fabric holds the factors (a
+ProductState), every shot's fabric starts from a copy of them, and a shot
+costs O(n^2) scalar work: each gate, measurement and message is one fabric
+call that touches one factor or one channel.  A shot's measurements read
+their uniforms from a block of the run's draws, made for whole shots at a
+time.  Resource counters always cover one circuit execution.
 wall_time_seconds times the emulation only (prep, schedule or shots, and
 sampling); the check of the run, _metrics, starts after the clock stops.
 It builds the reference (the Fejer kernel) once and takes two fidelities
@@ -37,6 +39,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,7 +48,7 @@ from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, bit_reverse, buil
 from .circuits import fourier_prep_gates, inverse_qft_gates  # noqa: F401 (traced by dqftbench)
 from .fabric import LATENCY, Fabric, FabricCounters, PartitionPlan
 from .metrics import RunMetrics, classical_fidelity, counts_to_distribution, state_bytes
-from .statevector import StateVector, _sample
+from .statevector import ProductState, StateVector, _sample
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
 
 MODES = ("telegate", "semiclassical")
@@ -54,6 +57,9 @@ MODES = ("telegate", "semiclassical")
 # buffer (8192 elements by default) through buffers that size, so an in-place
 # kernel on a qubit past the first few pays a copy pass; 256 bounds the copy.
 UFUNC_BUFSIZE = 256
+# doubles in one block of a semiclassical run's draws (512 KiB): a run holds one
+# block at a time, whatever its shot count
+_DRAW_BLOCK = 1 << 16
 
 
 @dataclass
@@ -305,27 +311,50 @@ def _semiclassical_once(fabric: Fabric, rng: np.random.Generator) -> int:
     return value
 
 
+def _semiclassical_shots(plan: PartitionPlan, prep: ProductState, shots: int,
+                         rng: np.random.Generator) -> tuple[dict[int, int], FabricCounters]:
+    """Run shots executions on one product fabric; returns the counts and one shot's counters.
+
+    Each shot makes one draw per qubit, in order, so shot s takes draws
+    s*n .. s*n + n - 1 of the run: the draws are made a block of whole shots
+    at a time (at most _DRAW_BLOCK doubles, one rng.random call), and a shot
+    reads them through an object whose random is the block's C-level
+    iterator, so it sees the doubles that one rng.random() per measurement
+    would give, and leaves rng where those calls would.  Before each shot
+    the fabric restarts from a copy of prep (Fabric._restart); a shot drains
+    every channel it fills, so no message crosses into the next.
+    """
+    n = plan.n
+    per_block = max(1, _DRAW_BLOCK // n)
+    fabric = Fabric(plan, with_comm=False, prep=prep)
+    restart, counts = fabric._restart, {}
+    for first in range(0, shots, per_block):
+        size = min(per_block, shots - first)
+        draws = SimpleNamespace(random=iter(memoryview(rng.random(size * n))).__next__)
+        for _ in range(size):
+            restart(prep)
+            value = _semiclassical_once(fabric, draws)
+            counts[value] = counts.get(value, 0) + 1
+        del draws  # released before the next block is drawn: one block at a time
+    return counts, fabric.counters
+
+
 def run_semiclassical(plan: PartitionPlan, theta: float, shots: int = 100,
                       seed: int = 0) -> RunResult:
     """Teleportation-free run: early measurement plus classical feed-forward.
 
     Each shot is a genuine dynamic-circuit execution; no EPR pairs and no
     communication qubits are used, so the state holds only n qubits, each
-    as its own factor of a ProductState.  Every shot's fabric starts from a
-    copy of the run's one fourier_product.  Reported counters cover one
-    execution (they are identical across shots).
+    as its own factor of a ProductState.  All shots run on one fabric, and
+    every shot's fabric starts from a copy of the run's one fourier_product
+    (_semiclassical_shots).  Reported counters cover one execution (they
+    are identical across shots).
     """
     _validate(theta, shots)
     rng = np.random.default_rng(seed)
-    counts: dict[int, int] = {}
     start = time.perf_counter()
-    prep = fourier_product(plan.n, theta)
-    for _ in range(shots):
-        fabric = Fabric(plan, with_comm=False, prep=prep)
-        value = _semiclassical_once(fabric, rng)
-        counts[value] = counts.get(value, 0) + 1
+    counts, counters = _semiclassical_shots(plan, fourier_product(plan.n, theta), shots, rng)
     wall = time.perf_counter() - start
-    # the counters are the same for every shot; report the last one's
-    metrics = _metrics(wall, fabric.counters, plan.n, 0, counts,
+    metrics = _metrics(wall, counters, plan.n, 0, counts,
                        _semiclassical_law(plan.n, theta), plan.n, theta)
     return RunResult(counts, metrics)

@@ -1,13 +1,19 @@
 """Independent oracles: dense DFT matrix, Fourier states, output distributions, REV,
-and a model of the fabric's classical channels.
+a model of the fabric's classical channels, and the per-shot semiclassical loop.
 
-Everything here is matrix arithmetic or plain Python containers,
-deliberately sharing no code with the engine it checks.
+Everything but fresh_fabric_shots is matrix arithmetic or plain Python
+containers, deliberately sharing no code with the engine it checks.
+fresh_fabric_shots runs the engine's own shot on a new fabric per shot,
+with one Generator.random() per measurement: the reference that a run's
+one fabric and its blocks of draws must match.
 """
 
 from collections import defaultdict, deque
 
 import numpy as np
+
+from dqft.fabric import Fabric
+from dqft.runner import _semiclassical_once
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -184,3 +190,17 @@ class ChannelScan:
             while q and q[0][4] <= self.tick:
                 out.append(q.popleft())
         return out
+
+
+# -- the semiclassical shot loop, one fabric and one draw per measurement at a time ---------
+
+
+def fresh_fabric_shots(plan, prep, shots: int, rng: np.random.Generator):
+    """Counts by value, in first-seen order, and the last shot's counters: each shot on a
+    new product Fabric built from prep, drawing from rng itself."""
+    counts = {}
+    for _ in range(shots):
+        fabric = Fabric(plan, with_comm=False, prep=prep)
+        value = _semiclassical_once(fabric, rng)
+        counts[value] = counts.get(value, 0) + 1
+    return counts, fabric.counters

@@ -259,6 +259,30 @@ def test_cli_run_invalid_flags_exit_2():
     assert exc.value.code == 2
 
 
+def _must_not_run(*args):
+    raise AssertionError(f"run_point{args} ran")
+
+
+@pytest.mark.parametrize("mode", ["telegate", "semiclassical"])
+def test_cli_run_refuses_a_state_larger_than_memory_up_front(capsys, monkeypatch, mode):
+    monkeypatch.setattr(dqft.bench, "run_point", _must_not_run)
+    code = main(["run", "--n", "64", "--k", "2", "--mode", mode])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: n=64 needs ") and "Traceback" not in err
+
+
+def test_cli_run_reports_a_memory_error_as_an_error_line(capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(dqft.bench, "run_point", out_of_memory)
+    code = main(["run", "--n", "20", "--k", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: n=20 needs ") and "out of memory" in err
+
+
 def test_cli_sweep_and_summary(tmp_path, capsys):
     out = tmp_path / "cli.csv"
     cfg_path = tmp_path / "sweep.cfg"
