@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 from .fabric import make_partition
 # classical_fidelity and monolithic_exact_distribution are unused here; they stay
 # in this namespace because dqftbench/spans.py wraps bench.<name> for both
-from .metrics import classical_fidelity  # noqa: F401
+from .metrics import classical_fidelity, state_bytes  # noqa: F401
 from .runner import MODES, monolithic_exact_distribution, run_distributed  # noqa: F401
 
 FIDELITY_TOLERANCE = 1e-9
@@ -70,12 +70,12 @@ _CELL_TYPES = tuple({"int": int, "float": float, "str": str}[f.type] for f in fi
 
 
 def normalize_theta(theta: float) -> float:
-    """Snap the decimal spellings of 1/3 and 2/3 to the exact rationals."""
+    """Snap the decimal spellings of 1/3 and 2/3 to the exact rationals, and -0.0 to 0.0."""
     if abs(theta - 1 / 3) < 1e-5:
         return 1 / 3
     if abs(theta - 2 / 3) < 1e-5:
         return 2 / 3
-    return theta
+    return 0.0 if theta == 0 else theta  # -0.0 too: one CSV cell and resume key for zero
 
 
 def format_value(value) -> str:
@@ -187,6 +187,27 @@ def run_point(n: int, k: int, theta: float, mode: str, shots: int, seed: int,
     )
 
 
+def physical_memory() -> int | None:
+    """The machine's physical memory in bytes, or None where sysconf does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def run_in_memory(n: int, k: int, theta: float, mode: str, shots: int, seed: int,
+                  repeat: int = 0, memory: int | None = None) -> tuple:
+    """(run_point's row, None), or (None, why) for a state over memory bytes or a MemoryError."""
+    need = state_bytes(n)
+    if memory is not None and need > memory:
+        return None, (f"n={n} needs {need} bytes for its state, more than "
+                      f"this machine's {memory} bytes of memory")
+    try:
+        return run_point(n, k, theta, mode, shots, seed, repeat), None
+    except MemoryError:
+        return None, f"n={n} needs {need} bytes for its state: out of memory"
+
+
 class ResumeError(ValueError):
     """An existing CSV that this sweep cannot resume; neither file is touched."""
 
@@ -271,9 +292,10 @@ def sweep(config: SweepConfig, timeout: float = DEFAULT_TIMEOUT_SECONDS,
           log=None) -> dict:
     """Run every sweep point, appending rows to the config's CSV.
 
-    Returns a summary dict with written/skipped/timed-out counts, the rows
-    written, and the list of fidelity failures.  Points already present in
-    the CSV are skipped, so partial sweeps resume for free.
+    Returns a summary dict with written/skipped/timed-out/refused counts, the
+    rows written, and the list of fidelity failures.  Points already present in
+    the CSV are skipped, so partial sweeps resume for free, retrying a point that
+    timed out or that run_in_memory refused against the memory read at the start.
     """
     log = log or (lambda msg: print(msg, file=sys.stderr))
     out_path = resolve_output_path(config.output_path)
@@ -282,25 +304,32 @@ def sweep(config: SweepConfig, timeout: float = DEFAULT_TIMEOUT_SECONDS,
         os.makedirs(parent, exist_ok=True)
     existing = _prepare_resume(out_path, config.shots)
     points = expand_points(config, log=log)
+    memory = physical_memory()
 
     rows: list[ResultRow] = []
     failures: list[tuple] = []
     timed_out: list[tuple] = []
+    refused: list[tuple] = []
     skipped = 0
     with open(out_path, "a", encoding="utf-8", newline="") as fh:
-        for n, k, theta, mode, repeat in points:
+        for point in points:
+            n, k, theta, mode, repeat = point
             seed = config.seed + repeat
             if _point_key(n, k, theta, mode, seed, repeat) in existing:
                 skipped += 1
                 continue
+            label = f"run n={n} k={k} theta={format_value(theta)} mode={mode} repeat={repeat}"
             try:
-                row = _with_timeout(
-                    lambda: run_point(n, k, theta, mode, config.shots, seed, repeat),
+                row, refusal = _with_timeout(
+                    lambda: run_in_memory(n, k, theta, mode, config.shots, seed, repeat, memory),
                     timeout)
             except _RunTimeout:
-                log(f"notice: run n={n} k={k} theta={format_value(theta)} mode={mode} "
-                    f"repeat={repeat} exceeded {timeout:.0f}s; skipped")
-                timed_out.append((n, k, theta, mode, repeat))
+                log(f"notice: {label} exceeded {timeout:.0f}s; skipped")
+                timed_out.append(point)
+                continue
+            if refusal is not None:
+                log(f"notice: {label} refused: {refusal}")
+                refused.append(point)
                 continue
             fh.write(format_row(row) + "\n")
             fh.flush()
@@ -315,6 +344,7 @@ def sweep(config: SweepConfig, timeout: float = DEFAULT_TIMEOUT_SECONDS,
         "written": len(rows),
         "skipped": skipped,
         "timed_out": timed_out,
+        "refused": refused,
         "failures": failures,
     }
 

@@ -9,7 +9,6 @@ import sys
 from . import bench, verify
 from .bench import (CSV_COLUMNS, DEFAULT_TIMEOUT_SECONDS, FIDELITY_TOLERANCE,
                     format_row, load_config, normalize_theta)
-from .metrics import state_bytes
 from .runner import MODES
 
 
@@ -37,14 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _physical_memory() -> int | None:
-    """The machine's physical memory in bytes, or None where sysconf does not report it."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _cmd_run(args) -> int:
     theta = normalize_theta(args.theta)
     if not 0.0 <= theta < 1.0:
@@ -56,16 +47,10 @@ def _cmd_run(args) -> int:
     if args.k > args.n:
         print(f"error: k exceeds n ({args.k} > {args.n})", file=sys.stderr)
         return 2
-    memory = _physical_memory()
-    if memory is not None and state_bytes(args.n) > memory:
-        print(f"error: n={args.n} needs {state_bytes(args.n)} bytes for its state, more than "
-              f"this machine's {memory} bytes of memory", file=sys.stderr)
-        return 2
-    try:
-        row = bench.run_point(args.n, args.k, theta, args.mode, args.shots, args.seed)
-    except MemoryError:
-        print(f"error: n={args.n} needs {state_bytes(args.n)} bytes for its state: "
-              "out of memory", file=sys.stderr)
+    row, refusal = bench.run_in_memory(args.n, args.k, theta, args.mode, args.shots, args.seed,
+                                       memory=bench.physical_memory())
+    if refusal is not None:
+        print(f"error: {refusal}", file=sys.stderr)
         return 2
     width = max(len(c) for c in CSV_COLUMNS)
     for column in CSV_COLUMNS:
@@ -88,7 +73,8 @@ def _cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {summary['written']} rows to {summary['output_path']} "
-          f"({summary['skipped']} already present, {len(summary['timed_out'])} timed out)")
+          f"({summary['skipped']} already present, {len(summary['timed_out'])} timed out, "
+          f"{len(summary['refused'])} refused)")
     for line in bench.summarize(summary["rows"]):
         print(line)
     if summary["failures"]:

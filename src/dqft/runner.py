@@ -1,36 +1,33 @@
-"""End-to-end benchmark runs: telegate, monolithic reference, semiclassical.
+"""End-to-end benchmark runs: telegate, semiclassical, and the monolithic reference.
 
 Every run prepares a Fourier state with phase theta once, as
 fourier_product's n one-qubit factors, undoes it with the swap-free inverse
-QFT, and reads out values through the classical bit reversal.  The
-telegate and monolithic paths expand the factors with one Kronecker
-product, and apply controlled phases as fans: one phase pass per qubit of a
-node's block and one per cat session.  Both emulate under a ufunc buffer of
-UFUNC_BUFSIZE elements, scoped to the run.  The telegate path executes the
-circuit once (teleportation outcomes never change the logical state); both
-square their own final 2^n state once, uncopied, into its law in qubit
-order: the shots are drawn from it (_readout, in one more array the size of
-the law) and the exact law is read from it.  A telegate run then drops its
-fabric and state unless return_state is set, so sampling and verification
-hold float64 laws only.  A run's working set peaks at 1.5 states (16 bytes
-an amplitude), in the prep and while the law is squared; a run that keeps
-its state, as the monolithic one does, peaks at 2.  The semiclassical path
-measures early: one dynamic circuit per shot.  No gate of a semiclassical
-shot entangles two qubits, so the run's one fabric holds the factors (a
-ProductState), every shot's fabric starts from a copy of them, and a shot
-costs O(n^2) scalar work: each gate, measurement and message is one fabric
-call that touches one factor or one channel.  A shot's measurements read
-their uniforms from a block of the run's draws, made for whole shots at a
-time.  Resource counters always cover one circuit execution.
-wall_time_seconds times the emulation only (prep, schedule or shots, and
-sampling); the check of the run, _metrics, starts after the clock stops.
-It builds the reference (the Fejer kernel) once and takes two fidelities
-against it: the run's exact law's and its counts'.  Inside a run an exact
-distribution is one float64 array indexed by value.  The reference and the
-measure-early law (a branch tree) are closed forms that share no code with
-the engine; only a telegate or monolithic run's own distribution is read
-from its state, as |amps|^2 with its qubit axes reversed (REV).  The
-public *_exact_distribution helpers return the same numbers as dicts.
+QFT, and reads out values through the classical bit reversal.  The one dense
+pipeline is the telegate run; the monolithic reference is that run on the
+one-node plan, which teleports no gate.  It expands the factors with one
+Kronecker product, applies controlled phases as fans (one phase pass per
+qubit of a node's block and one per cat session) under a ufunc buffer of
+UFUNC_BUFSIZE elements scoped to the run, and executes the circuit once
+(teleportation outcomes never change the logical state).  It squares its
+final 2^n state once, uncopied, into its law in qubit order: the shots are
+drawn from it (_readout, in one more array the size of the law) and the
+exact law is read from it.  It then drops its fabric and state unless
+return_state is set, as the monolithic run sets it, so sampling and
+verification hold float64 laws only.  A run's working set peaks at 1.5
+states (16 bytes an amplitude), in the prep and while the law is squared; a
+run that keeps its state peaks at 2.  The semiclassical path measures early:
+one dynamic circuit per shot, O(n^2) scalar work on the run's one product
+fabric (run_semiclassical, _semiclassical_shots).  Resource counters always
+cover one circuit execution.  wall_time_seconds times the emulation only
+(prep, schedule or shots, and sampling); the check of the run, _metrics,
+starts after the clock stops.  It builds the reference (the Fejer kernel)
+once and takes two fidelities against it: the run's exact law's and its
+counts'.  Inside a run an exact distribution is one float64 array indexed by
+value.  The reference and the measure-early law (a branch tree) are closed
+forms that share no code with the engine; only a telegate run's own
+distribution is read from its state, as |amps|^2 with its qubit axes
+reversed (REV).  The public *_exact_distribution helpers return the same
+numbers as dicts.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ import numpy as np
 from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, bit_reverse, build_schedule,
                        fourier_product, inverse_qft_local, phase_turns)
 from .circuits import fourier_prep_gates, inverse_qft_gates  # noqa: F401 (traced by dqftbench)
-from .fabric import LATENCY, Fabric, FabricCounters, PartitionPlan
+from .fabric import LATENCY, Fabric, FabricCounters, PartitionPlan, make_partition
 from .metrics import RunMetrics, classical_fidelity, counts_to_distribution, state_bytes
 from .statevector import ProductState, StateVector, _sample
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
@@ -98,13 +95,6 @@ def _readout(p: np.ndarray, shots: int, rng: np.random.Generator) -> dict[int, i
 def exact_value_distribution(state: StateVector) -> dict[int, float]:
     """The exact value distribution of state as a dict over every value in range(2^n)."""
     return dict(enumerate(_distribution(state).tolist()))
-
-
-def _monolithic_state(n: int, theta: float) -> StateVector:
-    """The single-register pipeline: the Fourier state's factors expanded, then the inverse QFT."""
-    with np.errstate():  # restores the caller's ufunc buffer size on exit (UFUNC_BUFSIZE)
-        np.setbufsize(UFUNC_BUFSIZE)
-        return inverse_qft_local(fourier_product(n, theta).to_statevector(), range(n))
 
 
 def _reference(n: int, theta: float) -> np.ndarray:
@@ -235,8 +225,10 @@ def _metrics(wall: float, counters: FabricCounters, num_qubits: int, slots: int,
 
 def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
                     shots: int = 100, seed: int = 0, return_state: bool = False) -> RunResult:
-    """Distributed inverse-QFT run over the plan's k nodes."""
+    """Distributed inverse-QFT run over the plan's k nodes; return_state keeps a telegate state."""
     if mode == "semiclassical":
+        if return_state:
+            raise ValueError("a semiclassical run measures early: it has no final state")
         return run_semiclassical(plan, theta, shots=shots, seed=seed)
     if mode != "telegate":
         raise ValueError(f"unknown mode {mode!r}")
@@ -261,20 +253,10 @@ def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
 
 def run_monolithic_reference(n: int, theta: float, shots: int = 100,
                              seed: int = 0) -> RunResult:
-    """Single-register run: same pipeline, no fabric, no teleportation.
-
-    Its engine state is checked against the closed-form _reference, so a
-    kernel defect shows here as a fidelity below 1.
-    """
-    _validate(theta, shots)
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    state = _monolithic_state(n, theta)
-    p = state.probabilities(range(n))
-    counts = _readout(p, shots, rng)
-    wall = time.perf_counter() - start
-    p = _rev(p)  # rebound, so the qubit-order law is freed before verification
-    return RunResult(counts, _metrics(wall, FabricCounters(), n, 1, counts, p, n, theta), state)
+    """Single-register run: the one-node telegate run (no gate teleported), its state kept."""
+    res = run_distributed(make_partition(n, 1), theta, shots=shots, seed=seed, return_state=True)
+    res.metrics.peak_state_bytes = state_bytes(n)  # one register: no one-node comm slot
+    return res
 
 
 # -- semiclassical (teleportation-free) mode ---------------------------------------

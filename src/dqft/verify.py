@@ -15,8 +15,8 @@ from .circuits import (LocalInverseQFT, build_schedule, flatten_schedule, fourie
                        fourier_product, inverse_qft_gates, inverse_qft_local)
 from .fabric import Fabric, make_partition
 from .metrics import epr_budget
-from .runner import (_distribution, _monolithic_state, _reference, _semiclassical_law,
-                     run_distributed, run_monolithic_reference)
+from .runner import (_distribution, _reference, _semiclassical_law, run_distributed,
+                     run_monolithic_reference)
 from .statevector import Gate, StateVector, equal_up_to_global_phase
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
 
@@ -125,7 +125,8 @@ def check_closed_form_reference():
     pairs = sorted({(n, theta) for n, _, theta in equivalence_grid()})
     for n, theta in pairs:
         reference = _reference(n, theta)
-        for name, law in (("engine pipeline", _distribution(_monolithic_state(n, theta))),
+        engine = _distribution(run_monolithic_reference(n, theta, shots=1).state)
+        for name, law in (("engine pipeline", engine),
                           ("semiclassical law", _semiclassical_law(n, theta))):
             gap = float(np.abs(reference - law).max())
             if not gap <= tol:

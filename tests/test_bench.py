@@ -1,6 +1,7 @@
 """Harness: config grammar, sweep expansion, CSV output, resume, CLI."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,10 @@ import pytest
 
 import dqft
 from dqft.bench import (CONFIG_KEYS, CSV_COLUMNS, SweepConfig, expand_points, format_row,
-                        load_config, normalize_theta, parse_config, run_point,
+                        format_value, load_config, normalize_theta, parse_config, run_point,
                         summarize, sweep)
 from dqft.cli import main
+from dqft.metrics import state_bytes
 
 CONFIG_TEXT = """\
 # small sweep
@@ -92,6 +94,33 @@ def test_normalize_theta():
     assert normalize_theta(0.333333) == 1 / 3
     assert normalize_theta(0.666667) == 2 / 3
     assert normalize_theta(0.25) == 0.25
+
+
+def test_normalize_theta_maps_negative_zero_to_zero():
+    theta = normalize_theta(-0.0)
+    assert theta == 0.0 and math.copysign(1.0, theta) == 1.0
+    assert format_value(theta) == "0"
+
+
+def test_a_signed_zero_theta_repeats_zero():
+    with pytest.raises(ValueError, match="^theta repeats a value"):
+        parse_config(CONFIG_TEXT.format(out="x").replace("[0.0, 0.333333]", "[0.0, -0.0]"))
+
+
+def test_a_signed_zero_theta_writes_the_cell_and_resume_key_of_zero(tmp_path):
+    text = CONFIG_TEXT.format(out=tmp_path / "zero.csv").replace("[4, 6]", "[4]")
+    first = sweep(parse_config(text.replace("[0.0, 0.333333]", "[-0.0]")), log=lambda m: None)
+    assert first["written"] == 3 * 2
+    assert {format_value(row.theta) for row in first["rows"]} == {"0"}
+    again = sweep(parse_config(text.replace("[0.0, 0.333333]", "[0.0]")), log=lambda m: None)
+    assert (again["written"], again["skipped"]) == (0, first["written"])
+
+
+def test_cli_run_prints_a_signed_zero_theta_as_zero(capsys):
+    assert main(["run", "--n", "4", "--k", "2", "--theta", "-0.0"]) == 0
+    out = capsys.readouterr().out
+    assert ["theta", "0"] in [line.split() for line in out.splitlines()]
+    assert out.splitlines()[-1].split(",")[CSV_COLUMNS.index("theta")] == "0"
 
 
 def test_load_config(tmp_path):
@@ -356,3 +385,62 @@ def test_run_point_modal_outcome_is_the_smallest_of_tied_values(monkeypatch):
 
     monkeypatch.setattr(dqft.bench, "run_distributed", tied)
     assert run_point(4, 2, 0.3, "telegate", shots=110, seed=0).modal_outcome == 3
+
+
+# -- the memory pre-flight: a point larger than memory is refused, never allocated --
+
+
+def _memory_for(monkeypatch, n):
+    """Make the machine report just the bytes of an n-qubit state; count the reads."""
+    reads = []
+    monkeypatch.setattr(dqft.bench, "physical_memory", lambda: reads.append(n) or state_bytes(n))
+    return reads
+
+
+def test_sweep_refuses_a_point_larger_than_memory_and_goes_on(tmp_path, monkeypatch):
+    reads = _memory_for(monkeypatch, 4)
+    cfg, notices = _config(tmp_path, num_qubits=[6, 4]), []
+    big = [p for p in expand_points(cfg) if p[0] == 6]
+    summary = sweep(cfg, log=notices.append)
+    assert reads == [4]  # once per sweep
+    assert summary["refused"] == big
+    assert summary["written"] == len(expand_points(cfg)) - len(big)
+    assert {row.n for row in summary["rows"]} == {4}
+    refusals = [m for m in notices if "refused" in m]
+    assert len(refusals) == len(big)
+    assert all(m.startswith("notice: run n=6 ") and "bytes of memory" in m for m in refusals)
+    rows = (tmp_path / "rows.csv").read_text().splitlines()[1:]
+    assert {r.split(",")[0] for r in rows} == {"4"}
+    _memory_for(monkeypatch, 6)  # a resume retries the refused points
+    again = sweep(cfg, log=lambda m: None)
+    assert (again["written"], again["skipped"], again["refused"]) == (len(big), len(rows), [])
+
+
+def test_sweep_refuses_a_point_that_raises_memory_error(tmp_path, monkeypatch):
+    real_run_point = dqft.bench.run_point
+
+    def run_point_out_of_memory(n, *args):
+        if n == 6:
+            raise MemoryError
+        return real_run_point(n, *args)
+
+    monkeypatch.setattr(dqft.bench, "run_point", run_point_out_of_memory)
+    cfg, notices = _config(tmp_path, num_qubits=[6, 4]), []
+    summary = sweep(cfg, log=notices.append)
+    big = [p for p in expand_points(cfg) if p[0] == 6]
+    assert summary["refused"] == big
+    assert {row.n for row in summary["rows"]} == {4}
+    assert sum("n=6 needs " in m and m.endswith("out of memory") for m in notices) == len(big)
+
+
+def test_cli_sweep_skips_a_point_larger_than_memory_with_a_notice(tmp_path, capsys, monkeypatch):
+    _memory_for(monkeypatch, 4)
+    out, cfg_path = tmp_path / "big.csv", tmp_path / "big.cfg"
+    cfg_path.write_text("num_qubits: [4, 64]\nnodes: [2]\ntheta: [0.123]\nshots: 10\n"
+                        f"modes: [semiclassical]\nseed: 0\nrepeats: 1\noutput_path: {out}\n")
+    assert main(["sweep", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    assert "1 refused)" in captured.out
+    assert "notice: run n=64 " in captured.err and "Traceback" not in captured.err
+    rows = out.read_text().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [["4", "2"]]

@@ -164,7 +164,7 @@ CASES = [(1, 0.0), (4, 1 / 3), (5, 0.8), (7, 2 / 3), (9, 0.123)]
 
 @pytest.mark.parametrize("n, theta", CASES)
 def test_public_dicts_are_the_dense_arrays(n, theta):
-    state = runner._monolithic_state(n, theta)
+    state = run_monolithic_reference(n, theta, shots=1).state
     pairs = [
         (exact_value_distribution(state), runner._distribution(state)),
         (monolithic_exact_distribution(n, theta), runner._reference(n, theta)),

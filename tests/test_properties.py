@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dqft.circuits import (GradientBlock, LocalInverseQFT, bit_reverse, build_schedule,
                            flatten_schedule, inverse_qft_gates)
 from dqft.fabric import PartitionPlan
-from dqft.runner import (_distribution, _monolithic_state, _reference, _semiclassical_law,
+from dqft.runner import (_distribution, _reference, _semiclassical_law,
                          run_distributed, run_monolithic_reference,
                          semiclassical_exact_distribution)
 from dqft.statevector import equal_up_to_global_phase
@@ -130,7 +130,7 @@ def test_semiclassical_exact_distribution_is_dense_and_matches_oracle(case):
 @given(register_and_theta(12))
 def test_closed_forms_match_the_oracle_and_the_engine(case):
     n, theta = case
-    engine = _distribution(_monolithic_state(n, theta))
+    engine = _distribution(run_monolithic_reference(n, theta, shots=1).state)
     oracle = fft_value_distribution(n, theta)
     for law in (_reference(n, theta), _semiclassical_law(n, theta)):
         assert law.shape == (1 << n,)

@@ -123,20 +123,14 @@ def _nan(amps):
 @pytest.mark.parametrize("corrupt", [_scale, _nan], ids=["scaled", "nan"])
 @pytest.mark.parametrize("run", ["telegate", "monolithic"])
 def test_a_dense_run_with_a_corrupt_final_state_raises(monkeypatch, corrupt, run):
-    real_execute, real_state = runner._execute_schedule, runner._monolithic_state
+    real_execute = runner._execute_schedule
 
     def execute(fabric, schedule, rng):
         slots = real_execute(fabric, schedule, rng)
         corrupt(fabric.state.amps)
         return slots
 
-    def monolithic_state(n, theta):
-        state = real_state(n, theta)
-        corrupt(state.amps)
-        return state
-
     monkeypatch.setattr(runner, "_execute_schedule", execute)
-    monkeypatch.setattr(runner, "_monolithic_state", monolithic_state)
     with pytest.raises(ValueError):
         if run == "telegate":
             run_distributed(make_partition(5, 2), 0.3, shots=20, seed=1)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dqft.runner as runner
 from dqft.circuits import build_schedule
 from dqft.fabric import PartitionPlan, make_partition
 from dqft.metrics import epr_budget
@@ -119,6 +120,15 @@ def test_invalid_arguments():
         run_distributed(plan, 0.3, shots=0)
     with pytest.raises(ValueError):
         run_distributed(plan, 0.3, mode="noisy")
+
+
+def test_a_semiclassical_run_has_no_state_to_return(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the semiclassical run started")
+
+    monkeypatch.setattr(runner, "run_semiclassical", must_not_run)
+    with pytest.raises(ValueError, match="no final state"):
+        run_distributed(make_partition(4, 2), 0.3, mode="semiclassical", return_state=True)
 
 
 # -- semiclassical mode ----------------------------------------------------------

@@ -134,9 +134,9 @@ def test_a_dense_run_scopes_its_ufunc_buffer(monkeypatch):
     run_distributed(make_partition(6, 2), 0.3, shots=5, seed=1)
     run_monolithic_reference(6, 0.3, shots=5, seed=1)
     assert np.getbufsize() == 8192
-    # the schedule, node 0's and node 1's block, then the monolithic block;
-    # another thread keeps numpy's default
-    assert seen == [(runner.UFUNC_BUFSIZE, 8192)] * 4
+    # the schedule, node 0's and node 1's block, then the monolithic run's
+    # schedule and its one block; another thread keeps numpy's default
+    assert seen == [(runner.UFUNC_BUFSIZE, 8192)] * 5
     np.setbufsize(4096)
     try:
         run_distributed(make_partition(6, 2), 0.3, shots=5, seed=1)
@@ -152,17 +152,12 @@ def _raise_inside(*args):
 
 @pytest.mark.parametrize("run", ["telegate", "monolithic"])
 def test_a_run_that_raises_restores_the_callers_ufunc_buffer(monkeypatch, run):
-    real_execute, real_state = runner._execute_schedule, runner._monolithic_state
+    real_execute = runner._execute_schedule
 
     def execute(fabric, schedule, rng):  # the corrupt-state wrapper of test_readout.py
         slots = real_execute(fabric, schedule, rng)
         _scale(fabric.state.amps)
         return slots
-
-    def monolithic_state(n, theta):
-        state = real_state(n, theta)
-        _scale(state.amps)
-        return state
 
     call = ((lambda: run_distributed(make_partition(5, 2), 0.3, shots=20, seed=1))
             if run == "telegate" else lambda: run_monolithic_reference(5, 0.3, shots=20, seed=1))
@@ -170,7 +165,6 @@ def test_a_run_that_raises_restores_the_callers_ufunc_buffer(monkeypatch, run):
     try:
         with monkeypatch.context() as mp:
             mp.setattr(runner, "_execute_schedule", execute)
-            mp.setattr(runner, "_monolithic_state", monolithic_state)
             with pytest.raises(ValueError):
                 call()
         assert np.getbufsize() == 4096
