@@ -8,8 +8,10 @@ on a discrete tick clock).  The fabric owns all resource counters for a run.
 A qubit is named by its plan index (PartitionPlan): the n logical qubits,
 contiguous per node in node order, then node b's comm slot n + b.  The state
 holds the logical qubits only, qubit q at index q, from a ProductState
-expanded by one Kronecker product.  apply_fan makes the CPs from one qubit
-onto a run of consecutive qubits one phase pass (a fan).
+expanded by one Kronecker product, or from a HeadStart: node 0's qubits with
+their local block already taken, times the other qubits' factors, expanded
+by one outer product.  apply_fan makes the CPs from one qubit onto a run of
+consecutive qubits one phase pass (a fan).
 
 A comm qubit has no amplitudes: in a cat session it only holds a GF(2)
 relation to the logical state, a FrameEntry in the manner of a Pauli frame.
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import Gate, ProductState, StateVector, _check_operands
+from .statevector import Gate, ProductState, StateVector, _check_operands, kron_factors
 
 LATENCY = 1  # ticks from sending a classical message to its delivery
 
@@ -155,11 +157,35 @@ ZERO = FrameEntry("bit")  # a comm qubit in |0>, until used and after a reset
 BITS = (ZERO, FrameEntry("bit", 1))  # a comm qubit holding a measured outcome, by outcome
 
 
+class HeadStart(NamedTuple):
+    """A dense start that already holds node 0's local block (a dense run's prep).
+
+    head is node 0's m0 qubits after their inverse-QFT block; tail holds the
+    other n - m0 qubits' one-qubit factors, one row of two amplitudes each.
+    The state is head (x) tail: the tail expanded (kron_factors), then one
+    outer product.  A one-node plan has no tail, and its head is the state.
+    """
+
+    head: StateVector
+    tail: np.ndarray
+
+    def to_statevector(self) -> StateVector:
+        if not len(self.tail):
+            return self.head  # uncopied: the fabric takes the head over
+        tail = kron_factors(self.tail)
+        out = np.empty((self.head.amps.size, tail.size), dtype=np.complex128)
+        np.multiply(self.head.amps[:, None], tail, out=out)
+        return StateVector._of(out.reshape(-1))
+
+
 class Fabric:
     """k nodes over one shared state, with counters and a tick clock.
 
     The n logical qubits start in a copy of prep (|0...0> by default), so
-    the fabric never changes the factors it was given.  with_comm=False
+    the fabric never changes the factors it was given.  A HeadStart prep,
+    whose head is node 0's qubits with their local block taken, is expanded
+    into a new state, or taken over when there is no tail; head_done then
+    tells the schedule that node 0's block has run.  with_comm=False
     forbids comm slots (teleportation-free modes): the state is then a
     ProductState, n one-qubit factors, which applies H and P only.  Such a
     product fabric never holds a frame entry or a pending Z, so an H or a P
@@ -173,16 +199,21 @@ class Fabric:
     """
 
     def __init__(self, plan: PartitionPlan, with_comm: bool = True,
-                 prep: ProductState | None = None):
+                 prep: ProductState | HeadStart | None = None):
         self.plan = plan
         self.with_comm = with_comm
+        self.head_done = isinstance(prep, HeadStart)
+        if self.head_done and (not with_comm or prep.head.num_qubits != plan.sizes[0]
+                               or prep.head.num_qubits + len(prep.tail) != plan.n):
+            raise ValueError(f"a HeadStart of {prep.head.num_qubits} + {len(prep.tail)} qubits "
+                             f"does not start a dense fabric on node sizes {plan.sizes}")
         self._product_n = 0 if with_comm else plan.n  # qubits of the resolved product path
         # dst -> its inbox, src -> the channel's messages, FIFO; sources in increasing order
         self._inbox: dict[int, dict[int, deque[ClassicalMessage]]] = {}
         self._channels: list[deque[ClassicalMessage]] = []  # every channel, as opened
         self._restart(ProductState(plan.n) if prep is None else prep)
 
-    def _restart(self, prep: ProductState) -> None:
+    def _restart(self, prep: ProductState | HeadStart) -> None:
         """Start a new execution from a copy of prep, with zeroed counters and clock.
 
         The plan, the mode and the opened channels stay, so an execution that

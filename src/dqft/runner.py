@@ -4,18 +4,23 @@ Every run prepares a Fourier state with phase theta once, as
 fourier_product's n one-qubit factors, undoes it with the swap-free inverse
 QFT, and reads out values through the classical bit reversal.  The one dense
 pipeline is the telegate run; the monolithic reference is that run on the
-one-node plan, which teleports no gate.  It expands the factors with one
-Kronecker product, applies controlled phases as fans (one phase pass per
-qubit of a node's block and one per cat session) under a ufunc buffer of
-UFUNC_BUFSIZE elements scoped to the run, and executes the circuit once
+one-node plan, which teleports no gate.  Node 0's local block (slot 0) comes
+before any entangling step, so it runs on node 0's m0 factors alone, expanded
+to 2^m0 amplitudes, and the fabric starts from that head times the other
+factors' Kronecker product, one outer product into the 2^n state
+(_head_start, fabric.HeadStart); on the one-node plan the head is the whole
+state.  The run then applies controlled phases as fans (one phase pass per
+qubit of a later node's block and one per cat session) under a ufunc buffer
+of UFUNC_BUFSIZE elements scoped to the run, and executes the circuit once
 (teleportation outcomes never change the logical state).  It squares its
 final 2^n state once, uncopied, into its law in qubit order: the shots are
 drawn from it (_readout, in one more array the size of the law) and the
 exact law is read from it.  It then drops its fabric and state unless
 return_state is set, as the monolithic run sets it, so sampling and
 verification hold float64 laws only.  A run's working set peaks at 1.5
-states (16 bytes an amplitude), in the prep and while the law is squared; a
-run that keeps its state peaks at 2.  The semiclassical path measures early:
+states (16 bytes an amplitude) while the law is squared; its prep holds
+about one state (the state, and the head and the tail's product beside it);
+a run that keeps its state peaks at 2.  The semiclassical path measures early:
 one dynamic circuit per shot, O(n^2) scalar work on the run's one product
 fabric (run_semiclassical, _semiclassical_shots).  Resource counters always
 cover one circuit execution.  wall_time_seconds times the emulation only
@@ -43,9 +48,9 @@ import numpy as np
 from .circuits import (TWO_PI, GradientBlock, LocalInverseQFT, bit_reverse, build_schedule,
                        fourier_product, inverse_qft_local, phase_turns)
 from .circuits import fourier_prep_gates, inverse_qft_gates  # noqa: F401 (traced by dqftbench)
-from .fabric import LATENCY, Fabric, FabricCounters, PartitionPlan, make_partition
+from .fabric import LATENCY, Fabric, FabricCounters, HeadStart, PartitionPlan, make_partition
 from .metrics import RunMetrics, classical_fidelity, counts_to_distribution, state_bytes
-from .statevector import ProductState, StateVector, _sample
+from .statevector import ProductState, StateVector, _sample, kron_factors
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
 
 MODES = ("telegate", "semiclassical")
@@ -187,12 +192,31 @@ def _run_gradient_block(fabric: Fabric, block: GradientBlock,
         cat_disentangle(fabric, handle, rng)
 
 
+def _head_start(plan: PartitionPlan, theta: float) -> HeadStart:
+    """A dense run's prep: node 0's block on its factors of fourier_product, and the rest.
+
+    Node 0's m0 factors are expanded (kron_factors) and take its inverse-QFT
+    block, 2 m0 passes over 2^m0 amplitudes; the other factors stay as they
+    are, for the fabric's one outer product.  On a one-node plan the head is
+    the whole register, expanded and transformed as the state itself.
+    """
+    factors, m = fourier_product(plan.n, theta).amps.reshape(-1, 2), plan.sizes[0]
+    head = inverse_qft_local(StateVector._of(kron_factors(factors[:m])), range(m))
+    return HeadStart(head, factors[m:])
+
+
 def _execute_schedule(fabric: Fabric, schedule, rng: np.random.Generator) -> int:
-    """Run all blocks slot by slot; returns the number of slots executed."""
+    """Run all blocks slot by slot; returns the number of slots executed.
+
+    Node 0's block (slot 0) is skipped on a fabric whose prep already holds
+    it (Fabric.head_done); its slot still takes its clock tick.
+    """
     slots = 0
     for _, group in schedule.blocks_by_slot():
         for block in group:
             if isinstance(block, LocalInverseQFT):
+                if block.node == 0 and fabric.head_done:
+                    continue
                 qubits = fabric.plan.node_qubits(block.node)
                 inverse_qft_local(fabric._local(qubits), qubits)
             else:
@@ -238,7 +262,7 @@ def run_distributed(plan: PartitionPlan, theta: float, mode: str = "telegate",
     start = time.perf_counter()
     with np.errstate():  # restores the caller's ufunc buffer size on exit (UFUNC_BUFSIZE)
         np.setbufsize(UFUNC_BUFSIZE)
-        fabric = Fabric(plan, prep=fourier_product(plan.n, theta))
+        fabric = Fabric(plan, prep=_head_start(plan, theta))
         slots = _execute_schedule(fabric, schedule, rng)
     state = fabric._settled()  # every comm qubit is reset: the law is the 2^n amplitudes'
     p, counters = state.probabilities(range(plan.n)), fabric.counters

@@ -143,6 +143,24 @@ def _fan_table(phis: tuple[float, ...]) -> np.ndarray:
     return table
 
 
+def kron_factors(factors: np.ndarray) -> np.ndarray:
+    """The Kronecker product of one-qubit factors, rows of a (Q, 2) array, qubit 0 most significant.
+
+    One doubling per factor, entry (i, b) = acc[i] * factor[b]: the
+    products of np.kron, in the same order, without its reshaping.  A
+    doubling is one multiply into an (acc.size, 2) array, iterated in C
+    order over its transpose: two strided passes over all of acc, where
+    an outer product with a 2-entry factor loops two elements at a time.
+    One factor is its own product: its row, uncopied.
+    """
+    acc = factors[0]
+    for f in factors[1:]:
+        out = np.empty((acc.size, 2), dtype=np.complex128)
+        np.multiply(acc, f[:, None], out=out.T, order="C")
+        acc = out.reshape(-1)
+    return acc
+
+
 class StateVector:
     """2^Q double-precision complex amplitudes, gates applied in place."""
 
@@ -335,21 +353,8 @@ class ProductState:
         return np.array(self._factors, dtype=np.complex128).reshape(-1)
 
     def to_statevector(self) -> StateVector:
-        """The dense state: the Kronecker product of the factors, qubit 0 most significant.
-
-        One doubling per factor, entry (i, b) = acc[i] * factor[b]: the
-        products of np.kron, in the same order, without its reshaping.  A
-        doubling is one multiply into an (acc.size, 2) array, iterated in C
-        order over its transpose: two strided passes over all of acc, where
-        an outer product with a 2-entry factor loops two elements at a time.
-        """
-        factors = self.amps.reshape(-1, 2)
-        acc = factors[0]
-        for f in factors[1:]:
-            out = np.empty((acc.size, 2), dtype=np.complex128)
-            np.multiply(acc, f[:, None], out=out.T, order="C")
-            acc = out.reshape(-1)
-        return StateVector._of(acc)
+        """The dense state: the Kronecker product of the factors (kron_factors)."""
+        return StateVector._of(kron_factors(self.amps.reshape(-1, 2)))
 
     def apply_gate(self, gate: Gate) -> "ProductState":
         _check_operands(gate, self.num_qubits, self.KINDS)

@@ -15,8 +15,8 @@ from .circuits import (LocalInverseQFT, build_schedule, flatten_schedule, fourie
                        fourier_product, inverse_qft_gates, inverse_qft_local)
 from .fabric import Fabric, make_partition
 from .metrics import epr_budget
-from .runner import (_distribution, _reference, _semiclassical_law, run_distributed,
-                     run_monolithic_reference)
+from .runner import (_distribution, _head_start, _reference, _semiclassical_law,
+                     run_distributed, run_monolithic_reference)
 from .statevector import Gate, StateVector, equal_up_to_global_phase
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
 
@@ -106,11 +106,23 @@ def equivalence_grid(thetas=EQUIV_THETAS):
                 yield n, k, theta
 
 
+def _monolithic_circuit(n: int, theta: float) -> StateVector:
+    """The monolithic circuit gate by gate: the prep gates, then the whole swap-free inverse QFT.
+
+    No fabric, schedule, fan, tile or head start: independent of the run path.
+    """
+    gates = fourier_prep_gates(range(n), theta) + inverse_qft_gates(range(n))
+    return StateVector(n).apply_gates(gates)
+
+
 def check_state_equivalence():
-    """Distributed telegate state == monolithic reference, up to global phase (seed 0)."""
+    """Distributed telegate state == the monolithic circuit, up to global phase (seed 0).
+
+    Every k, the one-node run included, against _monolithic_circuit.
+    """
     checked, tol = 0, 1e-8
     for n, k, theta in equivalence_grid():
-        mono = run_monolithic_reference(n, theta, shots=1, seed=0).state
+        mono = _monolithic_circuit(n, theta)
         res = run_distributed(make_partition(n, k), theta, shots=1, seed=0, return_state=True)
         if not equal_up_to_global_phase(res.state, mono, tol):
             return ("distributed-equals-monolithic", False,
@@ -141,8 +153,10 @@ def check_fused_application():
 
     For every plan: each node's inverse_qft_local (a fan and an H per
     qubit) == its inverse_qft_gates applied gate by gate, each session's
-    fan == the block's Gate.cp list for its control, and the Kronecker prep
-    == fourier_prep_gates applied to |0...0>.
+    fan == the block's Gate.cp list for its control, the Kronecker prep
+    == fourier_prep_gates applied to |0...0>, and a run's prepared state
+    (node 0's block on its factors, times the others: _head_start) == the
+    prep gates followed by node 0's gates.
     """
     rng, tol = np.random.default_rng(0), 1e-12
     plans = [make_partition(n, k) for n in range(1, 11) for k in EQUIV_NODES if k <= n]
@@ -150,8 +164,11 @@ def check_fused_application():
         n, theta = plan.n, float(rng.random())
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
-        cases = [(fourier_product(n, theta).to_statevector(), StateVector(n),
-                  fourier_prep_gates(range(n), theta), "the Kronecker prep")]
+        prep = fourier_prep_gates(range(n), theta)
+        cases = [(fourier_product(n, theta).to_statevector(), StateVector(n), prep,
+                  "the Kronecker prep"),
+                 (_head_start(plan, theta).to_statevector(), StateVector(n),
+                  prep + inverse_qft_gates(plan.node_qubits(0)), "the prepared state")]
         for block in build_schedule(plan).blocks:
             if isinstance(block, LocalInverseQFT):
                 qubits = plan.node_qubits(block.node)
@@ -166,8 +183,8 @@ def check_fused_application():
             if not gap <= tol:
                 return ("fused-application", False,
                         f"n={n}, k={plan.k}: {what} differs from its gates by {gap:.3g}")
-    return ("fused-application", True, f"{len(plans)} plans: blocks, session fans and the "
-            f"Kronecker prep == their gates within {tol}")
+    return ("fused-application", True, f"{len(plans)} plans: blocks, session fans, the "
+            f"Kronecker prep and the prepared state == their gates within {tol}")
 
 
 def check_epr_formula():

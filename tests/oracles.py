@@ -1,15 +1,20 @@
 """Independent oracles: dense DFT matrix, Fourier states, output distributions, REV,
-a model of the fabric's classical channels, and the per-shot semiclassical loop.
+a model of the fabric's classical channels, the per-shot semiclassical loop, and
+the final amplitudes at 40 significant digits.
 
-Everything but fresh_fabric_shots is matrix arithmetic or plain Python
+Everything but fresh_fabric_shots is matrix arithmetic, mpmath or plain Python
 containers, deliberately sharing no code with the engine it checks.
 fresh_fabric_shots runs the engine's own shot on a new fabric per shot,
 with one Generator.random() per measurement: the reference that a run's
 one fabric and its blocks of draws must match.
 """
 
+import math
 from collections import defaultdict, deque
+from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 from dqft.fabric import Fabric
@@ -52,6 +57,65 @@ def expected_final_state(n: int, theta: float) -> np.ndarray:
     for v in range(amps.size):
         out[bitrev(v, n)] = amps[v]
     return out
+
+
+def fft_final_state(n: int, theta: float) -> np.ndarray:
+    """expected_final_state by numpy's FFT: F^dag psi is fft(psi)/sqrt(N), bit-reversed."""
+    amps = np.fft.fft(fourier_state(n, theta)) / np.sqrt(1 << n)
+    return amps[[bitrev(i, n) for i in range(amps.size)]]
+
+
+EXACT_DPS = 40  # significant digits of exact_final_state
+
+
+def _mpf(q: Fraction) -> mpmath.mpf:
+    """A rational at the working precision: one rounding, of its quotient."""
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def exact_amplitude(n: int, theta: float, v: int) -> mpmath.mpc:
+    """(1/N) sum_x e^(2 pi i x (theta - v/N)) at EXACT_DPS digits, theta as its exact rational.
+
+    With phi = theta - v/N reduced exactly into [-1/2, 1/2) (the sum has
+    period 1 in phi), the geometric sum is e^(i pi (N-1) phi) sin(pi N phi) /
+    (N sin(pi phi)), and 1 at phi = 0.  Each sine and phase takes its exact
+    rational argument, so no digits cancel near phi = 0.
+    """
+    size = 1 << n
+    phi = Fraction(theta) - Fraction(v, size)
+    phi -= math.floor(phi + Fraction(1, 2))
+    if phi == 0:
+        return mpmath.mpc(1)
+    with mpmath.workdps(EXACT_DPS):
+        return (mpmath.expjpi(_mpf((size - 1) * phi)) * mpmath.sinpi(_mpf(size * phi))
+                / (size * mpmath.sinpi(_mpf(phi))))
+
+
+def literal_amplitude(n: int, theta: float, v: int) -> mpmath.mpc:
+    """exact_amplitude as the literal sum of its N terms, for small n."""
+    size = 1 << n
+    turns = Fraction(theta) - Fraction(v, size)
+    with mpmath.workdps(EXACT_DPS):
+        return mpmath.fsum(mpmath.expjpi(_mpf(2 * x * turns)) for x in range(size)) / size
+
+
+@lru_cache(maxsize=64)
+def exact_final_state(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The swap-free pipeline's final amplitudes, amp[i] at v = bitrev(i, n), as two arrays.
+
+    Each amplitude of exact_amplitude is held as hi + lo: hi its nearest
+    complex128, lo the nearest complex128 to the rest, so (a - hi) - lo is an
+    engine amplitude a's error to about 1e-32.  Read-only; cached.
+    """
+    hi = np.empty(1 << n, dtype=np.complex128)
+    lo = np.empty_like(hi)
+    with mpmath.workdps(EXACT_DPS):
+        for i in range(hi.size):
+            amp = exact_amplitude(n, theta, bitrev(i, n))
+            hi[i] = complex(amp)
+            lo[i] = complex(amp - mpmath.mpc(hi[i]))
+    hi.flags.writeable = lo.flags.writeable = False
+    return hi, lo
 
 
 def best_dyadic_approx(theta: float, n: int) -> int:

@@ -80,8 +80,9 @@ def test_frame_sessions_equal_the_dense_replay(case):
 
 
 def test_a_cat_session_makes_one_fan_and_no_other_pass(monkeypatch):
-    # n=8 on 2 nodes: each node's block is 4 H and 3 fans, and each of node
-    # 0's 4 sessions onto node 1 is one fan over the 2^8 logical amplitudes
+    # n=8 on 2 nodes: each node's block is 4 H and 3 fans, node 0's on its own
+    # 2^4 amplitudes before the state is expanded, and each of node 0's 4
+    # sessions onto node 1 is one fan over the 2^8 logical amplitudes
     kernels = []
     gate, fan, measure = StateVector.apply_gate, StateVector.apply_fan, StateVector.measure
 
@@ -102,7 +103,7 @@ def test_a_cat_session_makes_one_fan_and_no_other_pass(monkeypatch):
     monkeypatch.setattr(StateVector, "measure", recorded_measure)
     run_distributed(make_partition(8, 2), 0.3)
     block = ["h", "fan1", "h", "fan2", "h", "fan3", "h"]  # a 4-qubit inverse QFT
-    assert kernels == [(kind, 8) for kind in block + ["fan4"] * 4 + block]
+    assert kernels == [(kind, 4) for kind in block] + [(kind, 8) for kind in ["fan4"] * 4 + block]
 
 
 @pytest.mark.parametrize("flip", [0, 1])

@@ -134,8 +134,8 @@ def test_a_dense_run_scopes_its_ufunc_buffer(monkeypatch):
     run_distributed(make_partition(6, 2), 0.3, shots=5, seed=1)
     run_monolithic_reference(6, 0.3, shots=5, seed=1)
     assert np.getbufsize() == 8192
-    # the schedule, node 0's and node 1's block, then the monolithic run's
-    # schedule and its one block; another thread keeps numpy's default
+    # node 0's block (in the prep), the schedule and node 1's block, then the
+    # monolithic run's one block and its schedule; another thread keeps numpy's default
     assert seen == [(runner.UFUNC_BUFSIZE, 8192)] * 5
     np.setbufsize(4096)
     try:
