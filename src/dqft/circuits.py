@@ -7,8 +7,9 @@ exact rational arithmetic before conversion to radians; multiplying a
 float theta by a large power of two and reducing in floating point would
 otherwise cost ~2^e ulps of phase.  build_schedule is a pure function of
 its frozen plan, so it is memoized, and each GradientBlock groups its fans
-once.  inverse_qft_local runs a block past qubit 0 of a large state tile by
-tile, in a buffer where the block's qubits lead.
+once.  inverse_qft_local is a node pass: the twiddle a node's sessions
+fold, then its block, tile by tile on a large state, as an FFT when the
+node is wide.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from itertools import groupby
 
 import numpy as np
 
-from .fabric import PartitionPlan
+from .fabric import PartitionPlan, Twiddle
 from .statevector import Gate, ProductState, StateVector
 
 TWO_PI = 2.0 * math.pi
 TILE_AMPS = 1 << 16  # a local block's tile: 2^16 amplitudes, 1 MiB, within a core's L2 cache
+FFT_QUBITS = 6  # a block of at least this many qubits runs in its tiles as an FFT
+_workspace = None  # every tile's one buffer, allocated at the first tile
 
 
 def phase_turns(theta: float, exponent: int) -> float:
@@ -98,39 +101,104 @@ def inverse_qft_fans(qubits):
         yield q, qubits[:j], [inv_qft_angle(j - l + 1) for l in range(j)]
 
 
-def inverse_qft_local(state: StateVector, qubits) -> StateVector:
-    """The swap-free inverse QFT over consecutive qubits: one fan and one H per qubit.
+def inverse_qft_local(state: StateVector, qubits, twiddle: Twiddle | None = None) -> StateVector:
+    """A node pass: twiddle's phases (fabric.Twiddle), then the swap-free inverse QFT over
+    consecutive qubits lo..lo+m-1.
 
-    A block of ascending qubits lo..lo+m-1 with lo > 0, on a state larger
-    than TILE_AMPS, runs tile by tile: each tile copies a slab of the state,
-    cut along the qubits before and after the block, into one buffer of at
-    most TILE_AMPS amplitudes with the block's qubits leading, takes the
-    block there and is copied back.  A kernel's cost follows the length of
-    its qubit's contiguous runs, not its arithmetic: in place the block's
-    last qubit has runs as long as the qubits after the block allow (one
-    amplitude for the last node), in the tile every block qubit's runs hold
-    at least TILE_AMPS / 2^m.  Every amplitude sees the same products in the
-    same order, so the state is the in-place result bit for bit.
+    On a state larger than TILE_AMPS, a block with lo > 0 and 2^m <= TILE_AMPS
+    runs in tiles, slabs cut along the qubits before and after it, through
+    the module's one buffer.  A block of m >= FFT_QUBITS qubits takes the
+    twiddle (_twiddle), then an FFT along its axis, read back bit-reversed.
+    A narrower one is copied into the buffer with its qubits leading, takes
+    one pass per qubit for the twiddle, then one fan and one H per qubit.
+    Any other block runs in place, in those same passes: bit for bit the
+    tiles' result (both take the same factors, _factors).
     """
     qubits = list(qubits)
-    lo, m, size = (qubits[0] if qubits else 0), len(qubits), state.amps.size
-    if not (0 < lo and lo + m <= state.num_qubits and 1 << m <= TILE_AMPS < size
-            and qubits == list(range(lo, lo + m))):
+    lo, m = (qubits[0] if qubits else 0), len(qubits)
+    if not (lo + m <= state.num_qubits and qubits == list(range(lo, lo + m))):
+        lo = m = twiddle = None  # malformed: the fans below raise
+    tiled = lo and 1 << m <= TILE_AMPS < state.amps.size
+    view = None if twiddle is None and not tiled else state.amps.reshape(1 << lo, 1 << m, -1)
+    if not tiled:
+        for u, f in enumerate(() if twiddle is None else _factors(twiddle, lo, m, 1 << lo)(0)):
+            half = view.reshape(1 << lo, 1 << u, 2, -1, view.shape[2])[:, :, 1]
+            half *= f[:1 << lo, None, None, None]
         _block(state, inverse_qft_fans(qubits))
         return state
-    view = state.amps.reshape(1 << lo, 1 << m, -1)  # before the block, the block, after it
     after = view.shape[2]
     width = min(after, TILE_AMPS >> m)  # trailing amplitudes per tile
     rows = TILE_AMPS // ((1 << m) * width)  # leading prefixes per tile
-    buffer = np.empty((1 << m, rows, width), dtype=np.complex128)
-    tile, steps = StateVector._of(buffer.reshape(-1)), list(inverse_qft_fans(range(m)))
+    global _workspace  # reused by every later block and run: one block runs at a time
+    if _workspace is None or _workspace.size < TILE_AMPS:
+        _workspace = np.empty(TILE_AMPS, dtype=np.complex128)
+    buffer = _workspace
+    wide = m >= FFT_QUBITS
+    tile = buffer[:TILE_AMPS].reshape((rows, 1 << m, width) if wide else (1 << m, rows, width))
+    factors, steps = twiddle and _factors(twiddle, lo, m, rows), list(inverse_qft_fans(range(m)))
+    order = bit_reverse(np.arange(1 << m), m)  # the swap-free block reads the FFT in this order
     for a in range(0, 1 << lo, rows):
         for c in range(0, after, width):
-            slab = view[a:a + rows, :, c:c + width].transpose(1, 0, 2)
-            np.copyto(buffer, slab)
-            _block(tile, steps)
-            np.copyto(slab, buffer)
+            slab = view[a:a + rows, :, c:c + width]
+            if wide:
+                if factors:
+                    slab *= _twiddle(factors(a)[:, :rows], buffer)[:, :, None]
+                np.fft.fft(slab, axis=1, norm="ortho", out=tile)
+                if width == after:  # whole rows: the slab is contiguous
+                    np.take(tile, order, axis=1, out=slab, mode="clip")
+                else:  # one row, its bit axes reversed: runs of width amplitudes
+                    bits = (2,) * m
+                    np.copyto(slab.reshape(rows, *bits, width), tile.reshape(rows, *bits, width)
+                              .transpose(0, *range(m, 0, -1), m + 1))
+                continue
+            np.copyto(tile, slab.transpose(1, 0, 2))
+            for u, f in enumerate(factors(a) if factors else ()):
+                half = tile.reshape(1 << u, 2, -1, rows, width)[:, 1]
+                half *= f[:rows, None]
+            _block(StateVector._of(tile.reshape(-1)), steps)
+            np.copyto(slab.transpose(1, 0, 2), tile)
     return state
+
+
+@lru_cache(maxsize=16)
+def _factors(twiddle: Twiddle, lo: int, m: int, rows: int):
+    """The twiddle's factors of rows a..a+rows-1 (a a multiple of rows), as a function of a:
+    an (m, max(rows, 2)) array, e^(2 pi i K_u(row) / 2^bits) for block qubit u.
+
+    K is an exact integer mod 2^bits, and e^(2 pi i K / 2^bits) is
+    high[K >> h] * low[K mod 2^h].  A lone row is made twice: numpy rounds a
+    complex product in its contiguous loop apart from its strided and
+    one-element ones, so every row's products come from one loop.
+    """
+    bits, const = twiddle.bits, np.array(twiddle.const, dtype=np.int64)
+    coef = np.array(twiddle.coef, dtype=np.int64).reshape(lo, m)  # also with lo = 0
+    inner = lo - (rows.bit_length() - 1)  # the row qubits before inner are fixed in a tile
+    run_bits = (np.arange(max(rows, 2))[:, None] >> np.arange(lo - 1 - inner, -1, -1)) & 1
+    below = (run_bits @ coef[inner:]).T
+    shifts, h, turn = np.arange(lo - 1, lo - 1 - inner, -1), bits // 2, TWO_PI / (1 << bits)
+    high = np.exp(1j * (turn * (1 << h)) * np.arange(1 << (bits - h)))
+    low = np.exp(1j * turn * np.arange(1 << h))
+
+    def factors(a: int) -> np.ndarray:
+        k = below + (const + ((a >> shifts) & 1) @ coef[:inner] if inner else const)[:, None]
+        k &= (1 << bits) - 1
+        out = high.take(k >> h)
+        out *= low.take(k & ((1 << h) - 1))
+        return out
+
+    return factors
+
+
+def _twiddle(factors: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """The (rows, 2^m) twiddle of (m, rows) factors, built at the start of buffer: per row,
+    the product of factors[u] over the block qubits u set in b (qubit 0 most significant)."""
+    m, rows = factors.shape
+    phases = buffer[:rows << m].reshape(rows, 1 << m)
+    phases[:, 0] = 1.0
+    for u in range(m - 1, -1, -1):  # the last qubit first: each step fills the next run of b
+        np.multiply(phases[:, :1 << (m - 1 - u)], factors[u][:, None],
+                    out=phases[:, 1 << (m - 1 - u):2 << (m - 1 - u)])
+    return phases
 
 
 def _block(state: StateVector, steps) -> None:

@@ -10,8 +10,10 @@ contiguous per node in node order, then node b's comm slot n + b.  The state
 holds the logical qubits only, qubit q at index q, from a ProductState
 expanded by one Kronecker product, or from a HeadStart: node 0's qubits with
 their local block already taken, times the other qubits' factors, expanded
-by one outer product.  apply_fan makes the CPs from one qubit onto a run of
-consecutive qubits one phase pass (a fan).
+by one outer product.  apply_fan records the CPs from one qubit onto a run
+of consecutive qubits (a fan): the node pass on its targets folds it into
+one twiddle (_local), and any other access to the state applies the record
+first (state).
 
 A comm qubit has no amplitudes: in a cat session it only holds a GF(2)
 relation to the logical state, a FrameEntry in the manner of a Pauli frame.
@@ -35,15 +37,16 @@ call checks its nodes against the plan (ValueError) before a queue changes.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import Gate, ProductState, StateVector, _check_operands, kron_factors
+from .statevector import Gate, ProductState, StateVector, _check_fan, _check_operands, kron_factors
 
 LATENCY = 1  # ticks from sending a classical message to its delivery
 
@@ -178,6 +181,49 @@ class HeadStart(NamedTuple):
         return StateVector._of(out.reshape(-1))
 
 
+class Twiddle(NamedTuple):
+    """The diagonal a node pass on qubits lo..lo+m-1 takes before its block (bits = lo + m).
+
+    An amplitude whose qubits before the block read a takes, for each block
+    qubit u that reads 1, e^(2 pi i K_u(a) / 2^bits): K_u(a) = const[u] plus
+    coef[s][u] for every qubit s < lo set in a, exact integers mod 2^bits.
+    """
+
+    bits: int
+    const: tuple[int, ...]  # m entries
+    coef: tuple[tuple[int, ...], ...]  # lo rows of m
+
+
+@lru_cache(maxsize=256)
+def _fold(fans: tuple, lo: int, m: int):
+    """What a node pass on lo..lo+m-1 makes of recorded fans: (const, coef, touching, kept).
+
+    A fan from s < lo onto block qubits folds if each phase is a whole
+    multiple j of 2 pi / 2^(lo+m): j adds to coef[s] if on = 1; on = 0 counts
+    through 1 - bit, j to const and -j to coef[s].  No phase is rounded: any
+    other fan on the block is touching, to apply first; the rest are kept.
+    const is None if nothing folds.  Memoized: a plan's runs record alike.
+    """
+    bits, folded, touching, kept = lo + m, False, [], []
+    const, coef = [0] * m, [[0] * m for _ in range(lo)]
+    for fan in fans:
+        source, on, targets, phis = fan
+        turns = [phi / math.tau * (1 << bits) for phi in phis]  # exact for a dyadic turn
+        if source < lo <= targets[0] and targets[-1] < bits and all(map(float.is_integer, turns)):
+            row = coef[source]
+            for u, j in enumerate(map(int, turns), targets[0] - lo):
+                row[u] += j if on else -j
+                const[u] += 0 if on else j
+            folded = True
+        elif lo <= source < bits or (targets[0] < bits and lo <= targets[-1]):
+            touching.append(fan)
+        else:
+            kept.append(fan)
+    size = 1 << bits
+    return (tuple(j % size for j in const) if folded else None,
+            tuple(tuple(j % size for j in row) for row in coef), tuple(touching), tuple(kept))
+
+
 class Fabric:
     """k nodes over one shared state, with counters and a tick clock.
 
@@ -193,9 +239,9 @@ class Fabric:
     factor (ProductState.apply_one) with no Gate, and a measurement of a
     logical qubit goes straight to ProductState.measure.
     A message is deliverable LATENCY = 1 tick later.  _restart starts a new
-    execution on the same fabric, so a semiclassical run builds one: every
-    shot's fabric starts from a copy of the prep, with zeroed counters and
-    the channels its earlier shots opened, all drained.
+    execution on the same fabric, so a semiclassical run builds one: before
+    every shot the prep's factors are written into the state's own lists,
+    with zeroed counters and the channels its earlier shots opened, drained.
     """
 
     def __init__(self, plan: PartitionPlan, with_comm: bool = True,
@@ -211,6 +257,7 @@ class Fabric:
         # dst -> its inbox, src -> the channel's messages, FIFO; sources in increasing order
         self._inbox: dict[int, dict[int, deque[ClassicalMessage]]] = {}
         self._channels: list[deque[ClassicalMessage]] = []  # every channel, as opened
+        self._state = None
         self._restart(ProductState(plan.n) if prep is None else prep)
 
     def _restart(self, prep: ProductState | HeadStart) -> None:
@@ -224,10 +271,31 @@ class Fabric:
         if any(self._channels):
             queued = [msg for channel in self._channels for msg in channel]
             raise RuntimeError(f"restart with undelivered messages: {queued}")
-        self.state = prep.to_statevector() if self.with_comm else prep.copy()
+        if self.with_comm:
+            self._state = prep.to_statevector()
+        elif self._state is None:
+            self._state = prep.copy()
+        else:  # a shot's restart: the prep's factors, written into the state's own lists
+            for factor, (a, b) in zip(self._state._factors, prep._factors):
+                factor[0], factor[1] = a, b
+        self._fans: list[tuple] = []  # recorded fans: (resolved source, on, targets, phis)
         self.counters = FabricCounters()
         self._frame: dict[int, FrameEntry] = {}  # node -> its comm qubit; ZERO when absent
         self._pending_z: set[int] = set()  # logical qubits owed a Z by a cat session
+
+    @property
+    def state(self) -> StateVector | ProductState:
+        """The fabric's state, every recorded fan applied first (_flush)."""
+        if self._fans:
+            self._flush()
+        return self._state
+
+    def _flush(self, fans=None) -> None:
+        """Apply recorded fans (all of them by default) to the state, one pass each."""
+        for source, on, targets, phis in self._fans if fans is None else fans:
+            self._state.apply_fan(source, targets, phis, on)
+        if fans is None:
+            self._fans = []
 
     # -- gates and measurements --------------------------------------------
 
@@ -244,7 +312,7 @@ class Fabric:
         if len(qubits) == 1:  # one operand is always local
             q = qubits[0]
             if 0 <= q < self._product_n and kind in ProductState.KINDS:
-                self.state.apply_one(kind, q, phi)  # no frame, no pending Z: nothing to touch
+                self._state.apply_one(kind, q, phi)  # no frame, no pending Z: nothing to touch
                 return
             if kind == "z" and q in self._pending_z:  # the correction meets its kick
                 self._pending_z.remove(q)
@@ -277,7 +345,10 @@ class Fabric:
 
     def apply_fan(self, source: int, targets, phis) -> None:
         """CP(phis[i]) from source onto consecutive targets[i], all on one node, as one fan;
-        a comm-qubit source must hold a copy of some c, and the fan runs from c."""
+        a comm-qubit source must hold a copy of some c, and the fan runs from c.
+
+        Checked, then recorded as (c, on, targets, phis); a pending Z stays pending.
+        """
         targets = list(targets)
         check_locality(self.plan, (source, *targets))
         on = 1
@@ -286,9 +357,11 @@ class Fabric:
             if entry.kind != "copy":
                 raise ValueError(f"fan from {source}: a comm qubit holding {entry} is no copy")
             source, on = entry.control, 1 ^ entry.flip
-        self.state.apply_fan(source, targets, phis, on)  # a ValueError for comm targets
-        if self._pending_z:
-            self._touch((source, *targets))  # a pending Z commutes with the fan
+        if not self.with_comm:
+            raise ValueError(f"a fan from {source} onto {targets} would entangle a product state")
+        _check_fan(source, targets, phis, self.plan.n)  # a ValueError for comm targets
+        if targets:
+            self._fans.append((source, on, tuple(targets), tuple(phis)))
 
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
         """Measure a plan index (one draw); only a measurement made is counted.
@@ -297,7 +370,7 @@ class Fabric:
         no frame or pending Z can touch it, so its factor is measured at once.
         """
         if 0 <= qubit < self._product_n:
-            bit = self.state.measure(qubit, rng)
+            bit = self._state.measure(qubit, rng)
         elif 0 <= qubit < self.plan.n:
             if self._pending_z:
                 self._touch((qubit,))
@@ -345,25 +418,36 @@ class Fabric:
             raise CommSlotBusyError("fabric built without communication qubits")
         return node, self._frame.get(node, ZERO)
 
-    def _local(self, qubits) -> StateVector:
-        """The fabric's own state, for a local block on logical qubits of one node: no copy.
+    def _local(self, qubits) -> tuple[StateVector, Twiddle | None]:
+        """The fabric's own state and the Twiddle (None: no phase) for a node pass on
+        consecutive logical qubits of one node (circuits.inverse_qft_local).
 
-        Makes once the checks each gate of the block would, before anything
-        changes: the qubits share a node (CrossNodeGateError) and are logical,
-        and no comm qubit relates to one (ValueError).  Their pending Zs are
-        then applied: the block runs on the state alone, with no fabric step
-        between its gates (inverse_qft_local, tile by tile).
+        First the checks each gate of the block would make: one node
+        (CrossNodeGateError), logical qubits that no comm qubit copies
+        (ValueError).  The twiddle folds the record's fans onto the block
+        (_fold) and adds 2^(lo+m-1) to const[u] for a pending Z on qubit u.
         """
         qubits = tuple(qubits)
         check_locality(self.plan, qubits)
+        lo, m = (qubits[0] if qubits else 0), len(qubits)
         if max(qubits, default=0) >= self.plan.n:
             raise ValueError(f"block on {list(qubits)}: a comm qubit takes no local block")
+        if qubits != tuple(range(lo, lo + m)):
+            raise ValueError(f"block on {list(qubits)}: a block is a run of consecutive qubits")
         watched = {e.control for e in self._frame.values()}.intersection(qubits)
         if watched:
             raise ValueError(f"block on {list(qubits)}: qubits {sorted(watched)} would change "
                              "under a comm qubit that copies them")
-        self._touch(qubits)
-        return self.state
+        const, coef, touching, kept = _fold(tuple(self._fans), lo, m)
+        self._flush(touching)
+        self._fans = list(kept)
+        kicked = self._pending_z.intersection(qubits)
+        if kicked:
+            self._pending_z -= kicked
+            const, half = const or (0,) * m, 1 << (lo + m - 1)
+            const = tuple((j + half) % (2 * half) if lo + u in kicked else j
+                          for u, j in enumerate(const))
+        return self._state, None if const is None else Twiddle(lo + m, const, coef)
 
     def _touch(self, qubits, flips: bool = False) -> None:
         """Apply the qubits' pending Zs; flips: the step (an H) may flip the last."""
@@ -482,7 +566,7 @@ class Fabric:
 
         Every comm slot must be free (_settled); a product fabric expands its factors."""
         if not self.with_comm:
-            return self.state.to_statevector()
+            return self._state.to_statevector()
         return StateVector.from_amplitudes(self._settled().amps)
 
     def _settled(self) -> StateVector:

@@ -9,10 +9,11 @@ before any entangling step, so it runs on node 0's m0 factors alone, expanded
 to 2^m0 amplitudes, and the fabric starts from that head times the other
 factors' Kronecker product, one outer product into the 2^n state
 (_head_start, fabric.HeadStart); on the one-node plan the head is the whole
-state.  The run then applies controlled phases as fans (one phase pass per
-qubit of a later node's block and one per cat session) under a ufunc buffer
-of UFUNC_BUFSIZE elements scoped to the run, and executes the circuit once
-(teleportation outcomes never change the logical state).  It squares its
+state.  A cat session makes no pass over the state: the fabric records its
+fan, and each later node's block is one node pass, the twiddle its sessions
+fold and then its block (circuits.inverse_qft_local), under a ufunc buffer
+of UFUNC_BUFSIZE elements scoped to the run.  The run executes the circuit
+once (teleportation outcomes never change the logical state).  It squares its
 final 2^n state once, uncopied, into its law in qubit order: the shots are
 drawn from it (_readout, in one more array the size of the law) and the
 exact law is read from it.  It then drops its fabric and state unless
@@ -40,7 +41,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,6 +115,8 @@ def _reference(n: int, theta: float) -> np.ndarray:
     as f -> 0; f = 0 gives the point mass.  Computed in place on one float64
     array; shares no code with the engine.
     """
+    from fractions import Fraction  # here, not at import: fractions loads decimal, about 2 ms
+
     size = 1 << n
     scaled = Fraction(theta) * size
     near = round(scaled)
@@ -218,7 +220,8 @@ def _execute_schedule(fabric: Fabric, schedule, rng: np.random.Generator) -> int
                 if block.node == 0 and fabric.head_done:
                     continue
                 qubits = fabric.plan.node_qubits(block.node)
-                inverse_qft_local(fabric._local(qubits), qubits)
+                state, twiddle = fabric._local(qubits)
+                inverse_qft_local(state, qubits, twiddle)
             else:
                 _run_gradient_block(fabric, block, rng)
         fabric.advance_clock(1)
@@ -327,8 +330,9 @@ def _semiclassical_shots(plan: PartitionPlan, prep: ProductState, shots: int,
     reads them through an object whose random is the block's C-level
     iterator, so it sees the doubles that one rng.random() per measurement
     would give, and leaves rng where those calls would.  Before each shot
-    the fabric restarts from a copy of prep (Fabric._restart); a shot drains
-    every channel it fills, so no message crosses into the next.
+    the fabric restarts from prep (Fabric._restart writes its factors into the
+    state's own lists); a shot drains every channel it fills, so no message
+    crosses into the next.
     """
     n = plan.n
     per_block = max(1, _DRAW_BLOCK // n)

@@ -94,6 +94,17 @@ def _check_operands(gate: Gate, num_qubits: int, kinds) -> None:
         raise ValueError(f"{gate.kind} on {gate.qubits}: this engine applies only {kinds}")
 
 
+def _check_fan(source: int, targets: list, phis, size: int) -> tuple[int, int]:
+    """A fan's first target and width; ValueError unless it is one phase per qubit of a run of
+    consecutive qubits of a size-qubit register, with source outside the run."""
+    lo, m = (targets[0] if targets else 0), len(targets)
+    if (len(phis) != m or not 0 <= lo <= lo + m <= size or lo <= source < lo + m
+            or not 0 <= source < size or targets != list(range(lo, lo + m))):
+        raise ValueError(f"fan from {source} onto {targets} with {len(phis)} phases: need "
+                         f"one phase per qubit of a run of consecutive qubits without {source}")
+    return lo, m
+
+
 def _draw(p0: float, p1: float, qubit: int, rng: np.random.Generator) -> int:
     """The outcome of one rng.random() draw against p0; both probabilities vanishing is an error."""
     if p0 < 1e-12 and p1 < 1e-12:
@@ -239,12 +250,8 @@ class StateVector:
         product of [1, e^(i phis[i])] over the run (_fan_table), one chunk of
         at most FAN_CHUNK run qubits at a time.  An empty fan is the identity.
         """
-        targets, size = list(targets), self.num_qubits
-        lo, m = (targets[0] if targets else 0), len(targets)
-        if (len(phis) != m or not 0 <= lo <= lo + m <= size or lo <= source < lo + m
-                or not 0 <= source < size or targets != list(range(lo, lo + m))):
-            raise ValueError(f"fan from {source} onto {targets} with {len(phis)} phases: need "
-                             f"one phase per qubit of a run of consecutive qubits without {source}")
+        targets = list(targets)
+        lo, m = _check_fan(source, targets, phis, self.num_qubits)
         amps = self.amps
         for c in range(0, m, FAN_CHUNK):
             first, w = lo + c, min(FAN_CHUNK, m - c)
@@ -331,7 +338,7 @@ class ProductState:
     A one-qubit gate or a measurement touches one pair, so it costs O(1)
     where the dense engine makes a pass over 2^Q amplitudes.  Gates and
     measure follow StateVector's formulas and draw order.  A two-qubit gate
-    or a fan would entangle two qubits, so it raises ValueError.
+    would entangle two qubits, so it raises ValueError.
     """
 
     KINDS = ("h", "p")
@@ -370,9 +377,6 @@ class ProductState:
             f[0], f[1] = (a + b) * SQRT2_INV, (a - b) * SQRT2_INV
         else:  # cmath.exp equals complex(np.exp(1j * phi)) bit for bit, at a fifth of the cost
             f[1] = b * cmath.exp(1j * phi)
-
-    def apply_fan(self, source: int, targets, phis, on: int = 1) -> "ProductState":
-        raise ValueError(f"a fan from {source} onto {list(targets)} would entangle a product state")
 
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
         """Projectively measure one qubit; collapses and renormalizes its factor.

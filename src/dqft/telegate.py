@@ -2,14 +2,15 @@
 
 A control qubit on node A is extended onto node B's communication qubit
 through one EPR pair.  Controlled-phase gates onto any run of B's qubits can
-then run locally against that "cat" copy, as one fan (one phase pass), and a
+then run locally against that "cat" copy, as one fan, and a
 final disentangler returns the control to exactly the state it would have
 after direct gate application.  Cost per session: 1 EPR pair, 2 classical
 messages, 2 mid-circuit measurements, however many gates ran under it.  Each
 half ends in _signal (measure and reset a comm qubit, which frees its slot,
 and send the bit) and an X or Z.  Qubits are plan indices: logical qubit q is
-q, node b's comm qubit n + b.  The fabric keeps comm qubits as a copy frame:
-the fan is a session's only pass.
+q, node b's comm qubit n + b.  The fabric keeps comm qubits as a copy frame
+and records the fan, which B's node pass folds into its twiddle: a session
+makes no pass over the state.
 """
 
 from __future__ import annotations

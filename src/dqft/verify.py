@@ -12,8 +12,8 @@ from collections import Counter
 import numpy as np
 
 from .circuits import (LocalInverseQFT, build_schedule, flatten_schedule, fourier_prep_gates,
-                       fourier_product, inverse_qft_gates, inverse_qft_local)
-from .fabric import Fabric, make_partition
+                       fourier_product, inv_qft_angle, inverse_qft_gates, inverse_qft_local)
+from .fabric import Fabric, PartitionPlan, make_partition
 from .metrics import epr_budget
 from .runner import (_distribution, _head_start, _reference, _semiclassical_law,
                      run_distributed, run_monolithic_reference)
@@ -148,6 +148,29 @@ def check_closed_form_reference():
             f"{len(pairs)} (n, theta) pairs: reference == engine == semiclassical law within {tol}")
 
 
+def _node_pass(plan, start: StateVector, t: int):
+    """Node t's pass, on the fabric, after a session from every earlier qubit c (the fan on
+    c's 0 half for odd c: an X on the copy) and one whose Z correction is left undone;
+    returns its result, start and the same gates in order."""
+    fabric, qubits, zero, gates = Fabric(plan), plan.node_qubits(t), ScriptedRng([]), []
+    fabric.state.amps[:] = start.amps
+    for c in range(qubits[0]):  # every outcome 0: no correction
+        handle, phis = cat_entangle(fabric, c, t, zero), [inv_qft_angle(q - c) for q in qubits]
+        if c % 2:
+            fabric.apply("x", (handle.remote_cat,))
+        apply_remote_controlled(fabric, handle, qubits, phis)
+        cat_disentangle(fabric, handle, zero)
+        gates += [g for q, phi in zip(qubits, phis)
+                  for g in ((Gate.p(phi, q), Gate.cp(-phi, c, q)) if c % 2 else (Gate.cp(phi, c, q),))]
+    cat = cat_entangle(fabric, qubits[0], 0, zero).remote_cat
+    fabric.apply("h", (cat,))
+    fabric.measure(cat, ScriptedRng([0.99]))  # outcome 1: a Z owed to qubits[0]
+    fabric.reset(cat, zero)
+    state, twiddle = fabric._local(qubits)
+    inverse_qft_local(state, qubits, twiddle)
+    return fabric.logical_state(), start, gates + [Gate.z(qubits[0])] + inverse_qft_gates(qubits)
+
+
 def check_fused_application():
     """The fused run path == the unfused gate lists, on random unit states.
 
@@ -156,10 +179,14 @@ def check_fused_application():
     fan == the block's Gate.cp list for its control, the Kronecker prep
     == fourier_prep_gates applied to |0...0>, and a run's prepared state
     (node 0's block on its factors, times the others: _head_start) == the
-    prep gates followed by node 0's gates.
+    prep gates followed by node 0's gates.  Each later node's pass folds
+    recorded fans (some on the control's 0 half) and a pending Z into its
+    twiddle (_node_pass); two plans of 17 qubits run it in tiles, their
+    9-qubit node as an FFT and their 3-qubit nodes gate by gate.
     """
     rng, tol = np.random.default_rng(0), 1e-12
     plans = [make_partition(n, k) for n in range(1, 11) for k in EQUIV_NODES if k <= n]
+    plans += [PartitionPlan(17, 2, (8, 9)), PartitionPlan(17, 4, (8, 3, 3, 3))]
     for plan in plans:
         n, theta = plan.n, float(rng.random())
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -174,6 +201,8 @@ def check_fused_application():
                 qubits = plan.node_qubits(block.node)
                 cases.append((inverse_qft_local(state.copy(), qubits), state,
                               inverse_qft_gates(qubits), f"node {block.node}'s block"))
+                if block.node:
+                    cases.append((*_node_pass(plan, state, block.node), f"node {block.node}'s pass"))
             else:
                 cases += [(state.copy().apply_fan(c, targets, phis), state,
                            [Gate.cp(phi, d, t) for d, t, phi in block.gates if d == c],
@@ -183,8 +212,8 @@ def check_fused_application():
             if not gap <= tol:
                 return ("fused-application", False,
                         f"n={n}, k={plan.k}: {what} differs from its gates by {gap:.3g}")
-    return ("fused-application", True, f"{len(plans)} plans: blocks, session fans, the "
-            f"Kronecker prep and the prepared state == their gates within {tol}")
+    return ("fused-application", True, f"{len(plans)} plans: blocks, node passes, session fans, "
+            f"the Kronecker prep and the prepared state == their gates within {tol}")
 
 
 def check_epr_formula():

@@ -79,12 +79,14 @@ def test_frame_sessions_equal_the_dense_replay(case):
     assert np.max(np.abs(fabric.logical_state().amps - dense)) <= 1e-12
 
 
-def test_a_cat_session_makes_one_fan_and_no_other_pass(monkeypatch):
-    # n=8 on 2 nodes: each node's block is 4 H and 3 fans, node 0's on its own
-    # 2^4 amplitudes before the state is expanded, and each of node 0's 4
-    # sessions onto node 1 is one fan over the 2^8 logical amplitudes
-    kernels = []
+def test_a_cat_session_makes_no_pass_and_its_fan_folds_into_the_node_pass(monkeypatch):
+    # n=8 on 2 nodes: each node's block is 4 H and 3 fans, node 0's on its own 2^4
+    # amplitudes before the state is expanded.  Node 0's 4 sessions onto node 1 make
+    # no pass over the 2^8 logical amplitudes: their fans are recorded, and node 1's
+    # pass folds them into one twiddle, the four-step FFT's e^(-2 pi i rev(a) b / 2^8)
+    kernels, folded = [], []
     gate, fan, measure = StateVector.apply_gate, StateVector.apply_fan, StateVector.measure
+    local = Fabric._local
 
     def recorded_gate(self, g):
         kernels.append((g.kind, self.num_qubits))
@@ -98,12 +100,23 @@ def test_a_cat_session_makes_one_fan_and_no_other_pass(monkeypatch):
         kernels.append(("measure", self.num_qubits))
         return measure(self, qubit, rng)
 
+    def recorded_local(self, qubits):
+        state, twiddle = local(self, qubits)
+        folded.append(twiddle)
+        return state, twiddle
+
     monkeypatch.setattr(StateVector, "apply_gate", recorded_gate)
     monkeypatch.setattr(StateVector, "apply_fan", recorded_fan)
     monkeypatch.setattr(StateVector, "measure", recorded_measure)
+    monkeypatch.setattr(Fabric, "_local", recorded_local)
     run_distributed(make_partition(8, 2), 0.3)
     block = ["h", "fan1", "h", "fan2", "h", "fan3", "h"]  # a 4-qubit inverse QFT
-    assert kernels == [(kind, 4) for kind in block] + [(kind, 8) for kind in ["fan4"] * 4 + block]
+    assert kernels == [(kind, 4) for kind in block] + [(kind, 8) for kind in block]
+    (twiddle,) = folded
+    # the CP from qubit c onto qubit 4 + u turns by -1/2^(u - c + 5): -2^(c - u + 3) of 2^8
+    assert twiddle.bits == 8 and twiddle.const == (0, 0, 0, 0)
+    assert twiddle.coef == tuple(tuple(-(1 << (c - u + 3)) % 256 for u in range(4))
+                                 for c in range(4))
 
 
 @pytest.mark.parametrize("flip", [0, 1])

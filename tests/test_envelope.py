@@ -7,7 +7,10 @@ min(n, 8) and four theta must stay within E(n) = 2 n 2^-52 of it in every
 amplitude, with no phase alignment (Higham's forward error analysis gives a
 bound of this n u shape for a product of n unitary stages).  Measured: at
 most about 0.86 n 2^-52, 2.29e-15 at n=12.  A 1e-12 rad error in one fan
-phase lands far outside.
+phase lands far outside.  The node passes of a state larger than a tile
+(circuits.TILE_AMPS, 2^16) are held to the same envelope on small states
+by shrinking the tile: a node of at least six qubits takes its block as an
+FFT, a narrower one gate by gate, each after the twiddle its sessions fold.
 
 Run as a script, it prints the README's table for n = 2..14:
 
@@ -18,7 +21,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from dqft.fabric import make_partition
+from dqft import circuits
+from dqft.fabric import PartitionPlan, make_partition
 from dqft.runner import run_distributed
 from oracles import EXACT_DPS, exact_amplitude, exact_final_state, literal_amplitude
 
@@ -35,9 +39,10 @@ def thetas(n: int):
     return 0.123, 1 / 3, 2 / 3, ((5 << n) // 7) / (1 << n)
 
 
-def errors(n: int, k: int, theta: float) -> tuple[float, float]:
+def errors(n: int, k: int, theta: float, plan=None) -> tuple[float, float]:
     """A run's max |amp - exact| and the total variation of |amp|^2 from |exact|^2."""
-    amps = run_distributed(make_partition(n, k), theta, shots=1, return_state=True).state.amps
+    plan = make_partition(n, k) if plan is None else plan
+    amps = run_distributed(plan, theta, shots=1, return_state=True).state.amps
     hi, lo = exact_final_state(n, theta)
     delta = (amps - hi) - lo
     # |a|^2 - |e|^2 = 2 Re(conj(e) delta) + |delta|^2, with no cancellation
@@ -68,6 +73,21 @@ def test_every_amplitude_lies_within_the_envelope(n):
         for k in range(1, min(n, 8) + 1):
             worst, _ = errors(n, k, theta)
             assert worst <= envelope(n), (n, k, theta, worst / (n * ULP))
+
+
+# node passes in tiles: a tile of 2^5 amplitudes cuts these states, and fits no FFT
+# block; one of 2^7 fits a block of six or seven qubits, as an FFT
+TILED = [(1 << 5, make_partition(n, k)) for n in (7, 8, 9, 10) for k in range(2, min(n, 8) + 1)]
+TILED += [(1 << 7, PartitionPlan(n=sum(s), k=len(s), sizes=s))
+          for s in [(4, 6), (3, 7), (2, 2, 6), (1, 2, 6), (3, 6)]]
+
+
+@pytest.mark.parametrize("tile, plan", TILED, ids=[f"{t}-{p.sizes}" for t, p in TILED])
+def test_every_tiled_amplitude_lies_within_the_envelope(monkeypatch, tile, plan):
+    monkeypatch.setattr(circuits, "TILE_AMPS", tile)
+    for theta in thetas(plan.n):
+        worst, _ = errors(plan.n, plan.k, theta, plan)
+        assert worst <= envelope(plan.n), (plan.sizes, theta, worst / (plan.n * ULP))
 
 
 if __name__ == "__main__":

@@ -82,21 +82,28 @@ def test_a_tiled_telegate_run_is_the_run_in_place_bit_for_bit(monkeypatch, tile)
             assert got[1:] == (counts, draw), plan
 
 
-def test_a_tiled_block_allocates_at_most_one_tile():
-    n, lo, m = 18, 9, 9
+@pytest.mark.parametrize("lo, m", [(9, 9), (15, 3)])  # the FFT form, and the narrow one
+def test_tiled_blocks_allocate_one_tile_once(monkeypatch, lo, m):
+    n = 18
     state = StateVector._of(fourier_product(n, 0.123).to_statevector().amps)
     inverse_qft_local(state.copy(), range(lo, lo + m))  # the fan tables are cached
+    monkeypatch.setattr(circuits, "_workspace", None)  # as in a fresh process
+    peaks = []
     with np.errstate():
         np.setbufsize(runner.UFUNC_BUFSIZE)  # as a dense run sets it
         tracemalloc.start()
         try:
-            inverse_qft_local(state, range(lo, lo + m))
-            peak = tracemalloc.get_traced_memory()[1]
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                inverse_qft_local(state, range(lo, lo + m))
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
         finally:
             tracemalloc.stop()
     tile_bytes = 16 * circuits.TILE_AMPS
     assert state.amps.nbytes > tile_bytes
-    assert tile_bytes <= peak <= tile_bytes + (32 << 10)  # one tile, plus its bookkeeping
+    assert tile_bytes <= peaks[0] <= tile_bytes + (32 << 10)  # one tile, plus its bookkeeping
+    assert peaks[1] <= 32 << 10  # the next block reuses it
 
 
 # -- the ufunc buffer: set for a run's emulation, and the caller's own value after it --
@@ -119,9 +126,9 @@ def _buffer_seen(monkeypatch):
         record()
         return real_execute(fabric, schedule, rng)
 
-    def local(state, qubits):
+    def local(*args):
         record()
-        return real_local(state, qubits)
+        return real_local(*args)
 
     monkeypatch.setattr(runner, "_execute_schedule", execute)
     monkeypatch.setattr(runner, "inverse_qft_local", local)
@@ -210,7 +217,7 @@ def _pending_z(fabric, control, node):
     assert fabric.measure(cat, rng) == 1
 
 
-def test_a_pending_z_is_applied_before_the_block(monkeypatch):
+def test_a_pending_z_folds_into_the_node_pass(monkeypatch):
     monkeypatch.setattr(circuits, "TILE_AMPS", 1 << 4)  # node 1's block, 3 qubits, in 8 tiles
     plan = make_partition(6, 2)
     fabric = Fabric(plan, prep=fourier_product(6, 0.3))
@@ -218,9 +225,11 @@ def test_a_pending_z_is_applied_before_the_block(monkeypatch):
     assert fabric._pending_z == {4}
     want = fabric.state.copy().apply_gate(Gate.z(4))
     inverse_qft_local(want, range(3, 6))
-    inverse_qft_local(fabric._local(range(3, 6)), range(3, 6))
-    assert fabric._pending_z == set()
-    assert np.array_equal(_bits(fabric.state.amps), _bits(want.amps))
+    state, twiddle = fabric._local(range(3, 6))
+    assert fabric._pending_z == set()  # a half turn on qubit 4, the block's second
+    assert twiddle.const == (0, 1 << 5, 0) and twiddle.coef == ((0, 0, 0),) * 3
+    inverse_qft_local(state, range(3, 6), twiddle)
+    assert np.abs(fabric.state.amps - want.amps).max() <= 2 * 6 * 2.0 ** -52  # E(6)
 
 
 def test_a_block_under_a_live_copy_raises_and_changes_nothing():
