@@ -7,9 +7,9 @@ exact rational arithmetic before conversion to radians; multiplying a
 float theta by a large power of two and reducing in floating point would
 otherwise cost ~2^e ulps of phase.  build_schedule is a pure function of
 its frozen plan, so it is memoized, and each GradientBlock groups its fans
-once.  inverse_qft_local is a node pass: the twiddle a node's sessions
-fold, then its block, tile by tile on a large state, as an FFT when the
-node is wide.
+once.  inverse_qft_local is a node pass: the twiddle that a node's
+sessions' fans fold into, then its block, tile by tile on a large state,
+as an FFT when the node is wide.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from itertools import groupby
 
 import numpy as np
 
-from .fabric import PartitionPlan, Twiddle
+from .fabric import PartitionPlan
 from .statevector import Gate, ProductState, StateVector
 
 TWO_PI = 2.0 * math.pi
 TILE_AMPS = 1 << 16  # a local block's tile: 2^16 amplitudes, 1 MiB, within a core's L2 cache
 FFT_QUBITS = 6  # a block of at least this many qubits runs in its tiles as an FFT
-_workspace = None  # every tile's one buffer, allocated at the first tile
 
 
 def phase_turns(theta: float, exponent: int) -> float:
@@ -101,41 +100,41 @@ def inverse_qft_fans(qubits):
         yield q, qubits[:j], [inv_qft_angle(j - l + 1) for l in range(j)]
 
 
-def inverse_qft_local(state: StateVector, qubits, twiddle: Twiddle | None = None) -> StateVector:
-    """A node pass: twiddle's phases (fabric.Twiddle), then the swap-free inverse QFT over
-    consecutive qubits lo..lo+m-1.
+def inverse_qft_local(state: StateVector, qubits, fans=()) -> StateVector:
+    """A node pass: recorded fans on the block (Fabric._local), then the swap-free inverse
+    QFT over consecutive qubits lo..lo+m-1.
 
-    On a state larger than TILE_AMPS, a block with lo > 0 and 2^m <= TILE_AMPS
-    runs in tiles, slabs cut along the qubits before and after it, through
-    the module's one buffer.  A block of m >= FFT_QUBITS qubits takes the
+    The fans from before the block onto it fold into one twiddle (_fold);
+    any other fan is applied first, one pass each.  On a state larger than
+    TILE_AMPS, a block with lo > 0 and 2^m <= TILE_AMPS runs in tiles, slabs
+    cut along the qubits before and after it, through one buffer of
+    TILE_AMPS amplitudes.  A block of m >= FFT_QUBITS qubits takes the
     twiddle (_twiddle), then an FFT along its axis, read back bit-reversed.
     A narrower one is copied into the buffer with its qubits leading, takes
     one pass per qubit for the twiddle, then one fan and one H per qubit.
     Any other block runs in place, in those same passes: bit for bit the
-    tiles' result (both take the same factors, _factors).
+    tiles' result (both take the same factors).
     """
     qubits = list(qubits)
-    lo, m = (qubits[0] if qubits else 0), len(qubits)
-    if not (lo + m <= state.num_qubits and qubits == list(range(lo, lo + m))):
-        lo = m = twiddle = None  # malformed: the fans below raise
-    tiled = lo and 1 << m <= TILE_AMPS < state.amps.size
-    view = None if twiddle is None and not tiled else state.amps.reshape(1 << lo, 1 << m, -1)
+    lo, m, size = (qubits[0] if qubits else 0), len(qubits), state.amps.size
+    tiled = (0 < lo and lo + m <= state.num_qubits and 1 << m <= TILE_AMPS < size
+             and qubits == list(range(lo, lo + m)))
+    after = size >> (lo + m) if tiled else 0  # the amplitudes after the block, per block value
+    width = min(after, TILE_AMPS >> m)  # trailing amplitudes per tile
+    rows = TILE_AMPS // ((1 << m) * width) if tiled else 1 << lo  # leading prefixes per tile
+    factors, rest = _fold(tuple(fans), lo, m, rows) if fans else (None, ())
+    for source, on, targets, phis in rest:
+        state.apply_fan(source, targets, phis, on)
     if not tiled:
-        for u, f in enumerate(() if twiddle is None else _factors(twiddle, lo, m, 1 << lo)(0)):
-            half = view.reshape(1 << lo, 1 << u, 2, -1, view.shape[2])[:, :, 1]
-            half *= f[:1 << lo, None, None, None]
+        for u, f in enumerate(factors(0) if factors else ()):
+            half = state.amps.reshape(1 << lo, 1 << u, 2, -1)[:, :, 1]
+            half *= f[:rows, None, None]
         _block(state, inverse_qft_fans(qubits))
         return state
-    after = view.shape[2]
-    width = min(after, TILE_AMPS >> m)  # trailing amplitudes per tile
-    rows = TILE_AMPS // ((1 << m) * width)  # leading prefixes per tile
-    global _workspace  # reused by every later block and run: one block runs at a time
-    if _workspace is None or _workspace.size < TILE_AMPS:
-        _workspace = np.empty(TILE_AMPS, dtype=np.complex128)
-    buffer = _workspace
-    wide = m >= FFT_QUBITS
-    tile = buffer[:TILE_AMPS].reshape((rows, 1 << m, width) if wide else (1 << m, rows, width))
-    factors, steps = twiddle and _factors(twiddle, lo, m, rows), list(inverse_qft_fans(range(m)))
+    view = state.amps.reshape(1 << lo, 1 << m, after)  # before the block, the block, after it
+    buffer, wide = np.empty(TILE_AMPS, dtype=np.complex128), m >= FFT_QUBITS
+    tile = buffer.reshape((rows, 1 << m, width) if wide else (1 << m, rows, width))
+    steps = list(inverse_qft_fans(range(m)))
     order = bit_reverse(np.arange(1 << m), m)  # the swap-free block reads the FFT in this order
     for a in range(0, 1 << lo, rows):
         for c in range(0, after, width):
@@ -155,23 +154,41 @@ def inverse_qft_local(state: StateVector, qubits, twiddle: Twiddle | None = None
             for u, f in enumerate(factors(a) if factors else ()):
                 half = tile.reshape(1 << u, 2, -1, rows, width)[:, 1]
                 half *= f[:rows, None]
-            _block(StateVector._of(tile.reshape(-1)), steps)
+            _block(StateVector._of(buffer), steps)
             np.copyto(slab.transpose(1, 0, 2), tile)
     return state
 
 
 @lru_cache(maxsize=16)
-def _factors(twiddle: Twiddle, lo: int, m: int, rows: int):
-    """The twiddle's factors of rows a..a+rows-1 (a a multiple of rows), as a function of a:
-    an (m, max(rows, 2)) array, e^(2 pi i K_u(row) / 2^bits) for block qubit u.
+def _fold(fans: tuple, lo: int, m: int, rows: int):
+    """What a pass on lo..lo+m-1 makes of fans: (factors, the fans it applies first).
 
-    K is an exact integer mod 2^bits, and e^(2 pi i K / 2^bits) is
-    high[K >> h] * low[K mod 2^h].  A lone row is made twice: numpy rounds a
-    complex product in its contiguous loop apart from its strided and
-    one-element ones, so every row's products come from one loop.
+    A fan from s < lo onto the block folds if each of its phases is a whole
+    multiple j of 2 pi / 2^bits, bits = lo + m; no phase is rounded.  Block
+    qubit u's 1 half under prefix a then turns by K_u(a) / 2^bits, K_u(a) an
+    exact integer mod 2^bits: const[u] plus coef[s][u] for each qubit s < lo
+    set in a.  A fan adds j to coef[s] on the source's 1 half (on = 1); on
+    its 0 half it counts through 1 - bit, j to const and -j to coef[s].
+    factors(a), for a a multiple of rows, is the (m, max(rows, 2)) array
+    e^(2 pi i K_u(row) / 2^bits) of rows a..a+rows-1, or None if nothing folds:
+    e^(2 pi i K / 2^bits) is high[K >> h] * low[K mod 2^h].  A lone row is
+    made twice: numpy rounds a complex product in its contiguous loop apart
+    from its strided and one-element ones, so every row's products come from
+    one loop.  Memoized: a plan's runs record alike.
     """
-    bits, const = twiddle.bits, np.array(twiddle.const, dtype=np.int64)
-    coef = np.array(twiddle.coef, dtype=np.int64).reshape(lo, m)  # also with lo = 0
+    bits, rest = lo + m, []
+    const, coef = np.zeros(m, dtype=np.int64), np.zeros((lo, m), dtype=np.int64)
+    for fan in fans:
+        source, on, targets, phis = fan
+        turns = np.fmod(np.array(phis) / math.tau * (1 << bits), 1 << bits)  # exact, dyadic
+        if source < lo <= targets[0] and targets[-1] < bits and np.all(turns % 1 == 0):
+            j = turns.astype(np.int64)
+            coef[source, targets[0] - lo:targets[-1] + 1 - lo] += j if on else -j
+            const[targets[0] - lo:targets[-1] + 1 - lo] += 0 if on else j
+        else:
+            rest.append(fan)
+    if len(rest) == len(fans):
+        return None, fans
     inner = lo - (rows.bit_length() - 1)  # the row qubits before inner are fixed in a tile
     run_bits = (np.arange(max(rows, 2))[:, None] >> np.arange(lo - 1 - inner, -1, -1)) & 1
     below = (run_bits @ coef[inner:]).T
@@ -186,7 +203,7 @@ def _factors(twiddle: Twiddle, lo: int, m: int, rows: int):
         out *= low.take(k & ((1 << h) - 1))
         return out
 
-    return factors
+    return factors, tuple(rest)
 
 
 def _twiddle(factors: np.ndarray, buffer: np.ndarray) -> np.ndarray:

@@ -11,9 +11,9 @@ holds the logical qubits only, qubit q at index q, from a ProductState
 expanded by one Kronecker product, or from a HeadStart: node 0's qubits with
 their local block already taken, times the other qubits' factors, expanded
 by one outer product.  apply_fan records the CPs from one qubit onto a run
-of consecutive qubits (a fan): the node pass on its targets folds it into
-one twiddle (_local), and any other access to the state applies the record
-first (state).
+of consecutive qubits (a fan): _local hands the fans on a block to its node
+pass (circuits.inverse_qft_local), and any other access to the state
+applies the record first (state).
 
 A comm qubit has no amplitudes: in a cat session it only holds a GF(2)
 relation to the logical state, a FrameEntry in the manner of a Pauli frame.
@@ -37,10 +37,9 @@ call checks its nodes against the plan (ValueError) before a queue changes.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -181,49 +180,6 @@ class HeadStart(NamedTuple):
         return StateVector._of(out.reshape(-1))
 
 
-class Twiddle(NamedTuple):
-    """The diagonal a node pass on qubits lo..lo+m-1 takes before its block (bits = lo + m).
-
-    An amplitude whose qubits before the block read a takes, for each block
-    qubit u that reads 1, e^(2 pi i K_u(a) / 2^bits): K_u(a) = const[u] plus
-    coef[s][u] for every qubit s < lo set in a, exact integers mod 2^bits.
-    """
-
-    bits: int
-    const: tuple[int, ...]  # m entries
-    coef: tuple[tuple[int, ...], ...]  # lo rows of m
-
-
-@lru_cache(maxsize=256)
-def _fold(fans: tuple, lo: int, m: int):
-    """What a node pass on lo..lo+m-1 makes of recorded fans: (const, coef, touching, kept).
-
-    A fan from s < lo onto block qubits folds if each phase is a whole
-    multiple j of 2 pi / 2^(lo+m): j adds to coef[s] if on = 1; on = 0 counts
-    through 1 - bit, j to const and -j to coef[s].  No phase is rounded: any
-    other fan on the block is touching, to apply first; the rest are kept.
-    const is None if nothing folds.  Memoized: a plan's runs record alike.
-    """
-    bits, folded, touching, kept = lo + m, False, [], []
-    const, coef = [0] * m, [[0] * m for _ in range(lo)]
-    for fan in fans:
-        source, on, targets, phis = fan
-        turns = [phi / math.tau * (1 << bits) for phi in phis]  # exact for a dyadic turn
-        if source < lo <= targets[0] and targets[-1] < bits and all(map(float.is_integer, turns)):
-            row = coef[source]
-            for u, j in enumerate(map(int, turns), targets[0] - lo):
-                row[u] += j if on else -j
-                const[u] += 0 if on else j
-            folded = True
-        elif lo <= source < bits or (targets[0] < bits and lo <= targets[-1]):
-            touching.append(fan)
-        else:
-            kept.append(fan)
-    size = 1 << bits
-    return (tuple(j % size for j in const) if folded else None,
-            tuple(tuple(j % size for j in row) for row in coef), tuple(touching), tuple(kept))
-
-
 class Fabric:
     """k nodes over one shared state, with counters and a tick clock.
 
@@ -285,17 +241,12 @@ class Fabric:
 
     @property
     def state(self) -> StateVector | ProductState:
-        """The fabric's state, every recorded fan applied first (_flush)."""
+        """The fabric's state, every recorded fan applied first, one pass each."""
         if self._fans:
-            self._flush()
-        return self._state
-
-    def _flush(self, fans=None) -> None:
-        """Apply recorded fans (all of them by default) to the state, one pass each."""
-        for source, on, targets, phis in self._fans if fans is None else fans:
-            self._state.apply_fan(source, targets, phis, on)
-        if fans is None:
+            for source, on, targets, phis in self._fans:
+                self._state.apply_fan(source, targets, phis, on)
             self._fans = []
+        return self._state
 
     # -- gates and measurements --------------------------------------------
 
@@ -418,36 +369,34 @@ class Fabric:
             raise CommSlotBusyError("fabric built without communication qubits")
         return node, self._frame.get(node, ZERO)
 
-    def _local(self, qubits) -> tuple[StateVector, Twiddle | None]:
-        """The fabric's own state and the Twiddle (None: no phase) for a node pass on
-        consecutive logical qubits of one node (circuits.inverse_qft_local).
+    def _local(self, qubits) -> tuple[StateVector, list[tuple]]:
+        """The fabric's own state and the recorded fans on a block's consecutive logical
+        qubits of one node, taken from the record: the node pass must apply them
+        (runner._node_pass, circuits.inverse_qft_local).
 
         First the checks each gate of the block would make: one node
         (CrossNodeGateError), logical qubits that no comm qubit copies
-        (ValueError).  The twiddle folds the record's fans onto the block
-        (_fold) and adds 2^(lo+m-1) to const[u] for a pending Z on qubit u.
+        (ValueError).  The block's pending Zs are then applied; a fan on the
+        block's qubits leaves the record, any other fan stays.
         """
         qubits = tuple(qubits)
         check_locality(self.plan, qubits)
-        lo, m = (qubits[0] if qubits else 0), len(qubits)
+        lo, hi = (qubits[0], qubits[-1]) if qubits else (0, -1)
         if max(qubits, default=0) >= self.plan.n:
             raise ValueError(f"block on {list(qubits)}: a comm qubit takes no local block")
-        if qubits != tuple(range(lo, lo + m)):
+        if qubits != tuple(range(lo, hi + 1)):
             raise ValueError(f"block on {list(qubits)}: a block is a run of consecutive qubits")
         watched = {e.control for e in self._frame.values()}.intersection(qubits)
         if watched:
             raise ValueError(f"block on {list(qubits)}: qubits {sorted(watched)} would change "
                              "under a comm qubit that copies them")
-        const, coef, touching, kept = _fold(tuple(self._fans), lo, m)
-        self._flush(touching)
-        self._fans = list(kept)
-        kicked = self._pending_z.intersection(qubits)
-        if kicked:
-            self._pending_z -= kicked
-            const, half = const or (0,) * m, 1 << (lo + m - 1)
-            const = tuple((j + half) % (2 * half) if lo + u in kicked else j
-                          for u, j in enumerate(const))
-        return self._state, None if const is None else Twiddle(lo + m, const, coef)
+        self._touch(qubits)
+        taken, kept = [], []
+        for fan in self._fans:  # (source, on, targets, phis)
+            on_block = lo <= fan[0] <= hi or (fan[2][0] <= hi and lo <= fan[2][-1])
+            (taken if on_block else kept).append(fan)
+        self._fans = kept
+        return self._state, taken
 
     def _touch(self, qubits, flips: bool = False) -> None:
         """Apply the qubits' pending Zs; flips: the step (an H) may flip the last."""
@@ -456,7 +405,7 @@ class Fabric:
         for q in qubits:
             if q in self._pending_z:
                 self._pending_z.remove(q)
-                self.state.apply_gate(Gate.z(q))
+                self._state.apply_gate(Gate.z(q))  # a diagonal, as every recorded fan
 
     # -- EPR source ----------------------------------------------------------
 

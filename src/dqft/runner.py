@@ -10,8 +10,8 @@ to 2^m0 amplitudes, and the fabric starts from that head times the other
 factors' Kronecker product, one outer product into the 2^n state
 (_head_start, fabric.HeadStart); on the one-node plan the head is the whole
 state.  A cat session makes no pass over the state: the fabric records its
-fan, and each later node's block is one node pass, the twiddle its sessions
-fold and then its block (circuits.inverse_qft_local), under a ufunc buffer
+fan, and each later node's block is one node pass (_node_pass), the
+twiddle its sessions fold and then its block, under a ufunc buffer
 of UFUNC_BUFSIZE elements scoped to the run.  The run executes the circuit
 once (teleportation outcomes never change the logical state).  It squares its
 final 2^n state once, uncopied, into its law in qubit order: the shots are
@@ -207,6 +207,13 @@ def _head_start(plan: PartitionPlan, theta: float) -> HeadStart:
     return HeadStart(head, factors[m:])
 
 
+def _node_pass(fabric: Fabric, qubits) -> None:
+    """A node's block on the fabric as one node pass: the fans recorded on its qubits,
+    taken from the record (Fabric._local), then the block (inverse_qft_local)."""
+    state, fans = fabric._local(qubits)
+    inverse_qft_local(state, qubits, fans)
+
+
 def _execute_schedule(fabric: Fabric, schedule, rng: np.random.Generator) -> int:
     """Run all blocks slot by slot; returns the number of slots executed.
 
@@ -219,9 +226,7 @@ def _execute_schedule(fabric: Fabric, schedule, rng: np.random.Generator) -> int
             if isinstance(block, LocalInverseQFT):
                 if block.node == 0 and fabric.head_done:
                     continue
-                qubits = fabric.plan.node_qubits(block.node)
-                state, twiddle = fabric._local(qubits)
-                inverse_qft_local(state, qubits, twiddle)
+                _node_pass(fabric, fabric.plan.node_qubits(block.node))
             else:
                 _run_gradient_block(fabric, block, rng)
         fabric.advance_clock(1)

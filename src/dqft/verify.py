@@ -15,7 +15,7 @@ from .circuits import (LocalInverseQFT, build_schedule, flatten_schedule, fourie
                        fourier_product, inv_qft_angle, inverse_qft_gates, inverse_qft_local)
 from .fabric import Fabric, PartitionPlan, make_partition
 from .metrics import epr_budget
-from .runner import (_distribution, _head_start, _reference, _semiclassical_law,
+from .runner import (_distribution, _head_start, _node_pass, _reference, _semiclassical_law,
                      run_distributed, run_monolithic_reference)
 from .statevector import Gate, StateVector, equal_up_to_global_phase
 from .telegate import apply_remote_controlled, cat_disentangle, cat_entangle
@@ -148,10 +148,10 @@ def check_closed_form_reference():
             f"{len(pairs)} (n, theta) pairs: reference == engine == semiclassical law within {tol}")
 
 
-def _node_pass(plan, start: StateVector, t: int):
-    """Node t's pass, on the fabric, after a session from every earlier qubit c (the fan on
-    c's 0 half for odd c: an X on the copy) and one whose Z correction is left undone;
-    returns its result, start and the same gates in order."""
+def _sessions_then_pass(plan, start: StateVector, t: int):
+    """Node t's pass (_node_pass), on the fabric, after a session from every earlier qubit c
+    (the fan on c's 0 half for odd c: an X on the copy) and one whose Z correction is left
+    undone; returns its result, start and the same gates in order."""
     fabric, qubits, zero, gates = Fabric(plan), plan.node_qubits(t), ScriptedRng([]), []
     fabric.state.amps[:] = start.amps
     for c in range(qubits[0]):  # every outcome 0: no correction
@@ -166,8 +166,7 @@ def _node_pass(plan, start: StateVector, t: int):
     fabric.apply("h", (cat,))
     fabric.measure(cat, ScriptedRng([0.99]))  # outcome 1: a Z owed to qubits[0]
     fabric.reset(cat, zero)
-    state, twiddle = fabric._local(qubits)
-    inverse_qft_local(state, qubits, twiddle)
+    _node_pass(fabric, qubits)
     return fabric.logical_state(), start, gates + [Gate.z(qubits[0])] + inverse_qft_gates(qubits)
 
 
@@ -179,9 +178,9 @@ def check_fused_application():
     fan == the block's Gate.cp list for its control, the Kronecker prep
     == fourier_prep_gates applied to |0...0>, and a run's prepared state
     (node 0's block on its factors, times the others: _head_start) == the
-    prep gates followed by node 0's gates.  Each later node's pass folds
-    recorded fans (some on the control's 0 half) and a pending Z into its
-    twiddle (_node_pass); two plans of 17 qubits run it in tiles, their
+    prep gates followed by node 0's gates.  Each later node's pass takes
+    recorded fans (some on the control's 0 half), folded into its twiddle,
+    and a pending Z (_sessions_then_pass); two plans of 17 qubits run it in tiles, their
     9-qubit node as an FFT and their 3-qubit nodes gate by gate.
     """
     rng, tol = np.random.default_rng(0), 1e-12
@@ -202,7 +201,8 @@ def check_fused_application():
                 cases.append((inverse_qft_local(state.copy(), qubits), state,
                               inverse_qft_gates(qubits), f"node {block.node}'s block"))
                 if block.node:
-                    cases.append((*_node_pass(plan, state, block.node), f"node {block.node}'s pass"))
+                    cases.append((*_sessions_then_pass(plan, state, block.node),
+                                  f"node {block.node}'s pass"))
             else:
                 cases += [(state.copy().apply_fan(c, targets, phis), state,
                            [Gate.cp(phi, d, t) for d, t, phi in block.gates if d == c],

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqft import telegate, verify
+from dqft import circuits, telegate, verify
+from dqft.circuits import inv_qft_angle
 from dqft.fabric import Fabric, PartitionPlan, make_partition
 from dqft.runner import run_distributed
 from dqft.statevector import StateVector
@@ -83,7 +84,7 @@ def test_a_cat_session_makes_no_pass_and_its_fan_folds_into_the_node_pass(monkey
     # n=8 on 2 nodes: each node's block is 4 H and 3 fans, node 0's on its own 2^4
     # amplitudes before the state is expanded.  Node 0's 4 sessions onto node 1 make
     # no pass over the 2^8 logical amplitudes: their fans are recorded, and node 1's
-    # pass folds them into one twiddle, the four-step FFT's e^(-2 pi i rev(a) b / 2^8)
+    # pass takes them from the record and folds them into one twiddle
     kernels, folded = [], []
     gate, fan, measure = StateVector.apply_gate, StateVector.apply_fan, StateVector.measure
     local = Fabric._local
@@ -101,9 +102,9 @@ def test_a_cat_session_makes_no_pass_and_its_fan_folds_into_the_node_pass(monkey
         return measure(self, qubit, rng)
 
     def recorded_local(self, qubits):
-        state, twiddle = local(self, qubits)
-        folded.append(twiddle)
-        return state, twiddle
+        state, fans = local(self, qubits)
+        folded.append(fans)
+        return state, fans
 
     monkeypatch.setattr(StateVector, "apply_gate", recorded_gate)
     monkeypatch.setattr(StateVector, "apply_fan", recorded_fan)
@@ -112,11 +113,11 @@ def test_a_cat_session_makes_no_pass_and_its_fan_folds_into_the_node_pass(monkey
     run_distributed(make_partition(8, 2), 0.3)
     block = ["h", "fan1", "h", "fan2", "h", "fan3", "h"]  # a 4-qubit inverse QFT
     assert kernels == [(kind, 4) for kind in block] + [(kind, 8) for kind in block]
-    (twiddle,) = folded
-    # the CP from qubit c onto qubit 4 + u turns by -1/2^(u - c + 5): -2^(c - u + 3) of 2^8
-    assert twiddle.bits == 8 and twiddle.const == (0, 0, 0, 0)
-    assert twiddle.coef == tuple(tuple(-(1 << (c - u + 3)) % 256 for u in range(4))
-                                 for c in range(4))
+    (fans,) = folded  # node 1's pass takes the four sessions' fans, and folds each
+    assert fans == [(c, 1, (4, 5, 6, 7), tuple(inv_qft_angle(t - c + 1) for t in range(4, 8)))
+                    for c in range(4)]
+    factors, rest = circuits._fold(tuple(fans), 4, 4, 1 << 4)
+    assert factors is not None and rest == ()
 
 
 @pytest.mark.parametrize("flip", [0, 1])

@@ -1,8 +1,9 @@
 """Recorded fans and the node pass, against a dense model of the logical state.
 
 Fabric.apply_fan records a session's fan instead of applying it; a node
-pass folds the fans onto its node into one twiddle, and any other access to
-the state applies the record first.  Random legal sequences of sessions,
+pass (runner._node_pass) takes the fans on its node from the record and
+folds those it can into one twiddle, and any other access to the state
+applies the record first.  Random legal sequences of sessions,
 logical measurements, state reads, node passes and logical_state are
 replayed on a dense numpy model that shares no engine code: a fan is its
 CPs' diagonal, built from each index's bits, and a node's block is the
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqft import circuits, verify
-from dqft.circuits import inverse_qft_local
 from dqft.fabric import Fabric, PartitionPlan
+from dqft.runner import _node_pass
 from dqft.telegate import apply_remote_controlled, cat_disentangle, cat_entangle
 from test_comm_frame import ListRng
 
@@ -115,8 +116,7 @@ def test_recorded_fans_and_node_passes_equal_the_dense_model(script):
                 psi /= np.linalg.norm(psi)
             elif step[0] == "pass":
                 qubits = plan.node_qubits(step[1])
-                state, twiddle = fabric._local(qubits)
-                inverse_qft_local(state, qubits, twiddle)
+                _node_pass(fabric, qubits)
                 psi = _block(psi, qubits)
             elif step[0] == "read":
                 assert _gap(fabric.state.amps, psi) <= TOL

@@ -82,28 +82,47 @@ def test_a_tiled_telegate_run_is_the_run_in_place_bit_for_bit(monkeypatch, tile)
             assert got[1:] == (counts, draw), plan
 
 
-@pytest.mark.parametrize("lo, m", [(9, 9), (15, 3)])  # the FFT form, and the narrow one
-def test_tiled_blocks_allocate_one_tile_once(monkeypatch, lo, m):
-    n = 18
+def test_a_tiled_block_allocates_at_most_one_tile():
+    n, lo, m = 18, 9, 9
     state = StateVector._of(fourier_product(n, 0.123).to_statevector().amps)
     inverse_qft_local(state.copy(), range(lo, lo + m))  # the fan tables are cached
-    monkeypatch.setattr(circuits, "_workspace", None)  # as in a fresh process
-    peaks = []
     with np.errstate():
         np.setbufsize(runner.UFUNC_BUFSIZE)  # as a dense run sets it
         tracemalloc.start()
         try:
-            for _ in range(2):
-                tracemalloc.reset_peak()
-                held = tracemalloc.get_traced_memory()[0]
-                inverse_qft_local(state, range(lo, lo + m))
-                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            inverse_qft_local(state, range(lo, lo + m))
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     tile_bytes = 16 * circuits.TILE_AMPS
     assert state.amps.nbytes > tile_bytes
-    assert tile_bytes <= peaks[0] <= tile_bytes + (32 << 10)  # one tile, plus its bookkeeping
-    assert peaks[1] <= 32 << 10  # the next block reuses it
+    assert tile_bytes <= peak <= tile_bytes + (32 << 10)  # one tile, plus its bookkeeping
+
+
+def test_concurrent_tiled_runs_each_equal_the_run_alone():
+    # two threads run tiled node passes at once, the FFT form and the narrow one: each
+    # block has its own tile buffer, so neither sees the other's amplitudes
+    plans = [PartitionPlan(n=17, k=2, sizes=(8, 9)), PartitionPlan(n=17, k=4, sizes=(8, 3, 3, 3))]
+
+    def run(plan):
+        res = run_distributed(plan, 0.123, shots=37, seed=7, return_state=True)
+        return _bits(res.state.amps), res.counts
+
+    alone, seen = [run(plan) for plan in plans], [[], []]
+
+    def work(i):
+        for _ in range(6):
+            seen[i].append(run(plans[i]))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    for want, got in zip(alone, seen):
+        assert len(got) == 6
+        assert all(np.array_equal(bits, want[0]) and counts == want[1] for bits, counts in got)
 
 
 # -- the ufunc buffer: set for a run's emulation, and the caller's own value after it --
@@ -217,7 +236,7 @@ def _pending_z(fabric, control, node):
     assert fabric.measure(cat, rng) == 1
 
 
-def test_a_pending_z_folds_into_the_node_pass(monkeypatch):
+def test_a_pending_z_is_applied_before_the_block(monkeypatch):
     monkeypatch.setattr(circuits, "TILE_AMPS", 1 << 4)  # node 1's block, 3 qubits, in 8 tiles
     plan = make_partition(6, 2)
     fabric = Fabric(plan, prep=fourier_product(6, 0.3))
@@ -225,11 +244,9 @@ def test_a_pending_z_folds_into_the_node_pass(monkeypatch):
     assert fabric._pending_z == {4}
     want = fabric.state.copy().apply_gate(Gate.z(4))
     inverse_qft_local(want, range(3, 6))
-    state, twiddle = fabric._local(range(3, 6))
-    assert fabric._pending_z == set()  # a half turn on qubit 4, the block's second
-    assert twiddle.const == (0, 1 << 5, 0) and twiddle.coef == ((0, 0, 0),) * 3
-    inverse_qft_local(state, range(3, 6), twiddle)
-    assert np.abs(fabric.state.amps - want.amps).max() <= 2 * 6 * 2.0 ** -52  # E(6)
+    runner._node_pass(fabric, range(3, 6))
+    assert fabric._pending_z == set()
+    assert np.array_equal(_bits(fabric.state.amps), _bits(want.amps))
 
 
 def test_a_block_under_a_live_copy_raises_and_changes_nothing():
