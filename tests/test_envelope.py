@@ -76,10 +76,11 @@ def test_every_amplitude_lies_within_the_envelope(n):
 
 
 # node passes in tiles: a tile of 2^5 amplitudes cuts these states, and fits no FFT
-# block; one of 2^7 fits a block of six or seven qubits, as an FFT
+# block; one of 2^7 fits a block of six or seven qubits, as an FFT (in the last two
+# plans with more qubits after the block than a tile holds beside it: one row a tile)
 TILED = [(1 << 5, make_partition(n, k)) for n in (7, 8, 9, 10) for k in range(2, min(n, 8) + 1)]
 TILED += [(1 << 7, PartitionPlan(n=sum(s), k=len(s), sizes=s))
-          for s in [(4, 6), (3, 7), (2, 2, 6), (1, 2, 6), (3, 6)]]
+          for s in [(4, 6), (3, 7), (2, 2, 6), (1, 2, 6), (3, 6), (1, 6, 2), (2, 7, 1)]]
 
 
 @pytest.mark.parametrize("tile, plan", TILED, ids=[f"{t}-{p.sizes}" for t, p in TILED])

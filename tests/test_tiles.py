@@ -7,6 +7,7 @@ compared bit for bit.  The tile is forced down to 2^3-2^5 amplitudes, so
 that small states cut into many tiles.
 """
 
+import sys
 import threading
 import tracemalloc
 
@@ -100,26 +101,33 @@ def test_a_tiled_block_allocates_at_most_one_tile():
 
 
 def test_concurrent_tiled_runs_each_equal_the_run_alone():
-    # two threads run tiled node passes at once, the FFT form and the narrow one: each
-    # block has its own tile buffer, so neither sees the other's amplitudes
-    plans = [PartitionPlan(n=17, k=2, sizes=(8, 9)), PartitionPlan(n=17, k=4, sizes=(8, 3, 3, 3))]
+    # three threads, more than this suite's two cores, run tiled node passes at once, the
+    # FFT form and the narrow one: each pass has its own tile buffer, so no thread sees
+    # another's amplitudes
+    plans = [PartitionPlan(n=17, k=2, sizes=(8, 9)), PartitionPlan(n=17, k=4, sizes=(8, 3, 3, 3)),
+             PartitionPlan(n=17, k=2, sizes=(8, 9))]
 
     def run(plan):
         res = run_distributed(plan, 0.123, shots=37, seed=7, return_state=True)
         return _bits(res.state.amps), res.counts
 
-    alone, seen = [run(plan) for plan in plans], [[], []]
+    alone, seen = [run(plan) for plan in plans], [[] for _ in plans]
 
     def work(i):
         for _ in range(6):
             seen[i].append(run(plans[i]))
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-        assert not thread.is_alive()
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(plans))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     for want, got in zip(alone, seen):
         assert len(got) == 6
         assert all(np.array_equal(bits, want[0]) and counts == want[1] for bits, counts in got)
