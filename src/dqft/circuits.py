@@ -111,9 +111,11 @@ def inverse_qft_local(state: StateVector, qubits, fans=()) -> StateVector:
     TILE_AMPS amplitudes.  A block of m >= FFT_QUBITS qubits takes the
     twiddle (_twiddle), then an FFT along its axis, read back bit-reversed.
     A narrower one is copied into the buffer with its qubits leading, takes
-    one pass per qubit for the twiddle, then one fan and one H per qubit.
-    Any other block runs in place, in those same passes: bit for bit the
-    tiles' result (both take the same factors).
+    one pass per qubit for the twiddle, then one fan and one H per qubit: a
+    kernel's cost follows the length of its qubit's contiguous runs, and in
+    the tile every block qubit's runs hold at least TILE_AMPS / 2^m
+    amplitudes.  Any other block runs in place, in those same passes: bit
+    for bit the tiles' result (both take the same factors).
     """
     qubits = list(qubits)
     lo, m, size = (qubits[0] if qubits else 0), len(qubits), state.amps.size

@@ -405,7 +405,7 @@ class Fabric:
         for q in qubits:
             if q in self._pending_z:
                 self._pending_z.remove(q)
-                self._state.apply_gate(Gate.z(q))  # a diagonal, as every recorded fan
+                self._state.apply_gate(Gate.z(q))  # diagonal, as every recorded fan: no flush
 
     # -- EPR source ----------------------------------------------------------
 
